@@ -27,9 +27,11 @@ SeqResult run(core::Variant variant, std::uint64_t uram_bytes = 4 * MiB) {
   auto io = [](SnaccBed* bed, TimePs* a, TimePs* b, TimePs* c,
                bool* flag) -> sim::Task {
     *a = bed->sys->sim().now();
-    co_await bed->pe->write(Bytes{0}, Payload::phantom(kTotal));
+    expect_ok(co_await bed->pe->write(Bytes{0}, Payload::phantom(kTotal)),
+              "SNAcc write");
     *b = bed->sys->sim().now();
-    co_await bed->pe->read(Bytes{0}, Bytes{kTotal}, nullptr);
+    expect_ok((co_await bed->pe->read(Bytes{0}, Bytes{kTotal})).ok,
+              "SNAcc read");
     *c = bed->sys->sim().now();
     *flag = true;
   };

@@ -112,22 +112,18 @@ Result run_tier(std::uint32_t replicas, bool faulted) {
       bed.sys->ssd(0).set_crash_plan(crash);
     }
 
-    apps::PutStatus st = apps::PutStatus::kOk;
     t0 = bed.sys->sim().now();
     for (int i = 0; i < kPuts; ++i) {
-      co_await store.put("k-" + std::to_string(i),
-                         Payload::filled(kValueBytes,
-                                         static_cast<std::uint8_t>(i)),
-                         &st);
+      const apps::PutStatus st = co_await store.put(
+          "k-" + std::to_string(i),
+          Payload::filled(kValueBytes, static_cast<std::uint8_t>(i)));
       if (st != apps::PutStatus::kOk) {
         std::fprintf(stderr, "  put %d failed: %s\n", i,
                      apps::put_status_name(st));
         std::abort();
       }
       if ((i + 1) % kGroupCommit == 0) {
-        bool ok = false;
-        co_await store.commit(&ok);
-        if (!ok) std::abort();
+        expect_ok(co_await store.commit(), "group commit");
       }
     }
     t1 = bed.sys->sim().now();
@@ -145,19 +141,16 @@ Result run_tier(std::uint32_t replicas, bool faulted) {
     // Cold restart: a fresh store replays (and CRC-verifies) the whole log.
     apps::KvStore fresh(*bed.repl, Bytes{}, Bytes{kRegion});
     r0 = bed.sys->sim().now();
-    co_await fresh.recover(&r.recovered_records);
+    r.recovered_records = co_await fresh.recover();
     r1 = bed.sys->sim().now();
 
     // Every acknowledged key is served with the bytes that were committed.
     r.all_served = true;
     for (int i = 0; i < kPuts; ++i) {
-      Payload got;
-      bool found = false;
-      co_await fresh.get("k-" + std::to_string(i), &got, &found);
+      const ReadResult got = co_await fresh.get("k-" + std::to_string(i));
       r.all_served &=
-          found && got.content_equals(
-                       Payload::filled(kValueBytes,
-                                       static_cast<std::uint8_t>(i)));
+          got.ok && got.data.content_equals(Payload::filled(
+                        kValueBytes, static_cast<std::uint8_t>(i)));
     }
     done = true;
   };

@@ -46,7 +46,8 @@ Result run_snacc(double rate) {
   auto io = [&]() -> sim::Task {
     // Populate the region first (no program faults armed), then arm the
     // read-fault plan so only the measured reads see it.
-    co_await bed.pe->write(Bytes{0}, Payload::phantom(kRegion));
+    expect_ok(co_await bed.pe->write(Bytes{0}, Payload::phantom(kRegion)),
+              "SNAcc populate");
     if (rate > 0.0) {
       bed.sys->ssd().nand().set_read_fault_plan(
           fault::FaultPlan::rate(rate, /*seed=*/99));
@@ -55,10 +56,7 @@ Result run_snacc(double rate) {
     t0 = bed.sys->sim().now();
     for (int i = 0; i < kReads; ++i) {
       const std::uint64_t addr = rng.below(kRegion / kIoBytes) * kIoBytes;
-      Payload got;
-      bool err = false;
-      co_await bed.pe->read(Bytes{addr}, Bytes{kIoBytes}, &got, &err);
-      if (err) {
+      if (!(co_await bed.pe->read(Bytes{addr}, Bytes{kIoBytes})).ok) {
         ++r.failed;
       } else {
         r.delivered += kIoBytes;
@@ -100,7 +98,9 @@ Result run_spdk(double rate) {
   // outlives sim.run_until(); the frame completes before it is destroyed.
   // snacc-lint: allow(dangling-capture): safe by construction, see above.
   auto io = [&]() -> sim::Task {
-    co_await bed.driver->write(Lba{}, Payload::phantom(kRegion));
+    expect_ok(co_await bed.driver->write(Lba{}, Payload::phantom(kRegion)) ==
+                  nvme::Status::kSuccess,
+              "SPDK populate");
     if (rate > 0.0) {
       bed.sys->ssd().nand().set_read_fault_plan(
           fault::FaultPlan::rate(rate, /*seed=*/99));
@@ -109,10 +109,9 @@ Result run_spdk(double rate) {
     t0 = bed.sys->sim().now();
     for (int i = 0; i < kReads; ++i) {
       const Lba lba{rng.below(kRegion / kIoBytes) * (kIoBytes / 512)};
-      Payload got;
-      nvme::Status st = nvme::Status::kSuccess;
-      co_await bed.driver->read(lba, Bytes{kIoBytes}, &got, &st);
-      if (st == nvme::Status::kSuccess) r.delivered += kIoBytes;
+      const spdk::ReadCompletion got =
+          co_await bed.driver->read(lba, Bytes{kIoBytes});
+      if (got.status == nvme::Status::kSuccess) r.delivered += kIoBytes;
     }
     t1 = bed.sys->sim().now();
     done = true;

@@ -54,7 +54,8 @@ double multi_ssd_gen5_write(std::uint32_t n) {
   auto io = [](host::System* sys, core::StripedClient* striped, TimePs* a,
                TimePs* b, bool* flag) -> sim::Task {
     *a = sys->sim().now();
-    co_await striped->write(Bytes{}, Payload::phantom(total));
+    expect_ok(co_await striped->write(Bytes{}, Payload::phantom(total)),
+              "striped write");
     *b = sys->sim().now();
     *flag = true;
   };

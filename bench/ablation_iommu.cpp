@@ -19,7 +19,8 @@ double run(core::Variant variant, bool iommu) {
   bool done = false;
   auto io = [](SnaccBed* bed, TimePs* a, TimePs* b, bool* flag) -> sim::Task {
     *a = bed->sys->sim().now();
-    co_await bed->pe->write(Bytes{0}, Payload::phantom(kTotal));
+    expect_ok(co_await bed->pe->write(Bytes{0}, Payload::phantom(kTotal)),
+              "SNAcc write");
     *b = bed->sys->sim().now();
     *flag = true;
   };

@@ -55,9 +55,11 @@ Result run(std::uint32_t n) {
   auto io = [](host::System* sys, core::StripedClient* striped, TimePs* a,
                TimePs* b, TimePs* c, bool* flag) -> sim::Task {
     *a = sys->sim().now();
-    co_await striped->write(Bytes{}, Payload::phantom(total));
+    expect_ok(co_await striped->write(Bytes{}, Payload::phantom(total)),
+              "striped write");
     *b = sys->sim().now();
-    co_await striped->read(Bytes{}, Bytes{total}, nullptr);
+    expect_ok((co_await striped->read(Bytes{}, Bytes{total})).ok,
+              "striped read");
     *c = sys->sim().now();
     *flag = true;
   };

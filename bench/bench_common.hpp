@@ -100,6 +100,14 @@ class JsonReport {
   bool written_ = false;
 };
 
+/// Benches drive fault-free runs: an I/O that reports an error means the
+/// model broke, so fail loudly instead of printing numbers.
+inline void expect_ok(bool ok, const char* what) {
+  if (ok) return;
+  std::fprintf(stderr, "%s failed\n", what);
+  std::abort();
+}
+
 /// A testbed with one SNAcc variant attached and initialized.
 struct SnaccBed {
   std::unique_ptr<host::System> sys;

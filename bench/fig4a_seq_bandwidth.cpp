@@ -30,9 +30,10 @@ SeqResult run_snacc(core::Variant variant) {
     auto io = [](core::PeClient* pe, TimePs* a, TimePs* b, TimePs* c,
                  sim::Simulator* sim) -> sim::Task {
       *a = sim->now();
-      co_await pe->write(Bytes{0}, Payload::phantom(kTotal));
+      expect_ok(co_await pe->write(Bytes{0}, Payload::phantom(kTotal)),
+                "SNAcc write");
       *b = sim->now();
-      co_await pe->read(Bytes{0}, Bytes{kTotal}, nullptr);
+      expect_ok((co_await pe->read(Bytes{0}, Bytes{kTotal})).ok, "SNAcc read");
       *c = sim->now();
     };
     bed.run(io(bed.pe.get(), &t0, &t1, &t2, &bed.sys->sim()), 10);

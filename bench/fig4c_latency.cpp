@@ -36,10 +36,12 @@ LatencyResult run_snacc(core::Variant variant) {
     for (int i = 0; i < kSamples; ++i) {
       const std::uint64_t addr = rng.below(kRegionBlocks) * kIo;
       TimePs t0 = sim->now();
-      co_await pe->write(Bytes{addr}, Payload::phantom(kIo), Bytes{kIo});
+      expect_ok(
+          co_await pe->write(Bytes{addr}, Payload::phantom(kIo), Bytes{kIo}),
+          "SNAcc write");
       wr->add(sim->now() - t0);
       t0 = sim->now();
-      co_await pe->read(Bytes{addr}, Bytes{kIo}, nullptr);
+      expect_ok((co_await pe->read(Bytes{addr}, Bytes{kIo})).ok, "SNAcc read");
       rd->add(sim->now() - t0);
       // Space commands out so each is a cold, isolated access.
       co_await sim->delay(us(300));
@@ -60,10 +62,14 @@ LatencyResult run_spdk() {
     for (int i = 0; i < kSamples; ++i) {
       const std::uint64_t lba = rng.below(kRegionBlocks);
       TimePs t0 = sim->now();
-      co_await d->write(Lba{lba}, Payload::phantom(kIo));
+      expect_ok(co_await d->write(Lba{lba}, Payload::phantom(kIo)) ==
+                    nvme::Status::kSuccess,
+                "SPDK write");
       wr->add(sim->now() - t0);
       t0 = sim->now();
-      co_await d->read(Lba{lba}, Bytes{kIo}, nullptr);
+      expect_ok((co_await d->read(Lba{lba}, Bytes{kIo})).status ==
+                    nvme::Status::kSuccess,
+                "SPDK read");
       rd->add(sim->now() - t0);
       co_await sim->delay(us(300));
     }

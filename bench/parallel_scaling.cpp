@@ -133,9 +133,10 @@ constexpr std::uint64_t kBytesPerNode = 64 * MiB;
 
 sim::Task node_ingest(Node* node, sim::Simulator* sim) {
   node->write_start = sim->now();
-  co_await node->pe->write(Bytes{0}, Payload::phantom(kBytesPerNode));
+  const bool ok =
+      co_await node->pe->write(Bytes{0}, Payload::phantom(kBytesPerNode));
   node->write_end = sim->now();
-  node->done = true;
+  node->done = ok;
 }
 
 /// Periodic cross-node heartbeat: each node MACs a small frame to its ring

@@ -40,24 +40,21 @@ int main() {
     Xoshiro256 rng(2026);
     // Load phase: 200 keys with values from 100 B to 256 KiB.
     TimePs t0 = sys.sim().now();
-    apps::PutStatus st = apps::PutStatus::kOk;
     for (int i = 0; i < 200; ++i) {
       const std::uint64_t size = 100 + rng.below(256 * KiB);
-      co_await store.put("user:" + std::to_string(i),
-                         Payload::filled(size, static_cast<std::uint8_t>(i)),
-                         &st);
+      const apps::PutStatus st = co_await store.put(
+          "user:" + std::to_string(i),
+          Payload::filled(size, static_cast<std::uint8_t>(i)));
       if (st != apps::PutStatus::kOk) {
         std::printf("put user:%d failed: %s\n", i, apps::put_status_name(st));
         // Bail out, but flush first: the keys already acknowledged would
         // otherwise sit volatile in the log and vanish on a crash.
-        bool flushed = false;
-        co_await store.commit(&flushed);
+        if (!co_await store.commit()) std::printf("commit FAILED\n");
         co_return;
       }
     }
     // Group commit: one flush barrier makes the whole load phase durable.
-    bool committed = false;
-    co_await store.commit(&committed);
+    const bool committed = co_await store.commit();
     std::printf("loaded %llu keys (%.1f MB of log) in %.2f ms, commit %s\n",
                 static_cast<unsigned long long>(store.entries()),
                 store.log_bytes_used().value() / 1e6,
@@ -65,26 +62,27 @@ int main() {
 
     // Overwrite some keys: the log grows, the index keeps the latest.
     for (int i = 0; i < 50; ++i) {
-      co_await store.put("user:" + std::to_string(i),
-                         Payload::filled(2048, 0xFF), &st);
+      const apps::PutStatus st = co_await store.put(
+          "user:" + std::to_string(i), Payload::filled(2048, 0xFF));
       if (st != apps::PutStatus::kOk) {
         std::printf("overwrite user:%d failed: %s\n", i,
                     apps::put_status_name(st));
-        co_await store.commit(&committed);
+        if (!co_await store.commit()) std::printf("commit FAILED\n");
         co_return;
       }
     }
-    co_await store.commit(&committed);
+    if (!co_await store.commit()) {
+      std::printf("overwrite commit FAILED\n");
+      co_return;
+    }
 
     // Point lookups.
     t0 = sys.sim().now();
     int hits = 0;
     for (int i = 0; i < 100; ++i) {
-      Payload value;
-      bool found = false;
-      co_await store.get("user:" + std::to_string(rng.below(200)), &value,
-                         &found);
-      hits += found ? 1 : 0;
+      const ReadResult value =
+          co_await store.get("user:" + std::to_string(rng.below(200)));
+      hits += value.ok ? 1 : 0;
     }
     std::printf("100 point lookups, %d hits, avg %.1f us each\n", hits,
                 to_us(sys.sim().now() - t0) / 100);
@@ -92,22 +90,20 @@ int main() {
     // Simulated restart: a new store instance rebuilds its index from the
     // on-device log.
     apps::KvStore recovered(dev.streamer(), Bytes{}, Bytes{1 * GiB});
-    std::uint64_t records = 0;
     t0 = sys.sim().now();
-    co_await recovered.recover(&records);
+    const std::uint64_t records = co_await recovered.recover();
     std::printf("recovery scanned %llu records in %.2f ms -> %llu live keys\n",
                 static_cast<unsigned long long>(records),
                 to_ms(sys.sim().now() - t0),
                 static_cast<unsigned long long>(recovered.entries()));
 
-    Payload check;
-    bool found = false;
-    co_await recovered.get("user:7", &check, &found);
+    const ReadResult check = co_await recovered.get("user:7");
     std::printf("post-recovery read of user:7 -> %s (%llu bytes, %s)\n",
-                found ? "found" : "missing",
-                static_cast<unsigned long long>(check.size()),
-                check.content_equals(Payload::filled(2048, 0xFF)) ? "latest version"
-                                                                  : "STALE");
+                check.ok ? "found" : "missing",
+                static_cast<unsigned long long>(check.data.size()),
+                check.data.content_equals(Payload::filled(2048, 0xFF))
+                    ? "latest version"
+                    : "STALE");
     done = true;
   };
   sys.sim().spawn(workload());

@@ -65,16 +65,17 @@ int main(int argc, char** argv) {
     // snacc-lint: allow(dangling-capture): safe by construction, see above.
     auto io = [&]() -> sim::Task {
       t0 = sys.sim().now();
-      co_await striped.write(Bytes{}, Payload::phantom(total));
+      const bool wrote =
+          co_await striped.write(Bytes{}, Payload::phantom(total));
       t_write = sys.sim().now();
-      co_await striped.read(Bytes{}, Bytes{total}, nullptr);
+      const bool read = (co_await striped.read(Bytes{}, Bytes{total})).ok;
       t_read = sys.sim().now();
-      done = true;
+      done = wrote && read;
     };
     sys.sim().spawn(io());
     sys.sim().run_until(sys.sim().now() + seconds(30));
     if (!done) {
-      std::fprintf(stderr, "run did not complete for n=%u\n", n);
+      std::fprintf(stderr, "run did not complete cleanly for n=%u\n", n);
       return 1;
     }
     std::printf("%u SSD%s: seq-write %5.2f GB/s   seq-read %5.2f GB/s\n", n,

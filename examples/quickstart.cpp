@@ -51,23 +51,25 @@ int main() {
   auto io = [&]() -> sim::Task {
     Payload hello = Payload::filled(64 * KiB, 0xC5);
     TimePs t0 = sys.sim().now();
-    co_await pe.write(Bytes{1 * MiB}, hello);
-    std::printf("wrote 64 KiB at device offset 1 MiB in %.1f us\n",
-                to_us(sys.sim().now() - t0));
+    const bool wrote = co_await pe.write(Bytes{1 * MiB}, hello);
+    std::printf("wrote 64 KiB at device offset 1 MiB in %.1f us%s\n",
+                to_us(sys.sim().now() - t0), wrote ? "" : " -- FAILED");
 
-    Payload back;
     t0 = sys.sim().now();
-    co_await pe.read(Bytes{1 * MiB}, Bytes{64 * KiB}, &back);
+    const ReadResult back = co_await pe.read(Bytes{1 * MiB}, Bytes{64 * KiB});
     std::printf("read it back in %.1f us -- contents %s\n",
                 to_us(sys.sim().now() - t0),
-                back.content_equals(hello) ? "MATCH" : "MISMATCH");
+                back.ok && back.data.content_equals(hello) ? "MATCH"
+                                                           : "MISMATCH");
 
     // A larger transfer: the streamer splits it into 1 MB NVMe commands and
     // computes the PRP lists on the fly (Sec. 4.4).
     t0 = sys.sim().now();
-    co_await pe.write(Bytes{16 * MiB}, Payload::phantom(64 * MiB));
+    const bool streamed =
+        co_await pe.write(Bytes{16 * MiB}, Payload::phantom(64 * MiB));
     const double gbs = gb_per_s(64 * MiB, sys.sim().now() - t0);
-    std::printf("streamed 64 MiB sequentially at %.2f GB/s\n", gbs);
+    std::printf("streamed 64 MiB sequentially at %.2f GB/s%s\n", gbs,
+                streamed ? "" : " -- FAILED");
     done = true;
   };
   sys.sim().spawn(io());

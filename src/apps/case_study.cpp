@@ -176,67 +176,65 @@ CaseStudyResult run_snacc_case_study(core::Variant variant,
   TimePs t0;
   TimePs t1;
 
-  // Database controller: header + image per record, sequential on-device
-  // layout, write responses reaped concurrently.
+  // Write responses are reaped concurrently with the database writes.
   struct Db {
-    static sim::Task writer(core::PeClient* pe, sim::Channel<Record>* in,
-                            CaseStudyResult* res, sim::WaitGroup* pending,
-                            std::uint64_t expected_images, sim::Simulator* sim) {
-      Bytes cursor;
-      // The Ethernet stream has no end-of-stream marker (a real deployment
-      // runs forever); the run terminates after the configured image count.
-      while (res->images < expected_images) {
-        auto rec = co_await in->pop();
-        if (!rec) co_return;
-        Payload header = DbRecord::make_header(rec->cls.image_id,
-                                               rec->cls.class_id,
-                                               rec->image.data.size());
-        const Bytes record_span{DbRecord::padded_bytes(rec->image.data.size())};
-        pending->add(2);
-        co_await pe->start_write(cursor, std::move(header));
-        co_await pe->start_write(cursor + Bytes{DbRecord::kHeaderBytes},
-                                 std::move(rec->image.data));
-        // snacc-lint: allow(value-escape): throughput accumulator is raw bytes
-        res->bytes_stored += record_span.value();
-        res->bytes_ingested += rec->image.data.size();
-        ++res->images;
-        cursor += record_span;
-        (void)sim;
-      }
-    }
     static sim::Task reaper(core::PeClient* pe, sim::WaitGroup* pending,
-                            std::uint64_t expected) {
+                            std::uint64_t expected, bool* write_failed) {
       for (std::uint64_t i = 0; i < expected; ++i) {
-        co_await pe->wait_write_response();
+        bool error = false;
+        co_await pe->wait_write_response(&error);
+        *write_failed = *write_failed || error;
         pending->done();
       }
     }
   };
 
   sim::WaitGroup pending(sys.sim());
+  bool write_failed = false;
   auto orchestrate = [](host::System* sys, EthIngest* ingest, FinnPe* finn,
                         core::PeClient* pe, const ImageStreamConfig* cfg,
                         CaseStudyResult* res, sim::WaitGroup* pending,
-                        TimePs* t0, TimePs* t1, bool* done) -> sim::Task {
+                        bool* write_failed, TimePs* t0, TimePs* t1,
+                        bool* done) -> sim::Task {
     *t0 = sys->sim().now();
     ingest->start(sys->sim(), *cfg);
     finn->start(sys->sim(), &ingest->images);
-    sys->sim().spawn(Db::reaper(pe, pending, 2ull * cfg->count));
-    co_await Db::writer(pe, &finn->records, res, pending, cfg->count,
-                        &sys->sim());
+    sys->sim().spawn(
+        Db::reaper(pe, pending, 2ull * cfg->count, write_failed));
+    // Database controller: header + image per record, sequential on-device
+    // layout. The Ethernet stream has no end-of-stream marker (a real
+    // deployment runs forever); the run terminates after the configured
+    // image count.
+    Bytes cursor;
+    while (res->images < cfg->count) {
+      auto rec = co_await finn->records.pop();
+      if (!rec) break;
+      Payload header = DbRecord::make_header(
+          rec->cls.image_id, rec->cls.class_id, rec->image.data.size());
+      const Bytes record_span{DbRecord::padded_bytes(rec->image.data.size())};
+      pending->add(2);
+      co_await pe->start_write(cursor, std::move(header));
+      co_await pe->start_write(cursor + Bytes{DbRecord::kHeaderBytes},
+                               std::move(rec->image.data));
+      // snacc-lint: allow(value-escape): throughput accumulator is raw bytes
+      res->bytes_stored += record_span.value();
+      res->bytes_ingested += rec->image.data.size();
+      ++res->images;
+      cursor += record_span;
+    }
     co_await pending->wait();
     *t1 = sys->sim().now();
     *done = true;
   };
   sys.sim().spawn(orchestrate(&sys, &ingest, &finn, &pe, &cfg, &result,
-                              &pending, &t0, &t1, &done));
+                              &pending, &write_failed, &t0, &t1, &done));
   sys.sim().run_until(sys.sim().now() + seconds(300));
   if (!done) return result;
 
   result.elapsed = t1 - t0;
   result.cpu_utilization = 0.0;  // autonomous after init (Sec. 6.3)
   result.pause_frames = ingest.rx_mac.pauses_sent();
-  result.ok = true;
+  result.ok = !write_failed;
   if (cfg.real_data) {
     result.db_verified =
         verify_database(sys.ssd().media(), cfg, cfg.count, &result.db_error);
@@ -295,7 +293,7 @@ CaseStudyResult run_spdk_case_study(const ImageStreamConfig& cfg) {
                          sim::Channel<Record>* in, pcie::PortId acc_port,
                          std::uint64_t staging_base, std::uint64_t slot_bytes,
                          const ImageStreamConfig* cfg, CaseStudyResult* res,
-                         TimePs* t1, bool* done) {
+                         bool* write_failed, TimePs* t1, bool* done) {
       sim::Semaphore write_slots(sys->sim(), 6);
       sim::WaitGroup writes(sys->sim());
       Lba cursor_lba;
@@ -321,7 +319,7 @@ CaseStudyResult run_spdk_case_study(const ImageStreamConfig& cfg) {
         co_await write_slots.acquire();
         writes.add(1);
         sys->sim().spawn(write_record(driver, cursor_lba, std::move(record),
-                                      &write_slots, &writes));
+                                      &write_slots, &writes, write_failed));
         res->bytes_stored += record_span;
         res->bytes_ingested += rec->image.data.size();
         ++res->images;
@@ -335,8 +333,9 @@ CaseStudyResult run_spdk_case_study(const ImageStreamConfig& cfg) {
 
     static sim::Task write_record(spdk::Driver* driver, Lba lba,
                                   Payload record, sim::Semaphore* slots,
-                                  sim::WaitGroup* writes) {
-      co_await driver->write(lba, std::move(record));
+                                  sim::WaitGroup* writes, bool* write_failed) {
+      const nvme::Status st = co_await driver->write(lba, std::move(record));
+      *write_failed = *write_failed || st != nvme::Status::kSuccess;
       slots->release();
       writes->done();
     }
@@ -350,16 +349,17 @@ CaseStudyResult run_spdk_case_study(const ImageStreamConfig& cfg) {
     co_return;
   };
   sys.sim().spawn(orchestrate(&sys, &ingest, &finn, &cfg, &t0));
+  bool write_failed = false;
   sys.sim().spawn(HostSide::run(&sys, &driver, &finn.records, acc_port,
-                                staging_base, slot_bytes, &cfg, &result, &t1,
-                                &done));
+                                staging_base, slot_bytes, &cfg, &result,
+                                &write_failed, &t1, &done));
   sys.sim().run_until(sys.sim().now() + seconds(300));
   if (!done) return result;
 
   result.elapsed = t1 - t0;
   result.cpu_utilization = driver.cpu().utilization(result.elapsed);
   result.pause_frames = ingest.rx_mac.pauses_sent();
-  result.ok = true;
+  result.ok = !write_failed;
   if (cfg.real_data) {
     result.db_verified =
         verify_database(sys.ssd().media(), cfg, cfg.count, &result.db_error);
@@ -444,8 +444,8 @@ CaseStudyResult run_gpu_case_study(const ImageStreamConfig& cfg) {
     static sim::Task run(host::System* sys, spdk::Driver* driver,
                          sim::Channel<Record>* in, pcie::PortId gpu_port,
                          pcie::Addr gpu_base, const GpuProfile* gpu,
-                         double memcpy_gb_s, CaseStudyResult* res, TimePs* t1,
-                         bool* done) {
+                         double memcpy_gb_s, CaseStudyResult* res,
+                         bool* write_failed, TimePs* t1, bool* done) {
       sim::RateServer memcpy_server(sys->sim(), memcpy_gb_s);
       sim::Semaphore write_slots(sys->sim(), 6);
       sim::WaitGroup writes(sys->sim());
@@ -495,7 +495,7 @@ CaseStudyResult run_gpu_case_study(const ImageStreamConfig& cfg) {
           co_await write_slots.acquire();
           writes.add(1);
           sys->sim().spawn(write_record(driver, cursor_lba, std::move(record),
-                                        &write_slots, &writes));
+                                        &write_slots, &writes, write_failed));
           res->bytes_stored += record_span;
           res->bytes_ingested += rec.image.data.size();
           ++res->images;
@@ -509,8 +509,9 @@ CaseStudyResult run_gpu_case_study(const ImageStreamConfig& cfg) {
 
     static sim::Task write_record(spdk::Driver* driver, Lba lba,
                                   Payload record, sim::Semaphore* slots,
-                                  sim::WaitGroup* writes) {
-      co_await driver->write(lba, std::move(record));
+                                  sim::WaitGroup* writes, bool* write_failed) {
+      const nvme::Status st = co_await driver->write(lba, std::move(record));
+      *write_failed = *write_failed || st != nvme::Status::kSuccess;
       slots->release();
       writes->done();
     }
@@ -536,16 +537,17 @@ CaseStudyResult run_gpu_case_study(const ImageStreamConfig& cfg) {
   sys.sim().spawn(NicStage::run(&sys, &ingest.images, &nic_out, acc_port,
                                 staging_base, slot_bytes, &cfg));
   // Calibrated single-thread copy bandwidth; see GpuProfile docs.
+  bool write_failed = false;
   sys.sim().spawn(HostSide::run(&sys, &driver, &nic_out, gpu_port, gpu_base,
                                 &profile.gpu, /*memcpy_gb_s=*/6.9, &result,
-                                &t1, &done));
+                                &write_failed, &t1, &done));
   sys.sim().run_until(sys.sim().now() + seconds(300));
   if (!done) return result;
 
   result.elapsed = t1 - t0;
   result.cpu_utilization = driver.cpu().utilization(result.elapsed);
   result.pause_frames = ingest.rx_mac.pauses_sent();
-  result.ok = true;
+  result.ok = !write_failed;
   if (cfg.real_data) {
     result.db_verified =
         verify_database(sys.ssd().media(), cfg, cfg.count, &result.db_error);

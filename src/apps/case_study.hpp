@@ -40,6 +40,7 @@ struct CaseStudyResult {
   std::uint64_t pause_frames = 0;
   std::uint64_t pcie_total_bytes = 0;
   std::vector<PcieTraffic> pcie_paths;
+  /// The run finished and every record write was acknowledged error-free.
   bool ok = false;
   /// Set when cfg.real_data: the stored database was read back from the SSD
   /// media and every record verified (ids, classes, image bytes).

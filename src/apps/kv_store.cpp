@@ -151,7 +151,7 @@ bool KvStore::parse_superblock(const Payload& block, std::uint64_t* generation,
   return true;
 }
 
-sim::Task KvStore::put(std::string key, Payload value, PutStatus* status) {
+sim::TaskOf<PutStatus> KvStore::put(std::string key, Payload value) {
   PutStatus st = PutStatus::kOk;
   if (wedged_) {
     st = PutStatus::kIoError;
@@ -160,10 +160,7 @@ sim::Task KvStore::put(std::string key, Payload value, PutStatus* status) {
   } else if (head_ + record_span(Bytes{value.size()}) > base_ + capacity_) {
     st = PutStatus::kLogFull;
   }
-  if (st != PutStatus::kOk) {
-    if (status != nullptr) *status = st;
-    co_return;
-  }
+  if (st != PutStatus::kOk) co_return st;
   const Bytes span = record_span(Bytes{value.size()});
   // Reserve the extent and sequence before suspending so pipelined puts
   // from concurrent tasks never collide.
@@ -173,54 +170,42 @@ sim::Task KvStore::put(std::string key, Payload value, PutStatus* status) {
   const Bytes value_bytes{value.size()};
   Payload record = Payload::concat(
       make_header(key, value_bytes, seq, generation_, value), std::move(value));
-  bool err = false;
-  co_await client_->write(addr, std::move(record), &err);
-  if (err) {
+  if (!co_await client_->write(addr, std::move(record))) {
     // The record may have partially landed: an unverifiable hole that would
     // truncate every later record at recovery. Wedge the store.
     wedged_ = true;
-    if (status != nullptr) *status = PutStatus::kIoError;
-    co_return;
+    co_return PutStatus::kIoError;
   }
   index_[std::move(key)] = Entry{addr, value_bytes};
   ++puts_;
-  if (status != nullptr) *status = PutStatus::kOk;
+  co_return PutStatus::kOk;
 }
 
-sim::Task KvStore::commit(bool* ok) {
+sim::TaskOf<bool> KvStore::commit() {
   // Group commit: one device flush barrier makes every previously
   // acknowledged put durable at once. put() awaits its write response
   // before returning, so everything a caller has seen acknowledged is
   // covered by this barrier.
-  bool err = false;
-  co_await client_->flush(&err);
+  const bool flushed = co_await client_->flush();
   ++commits_;
-  if (ok != nullptr) *ok = !err && !wedged_;
+  co_return flushed && !wedged_;
 }
 
-sim::Task KvStore::get(const std::string& key, Payload* out, bool* found) {
+sim::TaskOf<ReadResult> KvStore::get(const std::string& key) {
   ++gets_;
   auto it = index_.find(key);
-  if (it == index_.end()) {
-    *found = false;
-    co_return;
-  }
-  *found = true;
-  if (out != nullptr) {
-    co_await client_->read(it->second.record_addr + Bytes{kHeaderBytes},
-                           it->second.value_bytes, out);
-  }
+  if (it == index_.end()) co_return ReadResult{Payload{}, false};
+  co_return co_await client_->read(
+      it->second.record_addr + Bytes{kHeaderBytes}, it->second.value_bytes);
 }
 
-sim::Task KvStore::compact(Bytes scratch_base, Bytes scratch_capacity,
-                           Bytes* reclaimed_bytes, bool* ok) {
+sim::TaskOf<std::optional<Bytes>> KvStore::compact(Bytes scratch_base,
+                                                   Bytes scratch_capacity) {
   const Bytes before = log_bytes_used();
   const std::uint64_t new_gen = generation_ + 1;
   Bytes new_head = scratch_base;
   std::uint64_t new_seq = 0;
   std::unordered_map<std::string, Entry> new_index;
-  if (reclaimed_bytes != nullptr) *reclaimed_bytes = Bytes{};
-  if (ok != nullptr) *ok = false;
   // Stream every live record to the scratch log. Device-to-device copy goes
   // through the PE (read stream in, write stream out), so compaction runs on
   // the FPGA path like everything else. Walk the keys in sorted order: the
@@ -235,20 +220,22 @@ sim::Task KvStore::compact(Bytes scratch_base, Bytes scratch_capacity,
   for (const std::string* kp : keys) {
     const std::string& key = *kp;
     const Entry& entry = index_.at(key);
-    Payload value;
-    bool err = false;
-    co_await client_->read(entry.record_addr + Bytes{kHeaderBytes},
-                           entry.value_bytes, &value, &err);
-    if (err) co_return;  // source unreadable: abort, keep the old log
+    ReadResult value = co_await client_->read(
+        entry.record_addr + Bytes{kHeaderBytes}, entry.value_bytes);
+    // Source unreadable: abort, keep the old log.
+    if (!value.ok) co_return std::nullopt;
     const Bytes span = record_span(entry.value_bytes);
+    // Scratch too small: abort without switching over.
     if (new_head + span > scratch_base + scratch_capacity) {
-      co_return;  // scratch too small: abort without switching over
+      co_return std::nullopt;
     }
     Payload record = Payload::concat(
-        make_header(key, entry.value_bytes, new_seq, new_gen, value),
-        std::move(value));
-    co_await client_->write(new_head, std::move(record), &err);
-    if (err) co_return;  // scratch log has a hole: abort
+        make_header(key, entry.value_bytes, new_seq, new_gen, value.data),
+        std::move(value.data));
+    // Scratch log has a hole: abort.
+    if (!co_await client_->write(new_head, std::move(record))) {
+      co_return std::nullopt;
+    }
     new_index[key] = Entry{new_head, entry.value_bytes};
     new_head += span;
     ++new_seq;
@@ -257,29 +244,23 @@ sim::Task KvStore::compact(Bytes scratch_base, Bytes scratch_capacity,
   // the superblock naming it is written to the inactive ping-pong slot, (3)
   // the superblock becomes durable. A crash anywhere in between leaves
   // recovery a fully-old or fully-new view, never a mix.
-  bool err = false;
-  co_await client_->flush(&err);
-  if (err) co_return;
-  co_await client_->write(super_slot_addr(new_gen),
-                          make_superblock(new_gen, scratch_base,
-                                          scratch_capacity),
-                          &err);
-  if (err) co_return;
-  co_await client_->flush(&err);
-  if (err) co_return;
+  if (!co_await client_->flush()) co_return std::nullopt;
+  if (!co_await client_->write(
+          super_slot_addr(new_gen),
+          make_superblock(new_gen, scratch_base, scratch_capacity))) {
+    co_return std::nullopt;
+  }
+  if (!co_await client_->flush()) co_return std::nullopt;
   generation_ = new_gen;
   base_ = scratch_base;
   capacity_ = scratch_capacity;
   head_ = new_head;
   sequence_ = new_seq;
   index_ = std::move(new_index);
-  if (reclaimed_bytes != nullptr) {
-    *reclaimed_bytes = before - log_bytes_used();
-  }
-  if (ok != nullptr) *ok = true;
+  co_return before - log_bytes_used();
 }
 
-sim::Task KvStore::recover(std::uint64_t* records_out) {
+sim::TaskOf<std::uint64_t> KvStore::recover() {
   index_.clear();
   wedged_ = false;
   // Superblock election: both ping-pong slots are read, the valid one with
@@ -290,15 +271,13 @@ sim::Task KvStore::recover(std::uint64_t* records_out) {
   capacity_ = region_capacity_ - Bytes{kSuperBytes};
   bool have_super = false;
   for (int slot = 0; slot < 2; ++slot) {
-    Payload block;
-    bool err = false;
-    co_await client_->read(region_base_ + Bytes{slot * (4 * KiB)},
-                           Bytes{4 * KiB}, &block, &err);
-    if (err) continue;
+    const ReadResult block = co_await client_->read(
+        region_base_ + Bytes{slot * (4 * KiB)}, Bytes{4 * KiB});
+    if (!block.ok) continue;
     std::uint64_t gen = 0;
     Bytes lb;
     Bytes lc;
-    if (!parse_superblock(block, &gen, &lb, &lc)) continue;
+    if (!parse_superblock(block.data, &gen, &lb, &lc)) continue;
     if (!have_super || gen > generation_) {
       generation_ = gen;
       base_ = lb;
@@ -311,12 +290,11 @@ sim::Task KvStore::recover(std::uint64_t* records_out) {
   std::uint64_t records = 0;
   std::uint64_t prev_seq = 0;
   while (head_ + Bytes{kHeaderBytes} <= base_ + capacity_) {
-    Payload header;
-    bool err = false;
-    co_await client_->read(head_, Bytes{kHeaderBytes}, &header, &err);
-    if (err) break;
+    const ReadResult header =
+        co_await client_->read(head_, Bytes{kHeaderBytes});
+    if (!header.ok) break;
     ParsedHeader h;
-    if (!parse_header(header, &h)) break;  // log end or torn header
+    if (!parse_header(header.data, &h)) break;  // log end or torn header
     // A record from another generation or out of sequence is stale debris
     // (e.g. a pre-compaction log under a reused extent): truncate here.
     if (h.generation != generation_ ||
@@ -332,10 +310,10 @@ sim::Task KvStore::recover(std::uint64_t* records_out) {
     if (h.value_has_crc && h.value_bytes > 0) {
       // The value read *is* the recovery cost the ablation measures: every
       // recovered record's bytes come back over the device path.
-      Payload value;
-      co_await client_->read(head_ + Bytes{kHeaderBytes}, Bytes{h.value_bytes},
-                             &value, &err);
-      if (err || !value.has_data() || crc32c(value.view()) != h.value_crc) {
+      const ReadResult value = co_await client_->read(
+          head_ + Bytes{kHeaderBytes}, Bytes{h.value_bytes});
+      if (!value.ok || !value.data.has_data() ||
+          crc32c(value.data.view()) != h.value_crc) {
         ++truncated_records_;  // torn value: the put never fully landed
         break;
       }
@@ -346,7 +324,7 @@ sim::Task KvStore::recover(std::uint64_t* records_out) {
     sequence_ = h.sequence + 1;
     ++records;
   }
-  if (records_out != nullptr) *records_out = records;
+  co_return records;
 }
 
 }  // namespace snacc::apps

@@ -25,6 +25,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -65,28 +66,30 @@ class KvStore {
 
   /// Appends key/value to the log and indexes it. The record is volatile
   /// until the next successful commit().
-  sim::Task put(std::string key, Payload value, PutStatus* status = nullptr);
+  sim::TaskOf<PutStatus> put(std::string key, Payload value);
 
-  /// Group commit: flush barrier covering every put acknowledged so far.
-  sim::Task commit(bool* ok = nullptr);
+  /// Group commit: flush barrier covering every put acknowledged so far;
+  /// true on success.
+  sim::TaskOf<bool> commit();
 
-  /// Looks the key up; *found says whether it exists, *out receives the
-  /// value (latest version wins).
-  sim::Task get(const std::string& key, Payload* out, bool* found);
+  /// Looks the key up (latest version wins). `ok` is false when the key is
+  /// absent or its value could not be read back.
+  sim::TaskOf<ReadResult> get(const std::string& key);
 
   /// Rebuilds the index by reading the superblock and scanning the active
   /// log (e.g. after power loss): checksum-verifies every record and
   /// truncates the log at the first invalid one. Returns the number of
   /// records recovered.
-  sim::Task recover(std::uint64_t* records_out = nullptr);
+  sim::TaskOf<std::uint64_t> recover();
 
   /// Log compaction: copies only the *live* version of every key into a
   /// fresh-generation log at `scratch_base` (must not overlap the current
   /// log), flushes it, journals the switch-over through the superblock,
-  /// flushes again, and only then adopts the new log. `*ok` reports whether
-  /// the switch-over committed; on failure the old log stays authoritative.
-  sim::Task compact(Bytes scratch_base, Bytes scratch_capacity,
-                    Bytes* reclaimed_bytes = nullptr, bool* ok = nullptr);
+  /// flushes again, and only then adopts the new log. Returns the bytes
+  /// reclaimed once the switch-over committed, nullopt when it did not (the
+  /// old log then stays authoritative).
+  sim::TaskOf<std::optional<Bytes>> compact(Bytes scratch_base,
+                                            Bytes scratch_capacity);
 
   std::uint64_t entries() const { return index_.size(); }
   Bytes log_bytes_used() const { return head_ - base_; }

@@ -102,6 +102,10 @@ class Payload {
     return bytes(std::move(v));
   }
 
+  /// Payloads sharing this buffer (0 when phantom); tests use it to check
+  /// that ownership survives coroutine hand-offs.
+  long use_count() const { return data_.use_count(); }
+
   bool content_equals(const Payload& other) const {
     if (size_ != other.size_) return false;
     if (!has_data() || !other.has_data()) return true;  // phantom matches anything
@@ -111,6 +115,24 @@ class Payload {
  private:
   std::uint64_t size_ = 0;
   std::shared_ptr<std::vector<std::byte>> data_;
+};
+
+/// Result of a read anywhere in the model (PCIe fabric, streamer, SPDK
+/// driver, storage clients): the data and its verdict together. `ok` is
+/// false when the data is lost -- an IOMMU fault or unmapped address on the
+/// fabric, a quarantined or failed read further up -- and `data` is then
+/// phantom or placeholder bytes. Special members are user-declared to dodge
+/// the g++ 12 aggregate-move miscompilation described in sim/channel.hpp.
+struct ReadResult {
+  Payload data;
+  bool ok = true;
+
+  ReadResult() = default;
+  ReadResult(Payload d, bool o) : data(std::move(d)), ok(o) {}
+  ReadResult(ReadResult&&) noexcept = default;
+  ReadResult& operator=(ReadResult&&) noexcept = default;
+  ReadResult(const ReadResult&) = default;
+  ReadResult& operator=(const ReadResult&) = default;
 };
 
 }  // namespace snacc

@@ -55,45 +55,38 @@ sim::Task NvmeAdmin::bring_up() {
   }
 }
 
-sim::Task NvmeAdmin::identify(nvme::IdentifyController* out) {
+sim::TaskOf<nvme::IdentifyController> NvmeAdmin::identify() {
   nvme::SubmissionEntry sqe;
   sqe.opcode = static_cast<std::uint8_t>(nvme::AdminOpcode::kIdentify);
   sqe.prp1 = host_window_base_ + region_ + Bytes{2 * kPageSize};
   sqe.cdw10 = 1;
-  nvme::Status st = nvme::Status::kSuccess;
-  co_await submit_and_wait(sqe, &st);
+  [[maybe_unused]] const nvme::Status st = co_await command(sqe);
   assert(st == nvme::Status::kSuccess);
-  *out = nvme::IdentifyController::decode(
+  co_return nvme::IdentifyController::decode(
       host_mem_.store().read(region_.value() + 2 * kPageSize, kPageSize));
 }
 
-sim::Task NvmeAdmin::create_io_queues(std::uint16_t qid, pcie::Addr sq_base,
-                                      pcie::Addr cq_base, std::uint16_t entries,
-                                      nvme::Status* status) {
+sim::TaskOf<nvme::Status> NvmeAdmin::create_io_queues(std::uint16_t qid,
+                                                      pcie::Addr sq_base,
+                                                      pcie::Addr cq_base,
+                                                      std::uint16_t entries) {
   nvme::SubmissionEntry create_cq;
   create_cq.opcode = static_cast<std::uint8_t>(nvme::AdminOpcode::kCreateIoCq);
   create_cq.prp1 = cq_base;
   create_cq.cdw10 = qid | (static_cast<std::uint32_t>(entries - 1) << 16);
   create_cq.cdw11 = 1;
-  co_await submit_and_wait(create_cq, status);
-  if (status != nullptr && *status != nvme::Status::kSuccess) co_return;
+  const nvme::Status st = co_await command(create_cq);
+  if (st != nvme::Status::kSuccess) co_return st;
 
   nvme::SubmissionEntry create_sq;
   create_sq.opcode = static_cast<std::uint8_t>(nvme::AdminOpcode::kCreateIoSq);
   create_sq.prp1 = sq_base;
   create_sq.cdw10 = qid | (static_cast<std::uint32_t>(entries - 1) << 16);
   create_sq.cdw11 = (static_cast<std::uint32_t>(qid) << 16) | 1;
-  co_await submit_and_wait(create_sq, status);
+  co_return co_await command(create_sq);
 }
 
-sim::Task NvmeAdmin::command(nvme::SubmissionEntry sqe, nvme::Status* status,
-                             std::uint32_t* dw0) {
-  (void)dw0;  // DW0 plumbed on demand; current callers need only status
-  co_await submit_and_wait(sqe, status);
-}
-
-sim::Task NvmeAdmin::submit_and_wait(nvme::SubmissionEntry sqe,
-                                     nvme::Status* status) {
+sim::TaskOf<nvme::Status> NvmeAdmin::command(nvme::SubmissionEntry sqe) {
   sqe.cid = Cid{next_cid_++};
   auto raw = sqe.encode();
   host_mem_.store().write((sq_.next_slot_addr() - host_window_base_).value(),
@@ -109,12 +102,11 @@ sim::Task NvmeAdmin::submit_and_wait(nvme::SubmissionEntry sqe,
       auto cqe = nvme::CompletionEntry::decode(raw_cqe.view());
       if (cq_.is_new(cqe) && cqe.cid == sqe.cid) {
         sq_.update_head(cqe.sq_head);
-        if (status != nullptr) *status = cqe.status;
         const std::uint16_t head = cq_.advance();
         co_await fabric_.write(fabric_.root_port(),
                                ssd_.bar_base() + nvme::reg::cq_head_doorbell(0),
                                u32_payload(head));
-        co_return;
+        co_return cqe.status;
       }
     }
     co_await sim_.delay(us(1));

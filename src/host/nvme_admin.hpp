@@ -31,24 +31,23 @@ class NvmeAdmin {
   /// Writes AQA/ASQ/ACQ, enables the controller and polls CSTS.RDY.
   sim::Task bring_up();
 
-  /// Identify-controller; fills `out`.
-  sim::Task identify(nvme::IdentifyController* out);
+  /// Identify-controller.
+  sim::TaskOf<nvme::IdentifyController> identify();
 
   /// Creates an I/O CQ + SQ pair (CQ first, as the spec requires). The base
   /// addresses may point anywhere in the fabric -- host DRAM for SPDK-style
   /// drivers, FPGA BAR windows for SNAcc.
-  sim::Task create_io_queues(std::uint16_t qid, pcie::Addr sq_base,
-                             pcie::Addr cq_base, std::uint16_t entries,
-                             nvme::Status* status);
+  sim::TaskOf<nvme::Status> create_io_queues(std::uint16_t qid,
+                                             pcie::Addr sq_base,
+                                             pcie::Addr cq_base,
+                                             std::uint16_t entries);
 
   /// Submits a raw admin command and waits for its completion -- the escape
   /// hatch for commands without a dedicated wrapper (and for protocol-error
   /// tests).
-  sim::Task command(nvme::SubmissionEntry sqe, nvme::Status* status,
-                    std::uint32_t* dw0 = nullptr);
+  sim::TaskOf<nvme::Status> command(nvme::SubmissionEntry sqe);
 
  private:
-  sim::Task submit_and_wait(nvme::SubmissionEntry sqe, nvme::Status* status);
 
   sim::Simulator& sim_;
   pcie::Fabric& fabric_;

@@ -293,13 +293,12 @@ sim::Task SnaccDevice::init() {
                                        addr_map::kHostDramBase, ssd(),
                                        cfg_.effective_admin_region());
   co_await admin_->bring_up();
-  nvme::IdentifyController id;
-  co_await admin_->identify(&id);
+  [[maybe_unused]] const nvme::IdentifyController id =
+      co_await admin_->identify();
   assert(id.max_transfer_bytes >= 1 * MiB);
-  nvme::Status st = nvme::Status::kSuccess;
-  co_await admin_->create_io_queues(cfg_.streamer.nvme_qid,
-                                    bar0() + kSqWindow, bar0() + kCqWindow,
-                                    streamer_->sq_entries(), &st);
+  [[maybe_unused]] const nvme::Status st = co_await admin_->create_io_queues(
+      cfg_.streamer.nvme_qid, bar0() + kSqWindow, bar0() + kCqWindow,
+      streamer_->sq_entries());
   assert(st == nvme::Status::kSuccess);
   streamer_->start();
   initialized_ = true;

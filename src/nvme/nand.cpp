@@ -13,7 +13,7 @@ NandBackend::NandBackend(sim::Simulator& sim, const SsdProfile& ssd,
       dies_(ssd.dies),
       write_pipe_(sim, ssd.write_rate_fast_gb_s, ssd.write_cmd_overhead) {}
 
-sim::Task NandBackend::read_page(Lba lba, bool* uncorrectable) {
+sim::TaskOf<bool> NandBackend::read_page(Lba lba) {
   Die& die = dies_[lba.value() % dies_.size()];
   // A page following the previous access on this die streams from the same
   // block via multi-plane reads; a random page pays the full random II.
@@ -35,10 +35,9 @@ sim::Task NandBackend::read_page(Lba lba, bool* uncorrectable) {
   ++pages_read_;
   // The die timing is charged either way: an uncorrectable page costs the
   // full access (the controller reads it, then ECC decode fails).
-  if (read_faults_.armed() && read_faults_.fire() && uncorrectable != nullptr) {
-    *uncorrectable = true;
-  }
+  const bool uncorrectable = read_faults_.armed() && read_faults_.fire();
   co_await sim_.delay_until(ready);
+  co_return !uncorrectable;
 }
 
 double NandBackend::fetch_overhead_rate(FetchPath path) const {
@@ -61,8 +60,7 @@ void NandBackend::maybe_toggle_mode() {
   }
 }
 
-sim::Task NandBackend::ingest_write(Bytes bytes, FetchPath path,
-                                    bool* program_failed) {
+sim::TaskOf<bool> NandBackend::ingest_write(Bytes bytes, FetchPath path) {
   maybe_toggle_mode();
   write_pipe_.set_rate(current_write_rate());
   // Non-overlapped fetch time: 0 for host-resident buffers (fully pipelined
@@ -75,10 +73,7 @@ sim::Task NandBackend::ingest_write(Bytes bytes, FetchPath path,
   last_write_end_ = std::max(last_write_end_, sim_.now());
   // One program-fault event per ingested command; the pipeline time is
   // charged either way (the failure surfaces at program-status check).
-  if (program_faults_.armed() && program_faults_.fire() &&
-      program_failed != nullptr) {
-    *program_failed = true;
-  }
+  co_return !(program_faults_.armed() && program_faults_.fire());
 }
 
 }  // namespace snacc::nvme

@@ -34,16 +34,15 @@ class NandBackend {
   NandBackend(sim::Simulator& sim, const SsdProfile& ssd,
               const PcieProfile& pcie, std::uint64_t seed = 0x990);
 
-  /// Completes when the page at `lba` has been read out of the array. When
-  /// an armed read-fault plan fires, `*uncorrectable` (if non-null) is set:
-  /// the page's ECC failed and its data must not be transferred.
-  sim::Task read_page(Lba lba, bool* uncorrectable = nullptr);
+  /// Completes when the page at `lba` has been read out of the array;
+  /// false when an armed read-fault plan fired: the page's ECC failed and
+  /// its data must not be transferred.
+  sim::TaskOf<bool> read_page(Lba lba);
 
   /// Completes when `bytes` of a write command have been ingested (cache
-  /// acknowledged). `path` selects the fetch-overhead term. When an armed
-  /// program-fault plan fires, `*program_failed` (if non-null) is set.
-  sim::Task ingest_write(Bytes bytes, FetchPath path,
-                         bool* program_failed = nullptr);
+  /// acknowledged). `path` selects the fetch-overhead term. False when an
+  /// armed program-fault plan fired.
+  sim::TaskOf<bool> ingest_write(Bytes bytes, FetchPath path);
 
   /// Fault injection (one event per page read / per ingested command).
   void set_read_fault_plan(const fault::FaultPlan& plan) {

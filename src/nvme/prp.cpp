@@ -31,18 +31,18 @@ std::vector<std::vector<std::uint64_t>> build_prp_lists(
   return lists;
 }
 
-sim::Task PrpWalker::walk(BusAddr prp1, BusAddr prp2, Bytes len,
-                          std::vector<BusAddr>& out) {
+sim::TaskOf<std::vector<BusAddr>> PrpWalker::walk(BusAddr prp1, BusAddr prp2,
+                                                  Bytes len) {
   const std::uint64_t pages = prp_page_count(len);
-  out.clear();
+  std::vector<BusAddr> out;
   out.reserve(pages);
-  if (pages == 0) co_return;
+  if (pages == 0) co_return out;
 
   out.push_back(prp1);
-  if (pages == 1) co_return;
+  if (pages == 1) co_return out;
   if (pages == 2) {
     out.push_back(prp2);
-    co_return;
+    co_return out;
   }
 
   // PRP2 points to a list page. Fetch entries one by one (the controller
@@ -65,6 +65,7 @@ sim::Task PrpWalker::walk(BusAddr prp1, BusAddr prp2, Bytes len,
     out.push_back(BusAddr{entry});
     ++index_in_list;
   }
+  co_return out;
 }
 
 }  // namespace snacc::nvme

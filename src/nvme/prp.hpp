@@ -59,8 +59,8 @@ class PrpWalker {
 
   /// Resolves all page addresses for a transfer. co_awaits entry fetches.
   /// On malformed PRPs (unaligned mid-list entries) the result is truncated.
-  sim::Task walk(BusAddr prp1, BusAddr prp2, Bytes len,
-                 std::vector<BusAddr>& out);
+  sim::TaskOf<std::vector<BusAddr>> walk(BusAddr prp1, BusAddr prp2,
+                                         Bytes len);
 
  private:
   sim::Simulator* sim_;

@@ -382,9 +382,7 @@ void Ssd::power_cycle() {
 
 sim::Task Ssd::page_read_to_buffer(Lba lba, pcie::Addr dst,
                                    sim::WaitGroup& wg, bool& uncorrectable) {
-  bool bad = false;
-  co_await nand_.read_page(lba, &bad);
-  if (bad) {
+  if (!co_await nand_.read_page(lba)) {
     // ECC failed: nothing is transferred for this page (real controllers
     // abort the transfer and report an unrecovered read error).
     uncorrectable = true;
@@ -411,8 +409,7 @@ sim::Task Ssd::page_fetch_from_buffer(Lba lba, pcie::Addr src,
 
 sim::Task Ssd::execute_read(IoQueue& q, SubmissionEntry sqe,
                             std::uint64_t epoch) {
-  std::vector<BusAddr> pages;
-  co_await resolve_prps(sqe, pages);
+  const std::vector<BusAddr> pages = co_await resolve_prps(sqe);
   const std::uint64_t blocks = static_cast<std::uint64_t>(sqe.nlb) + 1;
   if (pages.size() < blocks) {
     ++read_errors_;
@@ -436,8 +433,7 @@ sim::Task Ssd::execute_read(IoQueue& q, SubmissionEntry sqe,
 
 sim::Task Ssd::execute_write(IoQueue& q, SubmissionEntry sqe,
                              std::uint64_t epoch) {
-  std::vector<BusAddr> pages;
-  co_await resolve_prps(sqe, pages);
+  const std::vector<BusAddr> pages = co_await resolve_prps(sqe);
   const std::uint64_t blocks = static_cast<std::uint64_t>(sqe.nlb) + 1;
   if (pages.size() < blocks) {
     ++read_errors_;
@@ -454,19 +450,17 @@ sim::Task Ssd::execute_write(IoQueue& q, SubmissionEntry sqe,
   // The payload fetch streams into the program pipeline: the fetch-path
   // non-overlap (P2P pacing, DRAM turnaround) is charged inside
   // ingest_write per source, so the fetch itself runs concurrently.
-  bool program_failed = false;
-  co_await nand_.ingest_write(sqe.data_bytes(), classify_source(pages[0]),
-                              &program_failed);
+  const bool programmed =
+      co_await nand_.ingest_write(sqe.data_bytes(), classify_source(pages[0]));
   co_await wg.wait();
-  if (!ok) {
-    co_await finish_io(q, sqe.cid, Status::kDataTransferError, epoch);
-    co_return;
-  }
-  if (program_failed) {
-    // Media contents for the command's LBA range are undefined after a
-    // program failure (see docs/FAULTS.md); a retry rewrites them whole.
-    ++write_errors_;
-    co_await finish_io(q, sqe.cid, Status::kWriteFault, epoch);
+  if (!ok || !programmed) {
+    // A failed payload fetch outranks the program status. Media contents
+    // for the command's LBA range are undefined after a program failure
+    // (see docs/FAULTS.md); a retry rewrites them whole.
+    if (ok) ++write_errors_;
+    co_await finish_io(q, sqe.cid,
+                       ok ? Status::kWriteFault : Status::kDataTransferError,
+                       epoch);
     co_return;
   }
   if (epoch == crash_epoch_ && crash_faults_.armed() && crash_faults_.fire()) {
@@ -528,8 +522,8 @@ sim::Task Ssd::post_cqe(IoQueue& q, Cid cid, Status status,
 // ---------------------------------------------------------------------------
 // PRP resolution
 
-sim::Task Ssd::resolve_prps(const SubmissionEntry& sqe,
-                            std::vector<BusAddr>& pages) {
+sim::TaskOf<std::vector<BusAddr>> Ssd::resolve_prps(
+    const SubmissionEntry& sqe) {
   // List pages are fetched whole and cached per command: controllers read
   // PRP lists in bursts, not entry-by-entry. The cache is lookup-only
   // (never iterated), so unordered iteration order cannot leak into
@@ -565,7 +559,7 @@ sim::Task Ssd::resolve_prps(const SubmissionEntry& sqe,
   };
 
   PrpWalker walker(sim_, reader);
-  co_await walker.walk(sqe.prp1, sqe.prp2, sqe.data_bytes(), pages);
+  co_return co_await walker.walk(sqe.prp1, sqe.prp2, sqe.data_bytes());
 }
 
 FetchPath Ssd::classify_source(pcie::Addr addr) const {

@@ -154,8 +154,7 @@ class Ssd final : public pcie::Target {
   void note_block_write(Lba lba);
   void destage_oldest();
   void flush_cache();
-  sim::Task resolve_prps(const SubmissionEntry& sqe,
-                         std::vector<BusAddr>& pages);
+  sim::TaskOf<std::vector<BusAddr>> resolve_prps(const SubmissionEntry& sqe);
   FetchPath classify_source(pcie::Addr addr) const;
 
   sim::Simulator& sim_;

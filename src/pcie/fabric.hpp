@@ -46,22 +46,6 @@ class Target {
 /// the fetch-path overhead term (host vs. peer URAM vs. peer DRAM).
 enum class MemKind { kHostDram, kFpgaUram, kFpgaDram, kFpgaHbm, kDevice };
 
-/// Result of a fabric read; `ok` is false on an IOMMU fault or unmapped
-/// address (returned as all-phantom data, matching a real UR/CA completion).
-/// Special members are user-declared to dodge the g++ 12 aggregate-move
-/// miscompilation described in sim/channel.hpp.
-struct ReadResult {
-  Payload data;
-  bool ok = true;
-
-  ReadResult() = default;
-  ReadResult(Payload d, bool o) : data(std::move(d)), ok(o) {}
-  ReadResult(ReadResult&&) noexcept = default;
-  ReadResult& operator=(ReadResult&&) noexcept = default;
-  ReadResult(const ReadResult&) = default;
-  ReadResult& operator=(const ReadResult&) = default;
-};
-
 struct PathStats {
   std::uint64_t read_bytes = 0;
   std::uint64_t write_bytes = 0;

@@ -43,7 +43,9 @@
 
 namespace snacc::sim {
 
-class Task;
+template <class T>
+class TaskOf;
+using Task = TaskOf<void>;
 class SimCluster;
 
 /// A strong unit wrapper (Bytes, Lba, SlotIdx, TimePs, ...): anything whose
@@ -192,7 +194,8 @@ class Domain {
 
   /// Starts a coroutine task detached; the frame frees itself on completion
   /// and is registered here so a frame suspended at simulation end is freed
-  /// by ~Simulator. Defined in task.hpp (needs the full Task type).
+  /// by ~Simulator. Only `void` tasks: a detached frame has no one to hand
+  /// a result to. Defined in task.hpp (needs the full Task type).
   void spawn(Task task);
 
   void adopt_detached(DetachedNode* n) {

@@ -28,7 +28,7 @@ sim::Task OnboardDramBackend::fill(Bytes off, Payload data) {
   co_await fut;
 }
 
-sim::Task OnboardDramBackend::drain(Bytes off, Bytes len, Payload* out) {
+sim::TaskOf<Payload> OnboardDramBackend::drain(Bytes off, Bytes len) {
   const std::uint32_t req = fpga_.readout_req_bytes / 2;  // 256 B DRAM reads
   if (!is_bulk(len)) {
     // Latency-bound small drain: sequential requests, one round trip each.
@@ -42,14 +42,13 @@ sim::Task OnboardDramBackend::drain(Bytes off, Bytes len, Payload* out) {
       acc = done == 0 ? std::move(part) : Payload::concat(acc, part);
       done += n;
     }
-    *out = std::move(acc);
-    co_return;
+    co_return acc;
   }
   // Bulk drain: the mover ramps its request window; model as one pipelined
   // burst read plus a single ramp-up round trip.
   co_await sim_.delay(kAxiReadoutRoundTrip);
   auto fut = dram_.read((region_base_ + off).value(), len.value());
-  *out = co_await fut;
+  co_return co_await fut;
 }
 
 // ---------------------------------------------------------------------------
@@ -60,12 +59,12 @@ sim::Task HbmBackend::fill(Bytes off, Payload data) {
   co_await fut;
 }
 
-sim::Task HbmBackend::drain(Bytes off, Bytes len, Payload* out) {
+sim::TaskOf<Payload> HbmBackend::drain(Bytes off, Bytes len) {
   // HBM channels pipeline independently; one ramp round trip, then a
   // channel-parallel burst read.
   co_await sim_.delay(kAxiReadoutRoundTrip);
   auto fut = hbm_.read((region_base_ + off).value(), len.value());
-  *out = co_await fut;
+  co_return co_await fut;
 }
 
 // ---------------------------------------------------------------------------
@@ -87,7 +86,7 @@ sim::Task HostDramBackend::fill(Bytes off, Payload data) {
   }
 }
 
-sim::Task HostDramBackend::drain(Bytes off, Bytes len, Payload* out) {
+sim::TaskOf<Payload> HostDramBackend::drain(Bytes off, Bytes len) {
   const std::uint32_t req = fpga_.readout_req_bytes;  // 512 B TLP reads
   if (!is_bulk(len)) {
     // Depth-1 small drain: each 512 B read pays the host round trip --
@@ -102,8 +101,7 @@ sim::Task HostDramBackend::drain(Bytes off, Bytes len, Payload* out) {
       acc = done == 0 ? std::move(rr.data) : Payload::concat(acc, rr.data);
       done += n;
     }
-    *out = std::move(acc);
-    co_return;
+    co_return acc;
   }
   // Bulk drain: the mover raises its read-request size to a full page (the
   // completions still arrive as max-payload TLPs and are charged on the
@@ -135,7 +133,7 @@ sim::Task HostDramBackend::drain(Bytes off, Bytes len, Payload* out) {
   }
   co_await wg.wait();
   parts.resize(idx);
-  *out = Payload::gather(parts);
+  co_return Payload::gather(parts);
 }
 
 }  // namespace snacc::core

@@ -33,8 +33,8 @@ class BufferBackend {
   /// Stream-in: stores `data` at buffer offset `off` (PE -> buffer).
   virtual sim::Task fill(Bytes off, Payload data) = 0;
 
-  /// Read-out: loads [off, off+len) into `*out` (buffer -> PE).
-  virtual sim::Task drain(Bytes off, Bytes len, Payload* out) = 0;
+  /// Read-out: loads [off, off+len) (buffer -> PE).
+  virtual sim::TaskOf<Payload> drain(Bytes off, Bytes len) = 0;
 
   /// Translator for PRP generation.
   virtual const AddressTranslator& translator() const = 0;
@@ -49,9 +49,9 @@ class UramBackend final : public BufferBackend {
     auto fut = uram_.write(off.value(), std::move(data));
     co_await fut;
   }
-  sim::Task drain(Bytes off, Bytes len, Payload* out) override {
+  sim::TaskOf<Payload> drain(Bytes off, Bytes len) override {
     auto fut = uram_.read(off.value(), len.value());
-    *out = co_await fut;
+    co_return co_await fut;
   }
   const AddressTranslator& translator() const override { return xlat_; }
 
@@ -73,7 +73,7 @@ class OnboardDramBackend final : public BufferBackend {
         fpga_(fpga) {}
 
   sim::Task fill(Bytes off, Payload data) override;
-  sim::Task drain(Bytes off, Bytes len, Payload* out) override;
+  sim::TaskOf<Payload> drain(Bytes off, Bytes len) override;
   const AddressTranslator& translator() const override { return xlat_; }
 
  private:
@@ -98,7 +98,7 @@ class HbmBackend final : public BufferBackend {
         fpga_(fpga) {}
 
   sim::Task fill(Bytes off, Payload data) override;
-  sim::Task drain(Bytes off, Bytes len, Payload* out) override;
+  sim::TaskOf<Payload> drain(Bytes off, Bytes len) override;
   const AddressTranslator& translator() const override { return xlat_; }
 
  private:
@@ -122,7 +122,7 @@ class HostDramBackend final : public BufferBackend {
         fpga_(fpga) {}
 
   sim::Task fill(Bytes off, Payload data) override;
-  sim::Task drain(Bytes off, Bytes len, Payload* out) override;
+  sim::TaskOf<Payload> drain(Bytes off, Bytes len) override;
   const AddressTranslator& translator() const override { return xlat_; }
 
  private:

@@ -12,7 +12,7 @@ bool BufferRing::fits(Bytes rounded, Bytes* pad) const {
   return rounded + to_end <= free_bytes;
 }
 
-sim::Task BufferRing::alloc(Bytes bytes, Bytes* offset_out) {
+sim::TaskOf<Bytes> BufferRing::alloc(Bytes bytes) {
   assert(!bytes.is_zero());
   const Bytes rounded = page_align_up(bytes);
   assert(rounded <= capacity_);
@@ -26,7 +26,7 @@ sim::Task BufferRing::alloc(Bytes bytes, Bytes* offset_out) {
   allocs_.push_back(Alloc{offset, rounded, pad});
   used_ += rounded + pad;
   tail_ = (offset + rounded) % capacity_;
-  *offset_out = offset;
+  co_return offset;
 }
 
 void BufferRing::free_oldest() {

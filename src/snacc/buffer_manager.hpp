@@ -33,7 +33,7 @@ class BufferRing {
 
   /// Allocates `bytes` (rounded up to 4 kB) of contiguous buffer space;
   /// suspends while the ring is too full. Returns the byte offset.
-  sim::Task alloc(Bytes bytes, Bytes* offset_out);
+  sim::TaskOf<Bytes> alloc(Bytes bytes);
 
   /// Frees the oldest allocation; must match alloc order (in-order retire).
   void free_oldest();

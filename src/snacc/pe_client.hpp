@@ -22,14 +22,17 @@ class PeClient : public StorageClient {
 
   NvmeStreamer& streamer() { return s_; }
 
-  /// Reads [addr, addr+len) device bytes into `*out` (nullptr: discard).
-  /// With recovery enabled, `*error` (if non-null) reports whether any beat
-  /// carried the quarantine TUSER tag -- the data is then placeholder bytes.
-  sim::Task read(Bytes addr, Bytes len, Payload* out,
-                 bool* error = nullptr) override {
+  /// Reads [addr, addr+len) device bytes. With recovery enabled, `ok` is
+  /// false when any beat carried the quarantine TUSER tag -- the data is
+  /// then placeholder bytes.
+  sim::TaskOf<ReadResult> read(Bytes addr, Bytes len) override {
     co_await s_.read_cmd_in().send(
         axis::Chunk{encode_read_command(addr, len), true, 0});
-    co_await collect_read(out, error);
+    ReadResult r;
+    bool error = false;
+    co_await collect_read(&r.data, &error);
+    r.ok = !error;
+    co_return r;
   }
 
   /// Issues a read command without waiting for data.
@@ -54,26 +57,29 @@ class PeClient : public StorageClient {
   }
 
   /// Writes `data` to device byte address `addr` (must be block-aligned)
-  /// and waits for the response token. `*error` (if non-null) reports the
-  /// response token's data-loss bit (recovery quarantine).
-  sim::Task write(Bytes addr, Payload data, Bytes chunk_bytes = Bytes{16 * KiB},
-                  bool* error = nullptr) {
+  /// and waits for the response token; false when the token carries the
+  /// data-loss bit (recovery quarantine).
+  sim::TaskOf<bool> write(Bytes addr, Payload data, Bytes chunk_bytes) {
     co_await start_write(addr, std::move(data), chunk_bytes);
-    co_await wait_write_response(error);
+    bool error = false;
+    co_await wait_write_response(&error);
+    co_return !error;
   }
 
   /// StorageClient surface (default 16 kB stream chunking).
-  sim::Task write(Bytes addr, Payload data, bool* error) override {
-    co_await write(addr, std::move(data), Bytes{16 * KiB}, error);
+  sim::TaskOf<bool> write(Bytes addr, Payload data) override {
+    co_return co_await write(addr, std::move(data), Bytes{16 * KiB});
   }
 
   /// Durability barrier: an NVMe Flush through the streamer's write path.
   /// Ordered behind every earlier write submission; the device destages its
   /// volatile cache for all *completed* commands, so callers needing a hard
   /// guarantee wait for their write responses first (KvStore::commit does).
-  sim::Task flush(bool* error = nullptr) override {
+  sim::TaskOf<bool> flush() override {
     co_await s_.write_in().send(axis::Chunk{encode_flush_command(), true, 0});
-    co_await wait_write_response(error);
+    bool error = false;
+    co_await wait_write_response(&error);
+    co_return !error;
   }
 
   /// Streams the write without waiting for the token.

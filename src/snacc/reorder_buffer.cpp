@@ -2,7 +2,7 @@
 
 namespace snacc::core {
 
-sim::Task ReorderBuffer::alloc(RobEntry entry, SlotIdx* slot_out) {
+sim::TaskOf<SlotIdx> ReorderBuffer::alloc(RobEntry entry) {
   while (count_ == entries_.size()) {
     slot_free_.close();
     co_await slot_free_.opened();
@@ -15,7 +15,7 @@ sim::Task ReorderBuffer::alloc(RobEntry entry, SlotIdx* slot_out) {
   tail_ = static_cast<std::uint16_t>((tail_ + 1) % entries_.size());
   ++count_;
   refresh_head_gate();
-  *slot_out = SlotIdx{slot};
+  co_return SlotIdx{slot};
 }
 
 bool ReorderBuffer::complete(SlotIdx slot, nvme::Status status) {

@@ -63,7 +63,7 @@ class ReorderBuffer {
 
   /// Claims the next slot in order; suspends while the window is full.
   /// Returns the slot index (its CID is `cid_of(slot)`).
-  sim::Task alloc(RobEntry entry, SlotIdx* slot_out);
+  sim::TaskOf<SlotIdx> alloc(RobEntry entry);
 
   /// Marks `slot` complete (called when the controller's CQE arrives).
   /// Returns false for a *stale* completion -- a slot not in flight or

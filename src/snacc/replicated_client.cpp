@@ -29,9 +29,7 @@ sim::Task ReplicatedClient::replica_write(std::size_t i, Bytes addr,
                                           Payload data, sim::WaitGroup& wg,
                                           std::size_t* acked) {
   for (std::uint8_t attempt = 0;; ++attempt) {
-    bool err = false;
-    co_await replicas_[i]->write(addr, data, &err);
-    if (!err) {
+    if (co_await replicas_[i]->write(addr, data)) {
       ++*acked;
       break;
     }
@@ -49,9 +47,7 @@ sim::Task ReplicatedClient::replica_write(std::size_t i, Bytes addr,
 sim::Task ReplicatedClient::replica_flush(std::size_t i, sim::WaitGroup& wg,
                                           std::size_t* acked) {
   for (std::uint8_t attempt = 0;; ++attempt) {
-    bool err = false;
-    co_await replicas_[i]->flush(&err);
-    if (!err) {
+    if (co_await replicas_[i]->flush()) {
       ++*acked;
       break;
     }
@@ -66,7 +62,7 @@ sim::Task ReplicatedClient::replica_flush(std::size_t i, sim::WaitGroup& wg,
   wg.done();
 }
 
-sim::Task ReplicatedClient::write(Bytes addr, Payload data, bool* error) {
+sim::TaskOf<bool> ReplicatedClient::write(Bytes addr, Payload data) {
   ++writes_;
   sim::WaitGroup wg(sim_);
   std::size_t acked = 0;
@@ -78,10 +74,10 @@ sim::Task ReplicatedClient::write(Bytes addr, Payload data, bool* error) {
   co_await wg.wait();
   const bool ok = acked >= quorum_;
   if (!ok) ++quorum_failures_;
-  if (error != nullptr) *error = !ok;
+  co_return ok;
 }
 
-sim::Task ReplicatedClient::flush(bool* error) {
+sim::TaskOf<bool> ReplicatedClient::flush() {
   ++flushes_;
   sim::WaitGroup wg(sim_);
   std::size_t acked = 0;
@@ -93,20 +89,17 @@ sim::Task ReplicatedClient::flush(bool* error) {
   co_await wg.wait();
   const bool ok = acked >= quorum_;
   if (!ok) ++quorum_failures_;
-  if (error != nullptr) *error = !ok;
+  co_return ok;
 }
 
-sim::Task ReplicatedClient::read(Bytes addr, Bytes len, Payload* out,
-                                 bool* error) {
+sim::TaskOf<ReadResult> ReplicatedClient::read(Bytes addr, Bytes len) {
   // First live replica serves; later ones are failover. Replicas that
   // returned quarantined (placeholder) data are remembered for repair.
   std::vector<std::size_t> failed;
   for (std::size_t i = 0; i < replicas_.size(); ++i) {
     if (quarantined_[i]) continue;
-    Payload got;
-    bool err = false;
-    co_await replicas_[i]->read(addr, len, &got, &err);
-    if (err) {
+    ReadResult got = co_await replicas_[i]->read(addr, len);
+    if (!got.ok) {
       ++read_failovers_;
       failed.push_back(i);
       continue;
@@ -117,17 +110,12 @@ sim::Task ReplicatedClient::read(Bytes addr, Bytes len, Payload* out,
         aligned(len, nvme::kLbaSize)) {
       for (const std::size_t j : failed) {
         if (quarantined_[j]) continue;
-        bool repair_err = false;
-        co_await replicas_[j]->write(addr, got, &repair_err);
-        if (!repair_err) ++read_repairs_;
+        if (co_await replicas_[j]->write(addr, got.data)) ++read_repairs_;
       }
     }
-    if (out != nullptr) *out = std::move(got);
-    if (error != nullptr) *error = false;
-    co_return;
+    co_return got;
   }
-  if (out != nullptr) *out = Payload::phantom(len);
-  if (error != nullptr) *error = true;
+  co_return ReadResult{Payload::phantom(len), false};
 }
 
 }  // namespace snacc::core

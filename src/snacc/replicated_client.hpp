@@ -39,10 +39,9 @@ class ReplicatedClient final : public StorageClient {
   ReplicatedClient(sim::Simulator& sim, std::vector<StorageClient*> replicas)
       : ReplicatedClient(sim, std::move(replicas), Config()) {}
 
-  sim::Task read(Bytes addr, Bytes len, Payload* out,
-                 bool* error = nullptr) override;
-  sim::Task write(Bytes addr, Payload data, bool* error) override;
-  sim::Task flush(bool* error = nullptr) override;
+  sim::TaskOf<ReadResult> read(Bytes addr, Bytes len) override;
+  sim::TaskOf<bool> write(Bytes addr, Payload data) override;
+  sim::TaskOf<bool> flush() override;
 
   std::size_t replica_count() const { return replicas_.size(); }
   std::size_t quorum() const { return quorum_; }

@@ -15,18 +15,19 @@ class StorageClient {
  public:
   virtual ~StorageClient() = default;
 
-  /// Reads [addr, addr+len) device bytes into `*out` (nullptr: discard).
-  /// `*error` (if non-null) reports unrecoverable data loss.
-  virtual sim::Task read(Bytes addr, Bytes len, Payload* out,
-                         bool* error = nullptr) = 0;
+  /// Reads [addr, addr+len) device bytes. `ok` is false on unrecoverable
+  /// data loss (the data is then placeholder bytes).
+  virtual sim::TaskOf<ReadResult> read(Bytes addr, Bytes len) = 0;
 
   /// Writes `data` to block-aligned device byte address `addr` and waits
-  /// for acknowledgment. Acknowledged data may still sit in a volatile
-  /// device cache -- it is durable only once a later flush() succeeds.
-  virtual sim::Task write(Bytes addr, Payload data, bool* error) = 0;
+  /// for acknowledgment; true on success. Acknowledged data may still sit
+  /// in a volatile device cache -- it is durable only once a later flush()
+  /// succeeds.
+  virtual sim::TaskOf<bool> write(Bytes addr, Payload data) = 0;
 
-  /// Durability barrier: destages every previously acknowledged write.
-  virtual sim::Task flush(bool* error = nullptr) = 0;
+  /// Durability barrier: destages every previously acknowledged write;
+  /// true on success.
+  virtual sim::TaskOf<bool> flush() = 0;
 };
 
 }  // namespace snacc::core

@@ -221,15 +221,13 @@ sim::Task NvmeStreamer::read_cmd_loop() {
     for (const SubCommand& sub : subs) {
       co_await issue_credits_->acquire();
       co_await alloc_mutex_->acquire();
-      Bytes off;
-      co_await res_.read_ring->alloc(sub.buffer_bytes(), &off);
+      const Bytes off = co_await res_.read_ring->alloc(sub.buffer_bytes());
       RobEntry entry;
       entry.is_write = false;
       entry.sub = sub;
       entry.buffer_offset = off;
       entry.user_tag = tag;
-      SlotIdx slot;
-      co_await rob_.alloc(std::move(entry), &slot);
+      const SlotIdx slot = co_await rob_.alloc(std::move(entry));
       alloc_mutex_->release();
       co_await sim_.delay(clock_cycles(fpga_.read_submit_cycles));
       co_await submit(sub, /*is_write=*/false, slot,
@@ -266,8 +264,7 @@ sim::Task NvmeStreamer::write_cmd_loop() {
       entry.is_write = true;
       entry.sub = sub;
       entry.user_tag = next_user_tag_++;
-      SlotIdx slot;
-      co_await rob_.alloc(std::move(entry), &slot);
+      const SlotIdx slot = co_await rob_.alloc(std::move(entry));
       alloc_mutex_->release();
       co_await sim_.delay(clock_cycles(fpga_.write_submit_cycles));
       sim::Promise<sim::Done> fill_done(sim_);
@@ -338,15 +335,13 @@ sim::Task NvmeStreamer::write_cmd_loop() {
 
       co_await issue_credits_->acquire();
       co_await alloc_mutex_->acquire();
-      Bytes off;
-      co_await res_.write_ring->alloc(Bytes{padded}, &off);
+      const Bytes off = co_await res_.write_ring->alloc(Bytes{padded});
       RobEntry entry;
       entry.is_write = true;
       entry.sub = sub;
       entry.buffer_offset = off;
       entry.user_tag = tag;
-      SlotIdx slot;
-      co_await rob_.alloc(std::move(entry), &slot);
+      const SlotIdx slot = co_await rob_.alloc(std::move(entry));
       alloc_mutex_->release();
       co_await sim_.delay(clock_cycles(fpga_.write_submit_cycles));
       // "Write commands are forwarded to the NVMe device as soon as all
@@ -503,10 +498,8 @@ sim::Task NvmeStreamer::watchdog_loop() {
 }
 
 sim::Task NvmeStreamer::fetch_entry(RobEntry* entry) {
-  Payload out;
-  co_await res_.read_backend->drain(entry->buffer_offset,
-                                    entry->sub.buffer_bytes(), &out);
-  entry->data = std::move(out);
+  entry->data = co_await res_.read_backend->drain(entry->buffer_offset,
+                                                  entry->sub.buffer_bytes());
   entry->fetched = true;
   fetch_progress_.open();
 }

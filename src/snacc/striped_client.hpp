@@ -40,21 +40,26 @@ class StripedClient {
                         logical % stripe_};
   }
 
-  /// Writes `data` at logical byte address `addr` (block-aligned).
-  sim::Task write(Bytes addr, Payload data) {
+  /// Writes `data` at logical byte address `addr` (block-aligned); true
+  /// when every device acknowledged its stripes without the data-loss bit.
+  sim::TaskOf<bool> write(Bytes addr, Payload data) {
     auto plan = make_plan(addr, Bytes{data.size()});
     sim::Simulator& sim = simulator();
     sim::WaitGroup wg(sim);
     wg.add(static_cast<int>(clients_.size()));
+    bool failed = false;
     for (std::size_t d = 0; d < clients_.size(); ++d) {
-      sim.spawn(device_writer(&sim, &clients_[d], plan[d], data, &wg));
+      sim.spawn(
+          device_writer(&sim, &clients_[d], plan[d], data, &wg, &failed));
     }
     co_await wg.wait();
+    co_return !failed;
   }
 
-  /// Reads [addr, addr+len) into `*out` (nullptr: discard). Stripes land in
-  /// logical order in the output regardless of completion order.
-  sim::Task read(Bytes addr, Bytes len, Payload* out) {
+  /// Reads [addr, addr+len). Stripes land in logical order in the output
+  /// regardless of completion order; `ok` is false when any stripe came
+  /// back quarantined.
+  sim::TaskOf<ReadResult> read(Bytes addr, Bytes len) {
     auto plan = make_plan(addr, len);
     std::size_t total_stripes = 0;
     for (const auto& d : plan) total_stripes += d.size();
@@ -62,11 +67,13 @@ class StripedClient {
     sim::Simulator& sim = simulator();
     sim::WaitGroup wg(sim);
     wg.add(static_cast<int>(clients_.size()));
+    bool failed = false;
     for (std::size_t d = 0; d < clients_.size(); ++d) {
-      sim.spawn(device_reader(&sim, &clients_[d], plan[d], &parts, &wg));
+      sim.spawn(
+          device_reader(&sim, &clients_[d], plan[d], &parts, &wg, &failed));
     }
     co_await wg.wait();
-    if (out != nullptr) *out = Payload::gather(parts);
+    co_return ReadResult{Payload::gather(parts), !failed};
   }
 
  private:
@@ -98,7 +105,7 @@ class StripedClient {
 
   static sim::Task device_writer(sim::Simulator* sim, PeClient* client,
                                  std::vector<Stripe> stripes, Payload data,
-                                 sim::WaitGroup* wg) {
+                                 sim::WaitGroup* wg, bool* failed) {
     // The response tokens must be drained *while* stripes stream in: the
     // token FIFO is shallow and a full FIFO backpressures retirement.
     struct Issuer {
@@ -112,7 +119,9 @@ class StripedClient {
     };
     sim->spawn(Issuer::run(client, &stripes, &data));
     for (std::size_t i = 0; i < stripes.size(); ++i) {
-      co_await client->wait_write_response();
+      bool error = false;
+      co_await client->wait_write_response(&error);
+      *failed = *failed || error;
     }
     wg->done();
   }
@@ -120,7 +129,7 @@ class StripedClient {
   static sim::Task device_reader(sim::Simulator* sim, PeClient* client,
                                  std::vector<Stripe> stripes,
                                  std::vector<Payload>* parts,
-                                 sim::WaitGroup* wg) {
+                                 sim::WaitGroup* wg, bool* failed) {
     struct Issuer {
       static sim::Task run(PeClient* client, const std::vector<Stripe>* list) {
         for (const Stripe& s : *list) {
@@ -131,7 +140,9 @@ class StripedClient {
     sim->spawn(Issuer::run(client, &stripes));
     // Responses arrive in issue order (in-order retirement).
     for (const Stripe& s : stripes) {
-      co_await client->collect_read(&(*parts)[s.part_index]);
+      bool error = false;
+      co_await client->collect_read(&(*parts)[s.part_index], &error);
+      *failed = *failed || error;
     }
     wg->done();
   }

@@ -81,8 +81,7 @@ sim::Task Driver::init() {
   identify.opcode = static_cast<std::uint8_t>(nvme::AdminOpcode::kIdentify);
   identify.prp1 = global(identify_off());
   identify.cdw10 = 1;  // CNS=controller
-  nvme::Status st = nvme::Status::kSuccess;
-  co_await admin_cmd(identify, &st);
+  [[maybe_unused]] nvme::Status st = co_await admin_cmd(identify);
   assert(st == nvme::Status::kSuccess);
   identify_ = nvme::IdentifyController::decode(
       host_mem_.store().read(local(identify_off()).value(), kPageSize));
@@ -96,7 +95,7 @@ sim::Task Driver::init() {
   create_cq.prp1 = io_cq_.config().base;
   create_cq.cdw10 = kIoQid | (static_cast<std::uint32_t>(io_cq_.config().entries - 1) << 16);
   create_cq.cdw11 = 1;  // physically contiguous
-  co_await admin_cmd(create_cq, &st);
+  st = co_await admin_cmd(create_cq);
   assert(st == nvme::Status::kSuccess);
 
   nvme::SubmissionEntry create_sq;
@@ -104,7 +103,7 @@ sim::Task Driver::init() {
   create_sq.prp1 = io_sq_.config().base;
   create_sq.cdw10 = kIoQid | (static_cast<std::uint32_t>(io_sq_.config().entries - 1) << 16);
   create_sq.cdw11 = (static_cast<std::uint32_t>(kIoQid) << 16) | 1;
-  co_await admin_cmd(create_sq, &st);
+  st = co_await admin_cmd(create_sq);
   assert(st == nvme::Status::kSuccess);
 
   initialized_ = true;
@@ -128,8 +127,7 @@ sim::Task Driver::ring_cq_doorbell(std::uint16_t qid, std::uint16_t head) {
                       u32_payload(head));
 }
 
-sim::Task Driver::admin_cmd(nvme::SubmissionEntry sqe, nvme::Status* status,
-                            std::uint32_t* dw0) {
+sim::TaskOf<nvme::Status> Driver::admin_cmd(nvme::SubmissionEntry sqe) {
   sqe.cid = Cid{next_cid_++};
   auto raw = sqe.encode();
   const Bytes sq_off =
@@ -148,11 +146,9 @@ sim::Task Driver::admin_cmd(nvme::SubmissionEntry sqe, nvme::Status* status,
       auto cqe = nvme::CompletionEntry::decode(cqe_raw.view());
       if (admin_cq_.is_new(cqe) && cqe.cid == sqe.cid) {
         admin_sq_.update_head(cqe.sq_head);
-        if (status != nullptr) *status = cqe.status;
-        if (dw0 != nullptr) *dw0 = cqe.dw0;
         const std::uint16_t head = admin_cq_.advance();
         co_await ring_cq_doorbell(0, head);
-        co_return;
+        co_return cqe.status;
       }
     }
     co_await sim_.delay(cfg_.poll_interval);
@@ -250,14 +246,14 @@ sim::Task Driver::poller() {
   poller_running_ = false;
 }
 
-sim::Task Driver::resubmit_one(IoDesc io, std::uint32_t attempt, Payload stage,
-                               nvme::Status* status, std::uint16_t* slot_out) {
+sim::TaskOf<Driver::Attempt> Driver::resubmit_one(IoDesc io,
+                                                  std::uint32_t attempt,
+                                                  Payload stage) {
   ++io_retries_;
   co_await sim_.delay(cfg_.retry_backoff * (1ull << (attempt - 1)));
   co_await slot_sem_->acquire();
   std::uint16_t slot = 0;
   while (slots_[slot].in_use) ++slot;
-  if (slot_out != nullptr) *slot_out = slot;
   if (stage.size() > 0) {
     host_mem_.store().write(local(buffer_off(slot)).value(), std::move(stage));
   }
@@ -266,11 +262,10 @@ sim::Task Driver::resubmit_one(IoDesc io, std::uint32_t attempt, Payload stage,
   co_await submit_io(io, slot, &promise);
   const nvme::Status st = co_await fut;
   if (st != nvme::Status::kSuccess) ++io_errors_;
-  *status = st;
+  co_return Attempt{st, slot};
 }
 
-sim::Task Driver::read(Lba lba, Bytes bytes, Payload* out,
-                       nvme::Status* status) {
+sim::TaskOf<ReadCompletion> Driver::read(Lba lba, Bytes bytes) {
   nvme::Status final_status = nvme::Status::kSuccess;
   Payload assembled;
   Bytes done_bytes;
@@ -292,9 +287,11 @@ sim::Task Driver::read(Lba lba, Bytes bytes, Payload* out,
            ++attempt) {
         // The retry claims a fresh slot; `slot` tracks it so the buffer
         // read-back below picks up the retried command's data.
-        co_await resubmit_one(
+        const Attempt retry = co_await resubmit_one(
             IoDesc{false, lba + done_bytes.value() / nvme::kLbaSize, n},
-            attempt, Payload{}, &st, &slot);
+            attempt, Payload{});
+        st = retry.status;
+        slot = retry.slot;
       }
       if (st != nvme::Status::kSuccess) {
         ++io_failed_;
@@ -304,19 +301,16 @@ sim::Task Driver::read(Lba lba, Bytes bytes, Payload* out,
     // Completion-path software cost (poll pickup, buffer handoff). This is
     // the calibrated host-stack term of Fig. 4c.
     co_await sim_.delay(host_.spdk_read_stack);
-    if (out != nullptr) {
-      Payload part =
-          host_mem_.store().read(local(buffer_off(slot)).value(), n.value());
-      assembled = assembled.empty() ? std::move(part)
-                                    : Payload::concat(assembled, part);
-    }
+    Payload part =
+        host_mem_.store().read(local(buffer_off(slot)).value(), n.value());
+    assembled = assembled.empty() ? std::move(part)
+                                  : Payload::concat(assembled, part);
     done_bytes += n;
   }
-  if (out != nullptr) *out = std::move(assembled);
-  if (status != nullptr) *status = final_status;
+  co_return ReadCompletion{std::move(assembled), final_status};
 }
 
-sim::Task Driver::write(Lba lba, Payload data, nvme::Status* status) {
+sim::TaskOf<nvme::Status> Driver::write(Lba lba, Payload data) {
   nvme::Status final_status = nvme::Status::kSuccess;
   Bytes done_bytes;
   const Bytes bytes{data.size()};
@@ -341,9 +335,10 @@ sim::Task Driver::write(Lba lba, Payload data, nvme::Status* status) {
            st != nvme::Status::kSuccess && attempt <= cfg_.max_retries;
            ++attempt) {
         // Restage the chunk: the failed attempt's buffer slot was recycled.
-        co_await resubmit_one(
-            IoDesc{true, lba + done_bytes.value() / nvme::kLbaSize, n}, attempt,
-            data.slice(done_bytes.value(), n.value()), &st, nullptr);
+        st = (co_await resubmit_one(
+                  IoDesc{true, lba + done_bytes.value() / nvme::kLbaSize, n},
+                  attempt, data.slice(done_bytes.value(), n.value())))
+                 .status;
       }
       if (st != nvme::Status::kSuccess) {
         ++io_failed_;
@@ -353,14 +348,14 @@ sim::Task Driver::write(Lba lba, Payload data, nvme::Status* status) {
     co_await sim_.delay(host_.spdk_write_stack);
     done_bytes += n;
   }
-  if (status != nullptr) *status = final_status;
+  co_return final_status;
 }
 
 // ---------------------------------------------------------------------------
 // Pipelined workloads
 
-sim::Task Driver::run_workload(const std::vector<IoDesc>& ios,
-                               WorkloadResult* result) {
+sim::TaskOf<WorkloadResult> Driver::run_workload(std::vector<IoDesc> ios) {
+  WorkloadResult result;
   const TimePs t0 = sim_.now();
   sim::WaitGroup wg(sim_);
   wg.add(static_cast<int>(ios.size()));
@@ -384,7 +379,7 @@ sim::Task Driver::run_workload(const std::vector<IoDesc>& ios,
       for (std::uint32_t attempt = 1;
            st != nvme::Status::kSuccess && attempt <= self->cfg_.max_retries;
            ++attempt) {
-        co_await self->resubmit_one(t->io, attempt, Payload{}, &st, nullptr);
+        st = (co_await self->resubmit_one(t->io, attempt, Payload{})).status;
       }
       if (st != nvme::Status::kSuccess) ++self->io_failed_;
     }
@@ -401,14 +396,15 @@ sim::Task Driver::run_workload(const std::vector<IoDesc>& ios,
     while (slots_[slot].in_use) ++slot;
     auto tracker = std::make_unique<Tracker>(
         Tracker{sim::Promise<nvme::Status>(sim_), sim_.now(), io});
-    sim_.spawn(finisher(this, tracker.get(), result, &wg));
+    sim_.spawn(finisher(this, tracker.get(), &result, &wg));
     co_await submit_io(io, slot, &tracker->promise);
     trackers.push_back(std::move(tracker));
-    result->bytes += io.bytes.value();
-    ++result->commands;
+    result.bytes += io.bytes.value();
+    ++result.commands;
   }
   co_await wg.wait();
-  result->elapsed = sim_.now() - t0;
+  result.elapsed = sim_.now() - t0;
+  co_return result;
 }
 
 sim::Task Driver::run_sequential(bool is_write, Lba start_lba,
@@ -421,7 +417,7 @@ sim::Task Driver::run_sequential(bool is_write, Lba start_lba,
     ios.push_back(IoDesc{is_write, lba, n});
     lba = lba + n.value() / nvme::kLbaSize;
   }
-  co_await run_workload(ios, result);
+  *result = co_await run_workload(std::move(ios));
 }
 
 sim::Task Driver::run_random(bool is_write, Bytes total_bytes, Bytes cmd_bytes,
@@ -434,7 +430,7 @@ sim::Task Driver::run_random(bool is_write, Bytes total_bytes, Bytes cmd_bytes,
     const Lba lba{rng.below(region_blocks - blocks_per_cmd)};
     ios.push_back(IoDesc{is_write, lba, cmd_bytes});
   }
-  co_await run_workload(ios, result);
+  *result = co_await run_workload(std::move(ios));
 }
 
 }  // namespace snacc::spdk

@@ -37,12 +37,35 @@ struct DriverConfig {
   TimePs retry_backoff = us(5);       // first backoff; doubles per attempt
 };
 
+/// Driver::read outcome: the data and the final NVMe status of its
+/// commands (on an error the data is whatever the pinned buffer held).
+/// Special members are user-declared to dodge the g++ 12 aggregate-move
+/// miscompilation described in sim/channel.hpp.
+struct ReadCompletion {
+  Payload data;
+  nvme::Status status = nvme::Status::kSuccess;
+
+  ReadCompletion() = default;
+  ReadCompletion(Payload d, nvme::Status s) : data(std::move(d)), status(s) {}
+  ReadCompletion(ReadCompletion&&) noexcept = default;
+  ReadCompletion& operator=(ReadCompletion&&) noexcept = default;
+  ReadCompletion(const ReadCompletion&) = default;
+  ReadCompletion& operator=(const ReadCompletion&) = default;
+};
+
 struct WorkloadResult {
   TimePs elapsed;
   std::uint64_t bytes = 0;
   std::uint64_t commands = 0;
   LatencyStats latency;
   double bandwidth_gb_s() const { return gb_per_s(bytes, elapsed); }
+
+  // Returned across co_await (run_workload): see ReadCompletion.
+  WorkloadResult() = default;
+  WorkloadResult(WorkloadResult&&) noexcept = default;
+  WorkloadResult& operator=(WorkloadResult&&) noexcept = default;
+  WorkloadResult(const WorkloadResult&) = default;
+  WorkloadResult& operator=(const WorkloadResult&) = default;
 };
 
 class Driver {
@@ -57,11 +80,10 @@ class Driver {
   bool initialized() const { return initialized_; }
   const nvme::IdentifyController& identify_data() const { return identify_; }
 
-  /// Single blocking read/write (splits at the device MDTS). `out` receives
-  /// the data when non-null.
-  sim::Task read(Lba lba, Bytes bytes, Payload* out,
-                 nvme::Status* status = nullptr);
-  sim::Task write(Lba lba, Payload data, nvme::Status* status = nullptr);
+  /// Single blocking read/write (splits at the device MDTS). The status is
+  /// the last failed command's, or kSuccess.
+  sim::TaskOf<ReadCompletion> read(Lba lba, Bytes bytes);
+  sim::TaskOf<nvme::Status> write(Lba lba, Payload data);
 
   /// Pipelined sequential workload: `total_bytes` in `cmd_bytes` commands,
   /// queue depth kept full, completions harvested out of order.
@@ -94,10 +116,16 @@ class Driver {
     Bytes bytes;
   };
 
+  /// A retry attempt's outcome: its status and the slot it ran in.
+  struct Attempt {
+    nvme::Status status;
+    std::uint16_t slot;
+  };
+
   /// One retry attempt: backoff, claim a fresh slot, optionally restage
   /// `stage` into the slot's pinned buffer (writes), resubmit and wait.
-  sim::Task resubmit_one(IoDesc io, std::uint32_t attempt, Payload stage,
-                         nvme::Status* status, std::uint16_t* slot_out);
+  sim::TaskOf<Attempt> resubmit_one(IoDesc io, std::uint32_t attempt,
+                                    Payload stage);
 
   // Region layout (local offsets inside the driver's host-memory region).
   Bytes local(Bytes off) const { return cfg_.region_offset + off; }
@@ -121,8 +149,7 @@ class Driver {
            max_transfer_ * static_cast<std::uint64_t>(slot);
   }
 
-  sim::Task admin_cmd(nvme::SubmissionEntry sqe, nvme::Status* status,
-                      std::uint32_t* dw0 = nullptr);
+  sim::TaskOf<nvme::Status> admin_cmd(nvme::SubmissionEntry sqe);
   sim::Task ring_sq_doorbell(std::uint16_t qid, std::uint16_t tail);
   sim::Task ring_cq_doorbell(std::uint16_t qid, std::uint16_t head);
 
@@ -135,7 +162,7 @@ class Driver {
   sim::Task poller();
 
   /// Shared engine for run_sequential / run_random.
-  sim::Task run_workload(const std::vector<IoDesc>& ios, WorkloadResult* result);
+  sim::TaskOf<WorkloadResult> run_workload(std::vector<IoDesc> ios);
 
   sim::Simulator& sim_;
   pcie::Fabric& fabric_;

@@ -1,0 +1,37 @@
+// Must compile under -Werror=unused-result: every way of keeping a task or
+// future that the drop_* probes drop.
+#include "sim/future.hpp"
+#include "sim/task.hpp"
+
+namespace probe {
+
+using snacc::sim::Simulator;
+using snacc::sim::Task;
+using snacc::sim::TaskOf;
+
+Task job();
+Task post();
+TaskOf<bool> check();
+void amb(int cookie);
+Task amb();
+snacc::sim::Future<int> completion();
+
+auto relay() { return job(); }
+
+Task kept(Simulator& sim) {
+  co_await job();                       // awaited
+  auto held = job();                    // stored
+  co_await held;
+  (void)post();                         // deliberately posted
+  sim.spawn(job());                     // handed to an owner
+  amb(7);                               // the sync overload of a mixed name
+  auto pump = []() -> Task { co_return; };
+  co_await pump();                      // bound lambda, awaited
+  co_await relay();                     // auto relay, awaited
+  const bool ok = co_await check();     // value result, bound
+  (void)ok;
+  const int v = co_await completion();  // future, awaited
+  (void)v;
+}
+
+}  // namespace probe

@@ -176,7 +176,7 @@ RunSnapshot run_fig4c_style(std::uint64_t seed) {
       co_await pe.write(addr, Payload::phantom(io.value()), io);
       snap.write_latencies_ps.push_back((sys.sim().now() - t0).value());
       t0 = sys.sim().now();
-      co_await pe.read(addr, io, nullptr);
+      EXPECT_TRUE((co_await pe.read(addr, io)).ok);
       snap.read_latencies_ps.push_back((sys.sim().now() - t0).value());
       co_await sys.sim().delay(us(300));  // cold, isolated accesses
     }

@@ -67,18 +67,18 @@ TEST_F(DurabilityFixture, GroupCommittedPutsSurvivePowerCycle) {
   auto t = [&]() -> sim::Task {
     PutStatus st = PutStatus::kIoError;
     for (int i = 0; i < 10; ++i) {
-      co_await store->put("durable-" + std::to_string(i),
-                          Payload::filled(3000 + i, static_cast<std::uint8_t>(i)),
-                          &st);
+      st = co_await store->put(
+          "durable-" + std::to_string(i),
+          Payload::filled(3000 + i, static_cast<std::uint8_t>(i)));
       EXPECT_EQ(st, PutStatus::kOk);
     }
-    bool committed = false;
-    co_await store->commit(&committed);
+    bool committed = co_await store->commit();
     EXPECT_TRUE(committed);
     // Three more puts are acknowledged but never flushed: volatile.
     for (int i = 10; i < 13; ++i) {
-      co_await store->put("volatile-" + std::to_string(i),
-                          Payload::filled(2000, 0xEE), &st);
+      st = co_await store->put(
+          "volatile-" + std::to_string(i),
+          Payload::filled(2000, 0xEE));
       EXPECT_EQ(st, PutStatus::kOk);
     }
     done = true;
@@ -95,20 +95,16 @@ TEST_F(DurabilityFixture, GroupCommittedPutsSurvivePowerCycle) {
   KvStore recovered(dev->streamer(), Bytes{}, Bytes{256 * MiB});
   bool done2 = false;
   auto t2 = [&]() -> sim::Task {
-    std::uint64_t records = 0;
-    co_await recovered.recover(&records);
+    std::uint64_t records = co_await recovered.recover();
     EXPECT_EQ(records, 10u);
     for (int i = 0; i < 10; ++i) {
-      Payload got;
-      bool found = false;
-      co_await recovered.get("durable-" + std::to_string(i), &got, &found);
-      EXPECT_TRUE(found) << "committed key " << i << " lost";
-      EXPECT_TRUE(got.content_equals(
+      const ReadResult got =
+          co_await recovered.get("durable-" + std::to_string(i));
+      EXPECT_TRUE(got.ok) << "committed key " << i << " lost";
+      EXPECT_TRUE(got.data.content_equals(
           Payload::filled(3000 + i, static_cast<std::uint8_t>(i))));
     }
-    bool found = true;
-    co_await recovered.get("volatile-10", nullptr, &found);
-    EXPECT_FALSE(found);
+    EXPECT_FALSE((co_await recovered.get("volatile-10")).ok);
     done2 = true;
   };
   run(t2());
@@ -120,13 +116,12 @@ TEST_F(DurabilityFixture, TornRecordIsTruncatedAtRecovery) {
   auto t = [&]() -> sim::Task {
     PutStatus st = PutStatus::kOk;
     for (int i = 0; i < 5; ++i) {
-      co_await store->put("key-" + std::to_string(i),
-                          Payload::filled(4 * KiB, static_cast<std::uint8_t>(i)),
-                          &st);
+      st = co_await store->put(
+          "key-" + std::to_string(i),
+          Payload::filled(4 * KiB, static_cast<std::uint8_t>(i)));
       EXPECT_EQ(st, PutStatus::kOk);
     }
-    bool committed = false;
-    co_await store->commit(&committed);
+    bool committed = co_await store->commit();
     EXPECT_TRUE(committed);
     done = true;
   };
@@ -143,25 +138,21 @@ TEST_F(DurabilityFixture, TornRecordIsTruncatedAtRecovery) {
   KvStore recovered(dev->streamer(), Bytes{}, Bytes{256 * MiB});
   bool done2 = false;
   auto t2 = [&]() -> sim::Task {
-    std::uint64_t records = 0;
-    co_await recovered.recover(&records);
+    std::uint64_t records = co_await recovered.recover();
     EXPECT_EQ(records, 4u);  // truncated at the torn record
-    bool found = true;
-    co_await recovered.get("key-4", nullptr, &found);
-    EXPECT_FALSE(found);
-    Payload got;
-    co_await recovered.get("key-3", &got, &found);
-    EXPECT_TRUE(found);
-    EXPECT_TRUE(got.content_equals(Payload::filled(4 * KiB, 3)));
+    EXPECT_FALSE((co_await recovered.get("key-4")).ok);
+    const ReadResult got = co_await recovered.get("key-3");
+    EXPECT_TRUE(got.ok);
+    EXPECT_TRUE(got.data.content_equals(Payload::filled(4 * KiB, 3)));
     // Truncation leaves the store writable: the head moved back over the
     // torn record and new puts append (and read back) cleanly.
     PutStatus st = PutStatus::kIoError;
-    co_await recovered.put("after-truncate", Payload::filled(1 * KiB, 0xAF),
-                           &st);
+    st = co_await recovered.put("after-truncate",
+                                Payload::filled(1 * KiB, 0xAF));
     EXPECT_EQ(st, PutStatus::kOk);
-    co_await recovered.get("after-truncate", &got, &found);
-    EXPECT_TRUE(found);
-    EXPECT_TRUE(got.content_equals(Payload::filled(1 * KiB, 0xAF)));
+    const ReadResult appended = co_await recovered.get("after-truncate");
+    EXPECT_TRUE(appended.ok);
+    EXPECT_TRUE(appended.data.content_equals(Payload::filled(1 * KiB, 0xAF)));
     done2 = true;
   };
   run(t2());
@@ -173,19 +164,18 @@ TEST_F(DurabilityFixture, CrashMidPutRecoversViaWatchdogRetry) {
   bool done = false;
   auto t = [&]() -> sim::Task {
     PutStatus st = PutStatus::kOk;
-    co_await store->put("safe-0", Payload::filled(4 * KiB, 0xA0), &st);
-    co_await store->put("safe-1", Payload::filled(4 * KiB, 0xA1), &st);
-    bool committed = false;
-    co_await store->commit(&committed);
+    st = co_await store->put("safe-0", Payload::filled(4 * KiB, 0xA0));
+    st = co_await store->put("safe-1", Payload::filled(4 * KiB, 0xA1));
+    bool committed = co_await store->commit();
     EXPECT_TRUE(committed);
     // The next write command after arming (event 0) powers the device down
     // mid-destage: its CQE is lost, the streamer watchdog times the slot
     // out and the retry rewrites the record from the still-held FPGA
     // buffer.
     dev->ssd().set_crash_plan(seeded(fault::FaultPlan::at({0})));
-    co_await store->put("crashy", Payload::filled(4 * KiB, 0xC4), &st);
+    st = co_await store->put("crashy", Payload::filled(4 * KiB, 0xC4));
     EXPECT_EQ(st, PutStatus::kOk);  // recovered transparently
-    co_await store->commit(&committed);
+    committed = co_await store->commit();
     EXPECT_TRUE(committed);
     done = true;
   };
@@ -203,14 +193,11 @@ TEST_F(DurabilityFixture, CrashMidPutRecoversViaWatchdogRetry) {
   KvStore recovered(dev->streamer(), Bytes{}, Bytes{256 * MiB});
   bool done2 = false;
   auto t2 = [&]() -> sim::Task {
-    std::uint64_t records = 0;
-    co_await recovered.recover(&records);
+    std::uint64_t records = co_await recovered.recover();
     EXPECT_EQ(records, 3u);
-    Payload got;
-    bool found = false;
-    co_await recovered.get("crashy", &got, &found);
-    EXPECT_TRUE(found);
-    EXPECT_TRUE(got.content_equals(Payload::filled(4 * KiB, 0xC4)));
+    const ReadResult got = co_await recovered.get("crashy");
+    EXPECT_TRUE(got.ok);
+    EXPECT_TRUE(got.data.content_equals(Payload::filled(4 * KiB, 0xC4)));
     done2 = true;
   };
   run(t2());
@@ -222,13 +209,12 @@ TEST_F(DurabilityFixture, CrashMidCompactLeavesOldLogAuthoritative) {
   auto t = [&]() -> sim::Task {
     PutStatus st = PutStatus::kOk;
     for (int i = 0; i < 6; ++i) {
-      co_await store->put("old-" + std::to_string(i),
-                          Payload::filled(4 * KiB, static_cast<std::uint8_t>(i)),
-                          &st);
+      st = co_await store->put(
+          "old-" + std::to_string(i),
+          Payload::filled(4 * KiB, static_cast<std::uint8_t>(i)));
       EXPECT_EQ(st, PutStatus::kOk);
     }
-    bool committed = false;
-    co_await store->commit(&committed);
+    bool committed = co_await store->commit();
     EXPECT_TRUE(committed);
     // Crash every attempt of compaction's first scratch write (the original
     // and all max_retries resubmissions): the slot is quarantined, the PE
@@ -236,8 +222,12 @@ TEST_F(DurabilityFixture, CrashMidCompactLeavesOldLogAuthoritative) {
     dev->ssd().set_crash_plan(seeded(fault::FaultPlan::at({0, 1, 2, 3})));
     Bytes reclaimed{123};
     bool ok = true;
-    co_await store->compact(Bytes{512 * MiB}, Bytes{256 * MiB}, &reclaimed,
-                            &ok);
+    {
+      const std::optional<Bytes> r =
+          co_await store->compact(Bytes{512 * MiB}, Bytes{256 * MiB});
+      ok = r.has_value();
+      reclaimed = r.value_or(Bytes{});
+    }
     EXPECT_FALSE(ok);
     EXPECT_EQ(reclaimed.value(), 0u);
     EXPECT_EQ(store->generation(), 0u);
@@ -251,16 +241,13 @@ TEST_F(DurabilityFixture, CrashMidCompactLeavesOldLogAuthoritative) {
   KvStore recovered(dev->streamer(), Bytes{}, Bytes{256 * MiB});
   bool done2 = false;
   auto t2 = [&]() -> sim::Task {
-    std::uint64_t records = 0;
-    co_await recovered.recover(&records);
+    std::uint64_t records = co_await recovered.recover();
     EXPECT_EQ(records, 6u);
     EXPECT_EQ(recovered.generation(), 0u);
     for (int i = 0; i < 6; ++i) {
-      Payload got;
-      bool found = false;
-      co_await recovered.get("old-" + std::to_string(i), &got, &found);
-      EXPECT_TRUE(found);
-      EXPECT_TRUE(got.content_equals(
+      const ReadResult got = co_await recovered.get("old-" + std::to_string(i));
+      EXPECT_TRUE(got.ok);
+      EXPECT_TRUE(got.data.content_equals(
           Payload::filled(4 * KiB, static_cast<std::uint8_t>(i))));
     }
     done2 = true;
@@ -272,19 +259,18 @@ TEST_F(DurabilityFixture, CrashMidCompactLeavesOldLogAuthoritative) {
 TEST_F(DurabilityFixture, CompletedCompactionSurvivesPowerCycle) {
   bool done = false;
   auto t = [&]() -> sim::Task {
-    PutStatus st = PutStatus::kOk;
     for (int round = 0; round < 3; ++round) {
       for (int i = 0; i < 4; ++i) {
-        co_await store->put(
-            "k" + std::to_string(i),
-            Payload::filled(4 * KiB, static_cast<std::uint8_t>(round * 16 + i)),
-            &st);
+        const auto fill = static_cast<std::uint8_t>(round * 16 + i);
+        const PutStatus st = co_await store->put(
+            "k" + std::to_string(i), Payload::filled(4 * KiB, fill));
+        EXPECT_EQ(st, PutStatus::kOk);
       }
     }
-    bool committed = false;
-    co_await store->commit(&committed);
-    bool ok = false;
-    co_await store->compact(Bytes{512 * MiB}, Bytes{256 * MiB}, nullptr, &ok);
+    EXPECT_TRUE(co_await store->commit());
+    const bool ok =
+        (co_await store->compact(Bytes{512 * MiB}, Bytes{256 * MiB}))
+            .has_value();
     EXPECT_TRUE(ok);
     EXPECT_EQ(store->generation(), 1u);
     done = true;
@@ -298,16 +284,13 @@ TEST_F(DurabilityFixture, CompletedCompactionSurvivesPowerCycle) {
   KvStore recovered(dev->streamer(), Bytes{}, Bytes{256 * MiB});
   bool done2 = false;
   auto t2 = [&]() -> sim::Task {
-    std::uint64_t records = 0;
-    co_await recovered.recover(&records);
+    std::uint64_t records = co_await recovered.recover();
     EXPECT_EQ(records, 4u);  // live keys only: the compacted view
     EXPECT_EQ(recovered.generation(), 1u);
     for (int i = 0; i < 4; ++i) {
-      Payload got;
-      bool found = false;
-      co_await recovered.get("k" + std::to_string(i), &got, &found);
-      EXPECT_TRUE(found);
-      EXPECT_TRUE(got.content_equals(
+      const ReadResult got = co_await recovered.get("k" + std::to_string(i));
+      EXPECT_TRUE(got.ok);
+      EXPECT_TRUE(got.data.content_equals(
           Payload::filled(4 * KiB, static_cast<std::uint8_t>(2 * 16 + i))));
     }
     done2 = true;
@@ -378,13 +361,12 @@ TEST_F(ReplicatedFixture, ServesAllAcknowledgedKeysAfterOneReplicaCrashes) {
   auto t = [&]() -> sim::Task {
     PutStatus st = PutStatus::kOk;
     for (int i = 0; i < 8; ++i) {
-      co_await store->put("pre-" + std::to_string(i),
-                          Payload::filled(4 * KiB, static_cast<std::uint8_t>(i)),
-                          &st);
+      st = co_await store->put(
+          "pre-" + std::to_string(i),
+          Payload::filled(4 * KiB, static_cast<std::uint8_t>(i)));
       EXPECT_EQ(st, PutStatus::kOk);
     }
-    bool committed = false;
-    co_await store->commit(&committed);
+    bool committed = co_await store->commit();
     EXPECT_TRUE(committed);
 
     // Replica 0 dies: power loss, then every later command on it errors
@@ -393,12 +375,12 @@ TEST_F(ReplicatedFixture, ServesAllAcknowledgedKeysAfterOneReplicaCrashes) {
     sys->ssd(0).set_internal_fault_plan(
         seeded(fault::FaultPlan::rate(1.0, 0)));
     for (int i = 8; i < 12; ++i) {
-      co_await store->put("post-" + std::to_string(i),
-                          Payload::filled(4 * KiB, static_cast<std::uint8_t>(i)),
-                          &st);
+      st = co_await store->put(
+          "post-" + std::to_string(i),
+          Payload::filled(4 * KiB, static_cast<std::uint8_t>(i)));
       EXPECT_EQ(st, PutStatus::kOk) << "2-of-3 quorum must still ack";
     }
-    co_await store->commit(&committed);
+    committed = co_await store->commit();
     EXPECT_TRUE(committed);
     EXPECT_TRUE(repl->replica_quarantined(0));
     EXPECT_EQ(repl->live_replicas(), 2u);
@@ -408,11 +390,9 @@ TEST_F(ReplicatedFixture, ServesAllAcknowledgedKeysAfterOneReplicaCrashes) {
     for (int i = 0; i < 12; ++i) {
       const std::string key =
           (i < 8 ? "pre-" : "post-") + std::to_string(i);
-      Payload got;
-      bool found = false;
-      co_await store->get(key, &got, &found);
-      EXPECT_TRUE(found) << key;
-      EXPECT_TRUE(got.content_equals(
+      const ReadResult got = co_await store->get(key);
+      EXPECT_TRUE(got.ok) << key;
+      EXPECT_TRUE(got.data.content_equals(
           Payload::filled(4 * KiB, static_cast<std::uint8_t>(i))))
           << key;
     }
@@ -428,8 +408,7 @@ TEST_F(ReplicatedFixture, ServesAllAcknowledgedKeysAfterOneReplicaCrashes) {
   KvStore recovered(*repl, Bytes{}, Bytes{256 * MiB});
   bool done2 = false;
   auto t2 = [&]() -> sim::Task {
-    std::uint64_t records = 0;
-    co_await recovered.recover(&records);
+    std::uint64_t records = co_await recovered.recover();
     EXPECT_EQ(records, 12u);
     done2 = true;
   };
@@ -441,30 +420,26 @@ TEST_F(ReplicatedFixture, TransientReadFailureTriggersReadRepair) {
   bool done = false;
   auto t = [&]() -> sim::Task {
     PutStatus st = PutStatus::kOk;
-    co_await store->put("repairable", Payload::filled(4 * KiB, 0x7E), &st);
+    st = co_await store->put("repairable", Payload::filled(4 * KiB, 0x7E));
     EXPECT_EQ(st, PutStatus::kOk);
-    bool committed = false;
-    co_await store->commit(&committed);
+    EXPECT_TRUE(co_await store->commit());
 
     // Replica 0's next read fails persistently enough to quarantine the
     // streamer slot (all retries), but the replica itself stays live: the
     // read fails over to replica 1 and the good blocks are written back.
     sys->ssd(0).set_internal_fault_plan(
         seeded(fault::FaultPlan::at({0, 1, 2, 3})));
-    Payload got;
-    bool found = false;
-    co_await store->get("repairable", &got, &found);
-    EXPECT_TRUE(found);
-    EXPECT_TRUE(got.content_equals(Payload::filled(4 * KiB, 0x7E)));
+    const ReadResult got = co_await store->get("repairable");
+    EXPECT_TRUE(got.ok);
+    EXPECT_TRUE(got.data.content_equals(Payload::filled(4 * KiB, 0x7E)));
     EXPECT_GE(repl->read_failovers(), 1u);
     EXPECT_GE(repl->read_repairs(), 1u);
     EXPECT_FALSE(repl->replica_quarantined(0));
 
     // The repaired replica serves the key again (fault plan exhausted).
-    Payload again;
-    co_await store->get("repairable", &again, &found);
-    EXPECT_TRUE(found);
-    EXPECT_TRUE(again.content_equals(Payload::filled(4 * KiB, 0x7E)));
+    const ReadResult again = co_await store->get("repairable");
+    EXPECT_TRUE(again.ok);
+    EXPECT_TRUE(again.data.content_equals(Payload::filled(4 * KiB, 0x7E)));
     done = true;
   };
   run(t());

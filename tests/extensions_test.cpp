@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "fault/fault.hpp"
 #include "host/snacc_device.hpp"
 #include "host/system.hpp"
 #include "snacc/pe_client.hpp"
@@ -18,9 +19,11 @@ using host::SnaccDeviceConfig;
 using host::System;
 
 /// Builds a system with `n` SSDs, one streamer per SSD sharing the FPGA's
-/// PCIe port, and returns the initialized devices.
+/// PCIe port, and returns the initialized devices. `recovery` turns on the
+/// streamers' bounded retry + quarantine path (docs/FAULTS.md).
 struct MultiBed {
-  explicit MultiBed(std::uint32_t n, Variant variant = Variant::kHostDram) {
+  explicit MultiBed(std::uint32_t n, Variant variant = Variant::kHostDram,
+                    bool recovery = false) {
     host::SystemConfig cfg;
     cfg.ssd_count = n;
     cfg.host_memory_bytes = 4 * GiB;
@@ -30,6 +33,9 @@ struct MultiBed {
       sys->ssd(i).nand().force_mode(true);
       SnaccDeviceConfig dcfg;
       dcfg.streamer.variant = variant;
+      dcfg.streamer.recovery = recovery;
+      dcfg.streamer.max_retries = 1;
+      dcfg.streamer.retry_backoff = us(2);
       dcfg.ssd_index = i;
       dcfg.instance = i;
       dcfg.shared_fpga_port = shared;
@@ -68,7 +74,7 @@ TEST(MultiSsd, StripedWriteReadRoundTrip) {
   Payload got;
   auto io = [&]() -> sim::Task {
     co_await bed.striped->write(Bytes{}, data);
-    co_await bed.striped->read(Bytes{}, Bytes{data.size()}, &got);
+    got = (co_await bed.striped->read(Bytes{}, Bytes{data.size()})).data;
     done = true;
   };
   bed.sys->sim().spawn(io());
@@ -79,6 +85,51 @@ TEST(MultiSsd, StripedWriteReadRoundTrip) {
   // Both SSDs participated: stripes 0,2 on SSD0; 1,3 on SSD1.
   EXPECT_GT(bed.sys->ssd(0).media().resident_pages(), 0u);
   EXPECT_GT(bed.sys->ssd(1).media().resident_pages(), 0u);
+}
+
+// A fault on one device of two must reach the caller: its stripe comes
+// back quarantined (read) or its response token poisoned (write), while
+// the other device's stripe succeeds.
+TEST(MultiSsd, ReadFaultOnOneDeviceSurfacesAsError) {
+  MultiBed bed(2, Variant::kHostDram, /*recovery=*/true);
+  const Payload data = Payload::filled(2 * MiB, 0x6B);  // one stripe each
+  bool wrote = false;
+  bool done = false;
+  ReadResult got;
+  auto io = [&]() -> sim::Task {
+    wrote = co_await bed.striped->write(Bytes{}, data);
+    // Every page read on SSD 1 fails: its stripe exhausts the retry and
+    // is quarantined.
+    bed.sys->ssd(1).nand().set_read_fault_plan(fault::FaultPlan::rate(1.0));
+    got = co_await bed.striped->read(Bytes{}, Bytes{data.size()});
+    done = true;
+  };
+  bed.sys->sim().spawn(io());
+  bed.run_for(seconds(2));
+  ASSERT_TRUE(done) << "a quarantined stripe must not hang the read";
+  EXPECT_TRUE(wrote);
+  EXPECT_FALSE(got.ok);
+  EXPECT_EQ(got.data.size(), data.size());  // stream framing intact
+  EXPECT_EQ(bed.devices[0]->streamer().quarantined(), 0u);
+  EXPECT_EQ(bed.devices[1]->streamer().quarantined(), 1u);
+}
+
+TEST(MultiSsd, ProgramFaultOnOneDeviceSurfacesAsError) {
+  MultiBed bed(2, Variant::kHostDram, /*recovery=*/true);
+  bool wrote = true;
+  bool done = false;
+  auto io = [&]() -> sim::Task {
+    bed.sys->ssd(1).nand().set_program_fault_plan(fault::FaultPlan::rate(1.0));
+    wrote = co_await bed.striped->write(Bytes{},
+                                        Payload::filled(2 * MiB, 0x6C));
+    done = true;
+  };
+  bed.sys->sim().spawn(io());
+  bed.run_for(seconds(2));
+  ASSERT_TRUE(done);
+  EXPECT_FALSE(wrote);
+  EXPECT_EQ(bed.devices[0]->streamer().quarantined(), 0u);
+  EXPECT_EQ(bed.devices[1]->streamer().quarantined(), 1u);
 }
 
 TEST(MultiSsd, LocateStripesRoundRobin) {
@@ -142,7 +193,7 @@ TEST(HbmVariant, RoundTripAndSequentialWrite) {
   TimePs t1;
   auto io = [&]() -> sim::Task {
     co_await pe.write(Bytes{}, data);
-    co_await pe.read(Bytes{}, Bytes{data.size()}, &got);
+    got = (co_await pe.read(Bytes{}, Bytes{data.size()})).data;
     t0 = sys.sim().now();
     co_await pe.write(Bytes{16 * MiB}, Payload::phantom(256 * MiB));
     t1 = sys.sim().now();
@@ -234,7 +285,7 @@ TEST(Gen5Profile, SequentialReadScalesWithTheLink) {
   auto io = [&]() -> sim::Task {
     co_await pe.write(Bytes{}, Payload::phantom(256 * MiB));
     t0 = sys.sim().now();
-    co_await pe.read(Bytes{}, Bytes{256 * MiB}, nullptr);
+    EXPECT_TRUE((co_await pe.read(Bytes{}, Bytes{256 * MiB})).ok);
     t1 = sys.sim().now();
     done = true;
   };

@@ -233,7 +233,7 @@ TEST(ReorderBuffer, StaleCompletionsAreAbsorbedNotAsserted) {
   SlotIdx slot;
   auto setup = [&]() -> sim::Task {
     core::RobEntry e;
-    co_await rob.alloc(std::move(e), &slot);
+    slot = co_await rob.alloc(std::move(e));
   };
   sim.spawn(setup());
   sim.run();
@@ -255,7 +255,7 @@ TEST(ReorderBuffer, ReopenHeadClearsCompletionForRetry) {
   SlotIdx slot;
   auto setup = [&]() -> sim::Task {
     core::RobEntry e;
-    co_await rob.alloc(std::move(e), &slot);
+    slot = co_await rob.alloc(std::move(e));
   };
   sim.spawn(setup());
   sim.run();
@@ -277,7 +277,7 @@ TEST(ReorderBuffer, FailHeadSynthesizesWatchdogCompletion) {
   SlotIdx slot;
   auto setup = [&]() -> sim::Task {
     core::RobEntry e;
-    co_await rob.alloc(std::move(e), &slot);
+    slot = co_await rob.alloc(std::move(e));
   };
   sim.spawn(setup());
   sim.run();

@@ -42,15 +42,12 @@ TEST_F(KvFixture, PutGetRoundTrip) {
   bool done = false;
   auto t = [&]() -> sim::Task {
     PutStatus st = PutStatus::kIoError;
-    co_await store->put("alpha", Payload::filled(1000, 0xA1), &st);
+    st = co_await store->put("alpha", Payload::filled(1000, 0xA1));
     EXPECT_EQ(st, PutStatus::kOk);
-    Payload got;
-    bool found = false;
-    co_await store->get("alpha", &got, &found);
-    EXPECT_TRUE(found);
-    EXPECT_TRUE(got.content_equals(Payload::filled(1000, 0xA1)));
-    co_await store->get("missing", nullptr, &found);
-    EXPECT_FALSE(found);
+    const ReadResult got = co_await store->get("alpha");
+    EXPECT_TRUE(got.ok);
+    EXPECT_TRUE(got.data.content_equals(Payload::filled(1000, 0xA1)));
+    EXPECT_FALSE((co_await store->get("missing")).ok);
     done = true;
   };
   run(t());
@@ -63,12 +60,10 @@ TEST_F(KvFixture, OverwriteReturnsLatestVersion) {
   auto t = [&]() -> sim::Task {
     co_await store->put("key", Payload::filled(500, 0x01));
     co_await store->put("key", Payload::filled(900, 0x02));
-    Payload got;
-    bool found = false;
-    co_await store->get("key", &got, &found);
-    EXPECT_TRUE(found);
-    EXPECT_EQ(got.size(), 900u);
-    EXPECT_TRUE(got.content_equals(Payload::filled(900, 0x02)));
+    const ReadResult got = co_await store->get("key");
+    EXPECT_TRUE(got.ok);
+    EXPECT_EQ(got.data.size(), 900u);
+    EXPECT_TRUE(got.data.content_equals(Payload::filled(900, 0x02)));
     done = true;
   };
   run(t());
@@ -87,11 +82,9 @@ TEST_F(KvFixture, LargeValueSpansMultipleCommands) {
   bool done = false;
   auto t = [&]() -> sim::Task {
     co_await store->put("blob", value);
-    Payload got;
-    bool found = false;
-    co_await store->get("blob", &got, &found);
-    EXPECT_TRUE(found);
-    EXPECT_TRUE(got.content_equals(value));
+    const ReadResult got = co_await store->get("blob");
+    EXPECT_TRUE(got.ok);
+    EXPECT_TRUE(got.data.content_equals(value));
     done = true;
   };
   run(t());
@@ -115,14 +108,11 @@ TEST_F(KvFixture, RecoveryRebuildsIndexFromLog) {
   KvStore recovered(dev->streamer(), Bytes{}, Bytes{256 * MiB});
   bool done2 = false;
   auto t2 = [&]() -> sim::Task {
-    std::uint64_t records = 0;
-    co_await recovered.recover(&records);
+    std::uint64_t records = co_await recovered.recover();
     EXPECT_EQ(records, 20u);
-    Payload got;
-    bool found = false;
-    co_await recovered.get("key-7", &got, &found);
-    EXPECT_TRUE(found);
-    EXPECT_TRUE(got.content_equals(Payload::filled(100 + 7 * 37, 7)));
+    const ReadResult got = co_await recovered.get("key-7");
+    EXPECT_TRUE(got.ok);
+    EXPECT_TRUE(got.data.content_equals(Payload::filled(100 + 7 * 37, 7)));
     done2 = true;
   };
   run(t2());
@@ -145,18 +135,18 @@ TEST_F(KvFixture, CompactionReclaimsOverwrittenSpace) {
     }
     const Bytes before = store->log_bytes_used();
     Bytes reclaimed;
-    co_await store->compact(/*scratch_base=*/Bytes{512 * MiB}, Bytes{256 * MiB},
-                            &reclaimed);
+    reclaimed =
+        (co_await store->compact(/*scratch_base=*/Bytes{512 * MiB},
+                                 Bytes{256 * MiB}))
+            .value_or(Bytes{});
     EXPECT_GT(reclaimed.value(), 0u);
     EXPECT_EQ(store->log_bytes_used().value(), (before - reclaimed).value());
     EXPECT_EQ(store->entries(), 10u);
     // Every key still returns its latest version.
     for (int i = 0; i < 10; ++i) {
-      Payload got;
-      bool found = false;
-      co_await store->get("k" + std::to_string(i), &got, &found);
-      EXPECT_TRUE(found);
-      EXPECT_TRUE(got.content_equals(Payload::filled(
+      const ReadResult got = co_await store->get("k" + std::to_string(i));
+      EXPECT_TRUE(got.ok);
+      EXPECT_TRUE(got.data.content_equals(Payload::filled(
           1000 + i * 100, static_cast<std::uint8_t>(4 * 16 + i))));
     }
     done = true;
@@ -169,8 +159,7 @@ TEST_F(KvFixture, CompactionReclaimsOverwrittenSpace) {
   KvStore recovered(dev->streamer(), Bytes{}, Bytes{256 * MiB});
   bool done2 = false;
   auto t2 = [&]() -> sim::Task {
-    std::uint64_t records = 0;
-    co_await recovered.recover(&records);
+    std::uint64_t records = co_await recovered.recover();
     EXPECT_EQ(records, 10u);
     done2 = true;
   };
@@ -185,13 +174,13 @@ TEST_F(KvFixture, CompactionAbortsWhenScratchTooSmall) {
     co_await store->put("b", Payload::filled(64 * KiB, 2));
     const Bytes before = store->log_bytes_used();
     Bytes reclaimed{123};
-    co_await store->compact(Bytes{512 * MiB}, Bytes{8 * KiB}, &reclaimed);
+    reclaimed =
+        (co_await store->compact(Bytes{512 * MiB}, Bytes{8 * KiB}))
+            .value_or(Bytes{});
     EXPECT_EQ(reclaimed.value(), 0u);
     EXPECT_EQ(store->log_bytes_used().value(), before.value());  // unchanged, still valid
-    Payload got;
-    bool found = false;
-    co_await store->get("a", &got, &found);
-    EXPECT_TRUE(found);
+    const ReadResult got = co_await store->get("a");
+    EXPECT_TRUE(got.ok);
     done = true;
   };
   run(t());
@@ -202,7 +191,7 @@ TEST_F(KvFixture, OversizedKeyAndFullLogAreRejected) {
   bool done = false;
   auto t = [&]() -> sim::Task {
     PutStatus st = PutStatus::kOk;
-    co_await store->put(std::string(4000, 'k'), Payload::filled(10, 1), &st);
+    st = co_await store->put(std::string(4000, 'k'), Payload::filled(10, 1));
     EXPECT_EQ(st, PutStatus::kOversizedKey);
     done = true;
   };
@@ -213,9 +202,9 @@ TEST_F(KvFixture, OversizedKeyAndFullLogAreRejected) {
   bool done2 = false;
   auto t2 = [&]() -> sim::Task {
     PutStatus st = PutStatus::kIoError;
-    co_await tiny.put("fits", Payload::filled(100, 1), &st);
+    st = co_await tiny.put("fits", Payload::filled(100, 1));
     EXPECT_EQ(st, PutStatus::kOk);
-    co_await tiny.put("does-not", Payload::filled(100 * KiB, 2), &st);
+    st = co_await tiny.put("does-not", Payload::filled(100 * KiB, 2));
     EXPECT_EQ(st, PutStatus::kLogFull);
     done2 = true;
   };

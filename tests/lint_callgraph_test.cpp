@@ -1,10 +1,9 @@
 // Golden tests for the whole-program layer underneath the interprocedural
 // rules: cross-TU call-graph construction (definitions, arity ranges,
 // receiver-type disambiguation, lambda bindings, the conservative ambiguity
-// policy from callgraph.hpp), bottom-up function summaries, the
-// content-hash summary cache, and the genuinely cross-file code flow that
+// policy from callgraph.hpp), bottom-up function summaries, the ResultTable
+// that types co_await callees, and the genuinely cross-file code flow that
 // lint_test.cpp's fixture checks defer to here.
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -63,7 +62,7 @@ Whole build_whole(
         w.prog.files[i]->tokens(), w.prog.scopes[i]));
     cptrs.push_back(w.cfgs.back().get());
   }
-  w.info = lint::build_program(fptrs, w.prog.scopes, cptrs, "", nullptr);
+  w.info = lint::build_program(fptrs, w.prog.scopes, cptrs);
   return w;
 }
 
@@ -126,11 +125,10 @@ TEST(LintCallGraph, DefsCaptureArityAndKind) {
   EXPECT_EQ(p.graph.defs()[plain].arity_min, 1);
   EXPECT_EQ(p.graph.defs()[plain].arity_max, 2);
   EXPECT_FALSE(p.graph.defs()[plain].is_lambda);
-  EXPECT_FALSE(p.graph.defs()[plain].returns_async);
+  EXPECT_FALSE(p.graph.defs()[plain].is_coroutine);
 
   const int coro = def_named(p.graph, "coro");
   EXPECT_TRUE(p.graph.defs()[coro].is_coroutine);
-  EXPECT_TRUE(p.graph.defs()[coro].returns_async);
 
   const int bound = def_named(p.graph, "bound");
   EXPECT_TRUE(p.graph.defs()[bound].is_lambda);
@@ -312,29 +310,61 @@ TEST(LintSummary, ResourceEffectsBottomUp) {
   EXPECT_TRUE(probe.resources[0].releases_all);
 }
 
-TEST(LintSummary, StatusParamsAndAsyncPropagation) {
+TEST(LintSummary, TouchedParamsPropagate) {
   const auto w = build_whole({{"src/a.cpp",
-                               "void fill(PutStatus& st, Store* s) {\n"
-                               "  st = s->put_sync(1);\n"
+                               "void poke(Pump* p) {\n"
+                               "  p->step();\n"
                                "}\n"
-                               "sim::Task job() {\n"
-                               "  co_return;\n"
-                               "}\n"
-                               "auto relay() {\n"
-                               "  return job();\n"
+                               "void wrap(Pump* p, int n) {\n"
+                               "  poke(p);\n"
+                               "  use(n);\n"
                                "}\n"}});
   const auto& g = w.info.graph;
-  const auto& fill = w.info.summaries[def_named(g, "fill")];
-  ASSERT_EQ(fill.params.size(), 2u);
-  EXPECT_TRUE(fill.params[0].is_status_out);
-  EXPECT_TRUE(fill.params[0].status_written);
-  EXPECT_FALSE(fill.params[1].is_status_out);
+  const int poke = def_named(g, "poke");
+  const auto& direct = w.info.summaries[poke];
+  ASSERT_EQ(direct.params.size(), 1u);
+  EXPECT_TRUE(direct.params[0].touched);
+  EXPECT_EQ(direct.params[0].touch_line, 2u);
 
-  // `auto relay()` declares nothing; its asyncness arrives by propagation
-  // from the return site's resolved callee.
-  const int relay = def_named(g, "relay");
-  EXPECT_TRUE(g.defs()[relay].returns_auto);
-  EXPECT_TRUE(w.info.summaries[relay].returns_async);
+  // The wrapper inherits the touch through the resolved call edge; its
+  // plain int parameter stays untouched.
+  const auto& wrap = w.info.summaries[def_named(g, "wrap")];
+  ASSERT_EQ(wrap.params.size(), 2u);
+  EXPECT_TRUE(wrap.params[0].touched);
+  EXPECT_EQ(wrap.params[0].touch_def, poke);
+  EXPECT_FALSE(wrap.params[1].touched);
+}
+
+// ---------------------------------------------------------------------------
+// Result typing for unchecked-status-path.
+
+TEST(LintResultTable, TypesCalleesByReceiverThenName) {
+  const auto p = build_graph({{"src/a.hpp",
+                               "struct Client {\n"
+                               "  sim::TaskOf<bool> write(int a);\n"
+                               "  sim::TaskOf<void> flush();\n"
+                               "};\n"
+                               "struct Fabric {\n"
+                               "  sim::Future<sim::Done> write(int a);\n"
+                               "};\n"
+                               "sim::TaskOf<int> count();\n"
+                               "sim::Task count(int v);\n"
+                               "sim::TaskOf<Bytes> alloc(int n);\n"},
+                              {"src/b.cpp",
+                               "sim::Task use(Client* client, Fabric& fabric,\n"
+                               "              Other* other) {\n"
+                               "  co_return;\n"
+                               "}\n"}});
+  lint::ResultTable t;
+  for (const lint::ScopeInfo& s : p.scopes) t.merge(s);
+  const lint::ScopeInfo& b = p.scopes[1];
+  EXPECT_TRUE(t.returns_value(b, "client", "write"));
+  EXPECT_FALSE(t.returns_value(b, "fabric", "write"));  // posted: no result
+  EXPECT_FALSE(t.returns_value(b, "client", "flush"));  // TaskOf<void>
+  EXPECT_FALSE(t.returns_value(b, "other", "write"));   // typed, no such method
+  EXPECT_FALSE(t.returns_value(b, "", "write"));        // bare name: ambiguous
+  EXPECT_TRUE(t.returns_value(b, "", "alloc"));         // bare name: value only
+  EXPECT_FALSE(t.returns_value(b, "", "count"));        // overloads disagree
 }
 
 // ---------------------------------------------------------------------------
@@ -363,8 +393,7 @@ const std::pair<std::string, std::string> kCallerFile = {
 
 TEST(LintCrossFile, CodeFlowStepsIntoTheCalleeFile) {
   const auto res = analyze_texts({kHelperFile, kCallerFile},
-                                 {.jobs = 1, .summaries = true,
-                                  .cache_path = ""});
+                                 {.jobs = 1, .summaries = true});
   ASSERT_EQ(res.findings.size(), 1u);
   const lint::Finding& f = res.findings[0];
   EXPECT_EQ(f.rule, "resource-pairing");
@@ -384,125 +413,14 @@ TEST(LintCrossFile, CodeFlowStepsIntoTheCalleeFile) {
 
 TEST(LintCrossFile, SilentWithoutSummaries) {
   const auto res = analyze_texts({kHelperFile, kCallerFile},
-                                 {.jobs = 1, .summaries = false,
-                                  .cache_path = ""});
+                                 {.jobs = 1, .summaries = false});
   EXPECT_TRUE(res.findings.empty());
   EXPECT_FALSE(res.stats.summaries);
   EXPECT_EQ(res.stats.defs, 0u);
 }
 
 // ---------------------------------------------------------------------------
-// Summary cache: keyed on per-file content hashes, invalidated by any edit.
-
-TEST(LintSummaryCache, HitOnSameContentMissAfterEdit) {
-  const std::string cache =
-      ::testing::TempDir() + "snacc-lint-callgraph-test.cache";
-  std::remove(cache.c_str());
-  const lint::AnalyzeOptions opts{.jobs = 1, .summaries = true,
-                                  .cache_path = cache};
-
-  const auto cold = analyze_texts({kHelperFile, kCallerFile}, opts);
-  EXPECT_FALSE(cold.stats.cache_hit);
-  ASSERT_EQ(cold.findings.size(), 1u);
-
-  // Same content: the table loads instead of recomputing, findings match.
-  const auto warm = analyze_texts({kHelperFile, kCallerFile}, opts);
-  EXPECT_TRUE(warm.stats.cache_hit);
-  EXPECT_EQ(warm.findings, cold.findings);
-  EXPECT_EQ(warm.stats.defs, cold.stats.defs);
-  EXPECT_EQ(warm.stats.resolved_calls, cold.stats.resolved_calls);
-
-  // Touch one file: the content hash changes, the cache must not serve the
-  // stale table. The edit releases on the error path, so the finding is
-  // gone -- a stale hit would still report it.
-  auto fixed = kCallerFile;
-  const std::string::size_type at = fixed.second.find("co_return;");
-  ASSERT_NE(at, std::string::npos);
-  fixed.second.insert(at, "cf_put(gate);\n    ");
-  const auto edited = analyze_texts({kHelperFile, fixed}, opts);
-  EXPECT_FALSE(edited.stats.cache_hit);
-  EXPECT_TRUE(edited.findings.empty());
-
-  std::remove(cache.c_str());
-}
-
-// The staleness case that matters for correctness: the CALLER's file is
-// byte-identical, only the callee changed. The caller's finding exists
-// purely through the callee's summary, so a cache keyed on anything less
-// than every file's content would serve the stale table and keep (or
-// miss) the finding.
-TEST(LintSummaryCache, CalleeEditRecomputesCallerFacts) {
-  const std::string cache =
-      ::testing::TempDir() + "snacc-lint-callee-edit.cache";
-  std::remove(cache.c_str());
-  const lint::AnalyzeOptions opts{.jobs = 1, .summaries = true,
-                                  .cache_path = cache};
-
-  const auto cold = analyze_texts({kHelperFile, kCallerFile}, opts);
-  EXPECT_FALSE(cold.stats.cache_hit);
-  ASSERT_EQ(cold.findings.size(), 1u);
-
-  // cf_grab now releases what it acquires (a balanced probe): the caller's
-  // leak is gone, with the caller file untouched.
-  auto balanced = kHelperFile;
-  const std::string grab = "gate->acquire();";
-  const std::string::size_type at = balanced.second.find(grab);
-  ASSERT_NE(at, std::string::npos);
-  balanced.second.insert(at + grab.size(), "\n  gate->release();");
-  const auto edited = analyze_texts({balanced, kCallerFile}, opts);
-  EXPECT_FALSE(edited.stats.cache_hit);
-  EXPECT_TRUE(edited.findings.empty());
-
-  // The edited world then warms up under its own key.
-  const auto warm = analyze_texts({balanced, kCallerFile}, opts);
-  EXPECT_TRUE(warm.stats.cache_hit);
-  EXPECT_TRUE(warm.findings.empty());
-
-  std::remove(cache.c_str());
-}
-
-// A corrupt or truncated cache file must behave exactly like no cache:
-// recompute, report the same findings, and leave a loadable table behind.
-TEST(LintSummaryCache, CorruptCacheRecovers) {
-  const std::string cache = ::testing::TempDir() + "snacc-lint-corrupt.cache";
-  const lint::AnalyzeOptions opts{.jobs = 1, .summaries = true,
-                                  .cache_path = cache};
-  const auto clean = analyze_texts({kHelperFile, kCallerFile},
-                                   {.jobs = 1, .summaries = true,
-                                    .cache_path = ""});
-
-  // Garbage with a valid-looking magic line, then binary noise.
-  {
-    std::FILE* f = std::fopen(cache.c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    std::fputs("snacc-lint-cache v2\n\x01\xff not a summary table\n", f);
-    std::fclose(f);
-  }
-  const auto res = analyze_texts({kHelperFile, kCallerFile}, opts);
-  EXPECT_FALSE(res.stats.cache_hit);
-  EXPECT_EQ(res.findings, clean.findings);
-
-  // The garbage was replaced by a valid table on the way out.
-  const auto warm = analyze_texts({kHelperFile, kCallerFile}, opts);
-  EXPECT_TRUE(warm.stats.cache_hit);
-  EXPECT_EQ(warm.findings, clean.findings);
-
-  // A stale-magic (older format) file is likewise recomputed, not parsed.
-  {
-    std::FILE* f = std::fopen(cache.c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    std::fputs("snacc-lint-cache v1\n", f);
-    std::fclose(f);
-  }
-  const auto old_magic = analyze_texts({kHelperFile, kCallerFile}, opts);
-  EXPECT_FALSE(old_magic.stats.cache_hit);
-  EXPECT_EQ(old_magic.findings, clean.findings);
-
-  std::remove(cache.c_str());
-}
-
-// ---------------------------------------------------------------------------
-// Typestate protocol effects across files, and their cache round-trip.
+// Typestate protocol effects across files.
 
 namespace {
 const std::pair<std::string, std::string> kTsHelperFile = {
@@ -521,8 +439,7 @@ const std::pair<std::string, std::string> kTsCallerFile = {
 
 TEST(LintCrossFile, TypestateEffectStepsIntoTheCalleeFile) {
   const auto res = analyze_texts({kTsHelperFile, kTsCallerFile},
-                                 {.jobs = 1, .summaries = true,
-                                  .cache_path = ""});
+                                 {.jobs = 1, .summaries = true});
   ASSERT_EQ(res.findings.size(), 1u);
   const lint::Finding& f = res.findings[0];
   EXPECT_EQ(f.rule, "ts-mailbox");
@@ -540,31 +457,8 @@ TEST(LintCrossFile, TypestateEffectStepsIntoTheCalleeFile) {
   // And per the conservative degradation contract, the finding does not
   // exist without the program layer.
   const auto bare = analyze_texts({kTsHelperFile, kTsCallerFile},
-                                  {.jobs = 1, .summaries = false,
-                                   .cache_path = ""});
+                                  {.jobs = 1, .summaries = false});
   EXPECT_TRUE(bare.findings.empty());
-}
-
-// Protocol effects survive the save/load cycle: a warm (cache-hit) scan
-// reproduces the typestate finding byte-for-byte, including its cross-file
-// path steps -- the "T" records carry protocol, receiver binding, event
-// order and callee lines.
-TEST(LintSummaryCache, TypestateEffectsRoundTripThroughCache) {
-  const std::string cache = ::testing::TempDir() + "snacc-lint-ts.cache";
-  std::remove(cache.c_str());
-  const lint::AnalyzeOptions opts{.jobs = 1, .summaries = true,
-                                  .cache_path = cache};
-
-  const auto cold = analyze_texts({kTsHelperFile, kTsCallerFile}, opts);
-  EXPECT_FALSE(cold.stats.cache_hit);
-  ASSERT_EQ(cold.findings.size(), 1u);
-  EXPECT_EQ(cold.findings[0].rule, "ts-mailbox");
-
-  const auto warm = analyze_texts({kTsHelperFile, kTsCallerFile}, opts);
-  EXPECT_TRUE(warm.stats.cache_hit);
-  EXPECT_EQ(warm.findings, cold.findings);
-
-  std::remove(cache.c_str());
 }
 
 }  // namespace

@@ -1,39 +1,43 @@
-// Interprocedural unchecked-status-path fixture: the status flows through
-// helpers by reference, with no `&` at the call site for the local rule to
-// see. A helper whose summary *writes* its PutStatus out-param is a fill;
-// one that *checks* it is the check. Every positive here is silent under
-// --no-summaries. Fixtures are scanned, not compiled.
+// unchecked-status-path fixture, helper edition: the status comes back
+// through a helper task's return value, visible at the call site, so the
+// rule finds these intraprocedurally (they hold under --no-summaries).
+// Fixtures are scanned, not compiled.
 namespace fix {
 
-// Writes its out-param: callers that drop the verdict are on the hook.
-void ips_fill(Store* store, PutStatus& st) {
-  st = store->put_sync("k", 1);
+struct HelperStore {
+  sim::TaskOf<PutStatus> put(const char* k, int v);
+};
+
+// Hands its store's verdict back: callers that drop it are on the hook.
+sim::TaskOf<PutStatus> ips_fill(HelperStore* store) {
+  co_return co_await store->put("k", 1);
 }
 
-// Checks its argument on its only path (by-value consume inside).
-void ips_require(PutStatus& st) {
+// Checks its argument.
+void ips_require(PutStatus st) {
   require_ok(st);
 }
 
-// Ignores its PutStatus parameter entirely: neither a fill nor a check.
-void ips_ignore(PutStatus& st) {
+// Ignores its argument.
+void ips_ignore(PutStatus st) {
   (void)st;
 }
 
-// POSITIVE: filled one call deep, checked only on the logging branch.
-sim::Task ips_one_branch(Store* store, bool verbose) {
-  PutStatus st = PutStatus::kOk;
-  ips_fill(store, st);
+// Reports through an int out-param and returns nothing.
+sim::Task ips_fill_int(HelperStore* store, int& st);
+
+// POSITIVE: filled by the helper, checked only on the logging branch.
+sim::Task ips_one_branch(HelperStore* store, bool verbose) {
+  PutStatus st = co_await ips_fill(store);
   if (verbose) {
     report(st);
   }
   co_return;
 }
 
-// POSITIVE: filled one call deep, the overload early-exit drops it.
-sim::Task ips_early_exit(Store* store, bool overloaded) {
-  PutStatus st = PutStatus::kOk;
-  ips_fill(store, st);
+// POSITIVE: filled by the helper, the overload early-exit drops it.
+sim::Task ips_early_exit(HelperStore* store, bool overloaded) {
+  PutStatus st = co_await ips_fill(store);
   if (overloaded) {
     co_return;
   }
@@ -41,11 +45,10 @@ sim::Task ips_early_exit(Store* store, bool overloaded) {
   co_return;
 }
 
-// NEGATIVE (near-miss): filled one call deep, checked one call deep on
-// every path -- the checking helper's summary consumes the fill.
-sim::Task ips_checked_by_helper(Store* store, bool fast) {
-  PutStatus st = PutStatus::kOk;
-  ips_fill(store, st);
+// NEGATIVE (near-miss): filled by the helper, handed to the checking
+// helper on every path.
+sim::Task ips_checked_by_helper(HelperStore* store, bool fast) {
+  PutStatus st = co_await ips_fill(store);
   if (fast) {
     ips_require(st);
     co_return;
@@ -54,21 +57,20 @@ sim::Task ips_checked_by_helper(Store* store, bool fast) {
   co_return;
 }
 
-// NEGATIVE (near-miss): a helper that ignores the status is neither a fill
-// nor a check; the direct fill below is checked on the only path.
-sim::Task ips_inert_helper(Store* store) {
-  PutStatus st = PutStatus::kOk;
-  store->put("k", 2, &st);
+// NEGATIVE (near-miss): handing the status to a helper that ignores it is
+// still a read here; the direct fill is checked on the only path anyway.
+sim::Task ips_inert_helper(HelperStore* store) {
+  PutStatus st = co_await store->put("k", 2);
   ips_ignore(st);
   require_ok(st);
   co_return;
 }
 
-// NEGATIVE (near-miss): the helper takes a plain int out-param, which is
-// not a PutStatus -- nothing to track.
-sim::Task ips_int_status(Store* store, bool verbose) {
+// NEGATIVE (near-miss): the helper returns nothing; its int out-param is
+// not a result to track.
+sim::Task ips_int_status(HelperStore* store, bool verbose) {
   int st = 0;
-  ips_fill_int(store, st);
+  co_await ips_fill_int(store, st);
   if (verbose) {
     report(st);
   }

@@ -1,26 +1,28 @@
-// unchecked-put fixture: durable-write calls that drop their status
-// out-param (positives) and properly checked ones (near-misses).
-struct Store {
-  void put(const char* k, int v);
-  void put(const char* k, int v, int* st);
-  void put(int v);
+// unchecked-status-path fixture, bare-statement half: durable-write results
+// dropped at a bare co_await (positives) and used, void or explicitly
+// discarded ones (near-misses). Fixtures are scanned, not compiled.
+struct PutStore {
+  sim::TaskOf<PutStatus> put(const char* k, int v);
+  sim::Task touch(int v);
 };
-struct Repl {
-  void write(unsigned long addr, int data);
-  void write(unsigned long addr, int data, bool* err);
+struct PutRepl {
+  sim::TaskOf<bool> write(unsigned long addr, int data);
+};
+struct PutDevice {
+  sim::Future<sim::Done> write(unsigned long addr, int data);
 };
 
-void positives(Store& store, Store* heap, Repl* repl) {
-  store.put("k", 1);                  // finding: 2-arg put, status dropped
-  heap->put("k", f(1, 2));            // finding: nested commas don't count
-  repl->write(4096, 7);               // finding: quorum verdict dropped
+sim::Task positives(PutStore& store, PutStore* heap, PutRepl* repl) {
+  co_await store.put("k", 1);         // finding: status dropped
+  co_await heap->put("k", f(1, 2));   // finding: nested commas don't count
+  co_await repl->write(4096, 7);      // finding: quorum verdict dropped
 }
 
-void near_misses(Store& store, Repl* repl, Repl* device) {
-  int st = 0;
-  bool err = false;
-  store.put("k", 1, &st);             // status checked
-  store.put(1);                       // not the key/value overload
-  repl->write(4096, 7, &err);         // error checked
-  device->write(4096, 7);             // receiver is not replicated
+sim::Task near_misses(PutStore& store, PutRepl* repl, PutDevice* device) {
+  const PutStatus st = co_await store.put("k", 1);  // status checked
+  require_ok(st);
+  co_await store.touch(1);            // returns nothing
+  if (!co_await repl->write(4096, 7)) co_return;  // error checked
+  co_await device->write(4096, 7);    // a posted write carries no result
+  (void)co_await repl->write(0, 0);   // explicit discard
 }

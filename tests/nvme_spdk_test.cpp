@@ -48,20 +48,19 @@ TEST_F(SpdkFixture, SmallWriteReadRoundTrip) {
   Payload data = Payload::filled(4096, 0xAB);
   bool done = false;
   nvme::Status wst{};
-  nvme::Status rst{};
-  Payload got;
+  spdk::ReadCompletion got;
   auto io = [&]() -> sim::Task {
-    co_await driver_->write(Lba{100}, data, &wst);
-    co_await driver_->read(Lba{100}, Bytes{4096}, &got, &rst);
+    wst = co_await driver_->write(Lba{100}, data);
+    got = co_await driver_->read(Lba{100}, Bytes{4096});
     done = true;
   };
   sys_.sim().spawn(io());
   sys_.sim().run_until(sys_.sim().now() + seconds(1));
   ASSERT_TRUE(done);
   EXPECT_EQ(wst, nvme::Status::kSuccess);
-  EXPECT_EQ(rst, nvme::Status::kSuccess);
-  ASSERT_TRUE(got.has_data());
-  EXPECT_TRUE(got.content_equals(data));
+  EXPECT_EQ(got.status, nvme::Status::kSuccess);
+  ASSERT_TRUE(got.data.has_data());
+  EXPECT_TRUE(got.data.content_equals(data));
 }
 
 TEST_F(SpdkFixture, LargeTransferUsesPrpListAndSurvivesRoundTrip) {
@@ -76,7 +75,7 @@ TEST_F(SpdkFixture, LargeTransferUsesPrpListAndSurvivesRoundTrip) {
   Payload got;
   auto io = [&]() -> sim::Task {
     co_await driver_->write(Lba{5000}, data);
-    co_await driver_->read(Lba{5000}, Bytes{1 * MiB}, &got);
+    got = (co_await driver_->read(Lba{5000}, Bytes{1 * MiB})).data;
     done = true;
   };
   sys_.sim().spawn(io());
@@ -94,7 +93,7 @@ TEST_F(SpdkFixture, MultiCommandTransferSplitsAtMdts) {
   Payload got;
   auto io = [&]() -> sim::Task {
     co_await driver_->write(Lba{}, data);
-    co_await driver_->read(Lba{}, Bytes{data.size()}, &got);
+    got = (co_await driver_->read(Lba{}, Bytes{data.size()})).data;
     done = true;
   };
   sys_.sim().spawn(io());
@@ -109,8 +108,8 @@ TEST_F(SpdkFixture, OutOfRangeLbaFails) {
   bool done = false;
   nvme::Status st{};
   auto io = [&]() -> sim::Task {
-    co_await driver_->write(Lba{sys_.ssd().namespace_blocks() - 1},
-                            Payload::filled(8192, 1), &st);
+    st = co_await driver_->write(Lba{sys_.ssd().namespace_blocks() - 1},
+                                 Payload::filled(8192, 1));
     done = true;
   };
   sys_.sim().spawn(io());
@@ -200,7 +199,7 @@ TEST_F(SpdkFixture, IommuFaultOnUngrantedAccessFailsCommand) {
   bool done = false;
   nvme::Status st{};
   auto io = [&]() -> sim::Task {
-    co_await driver_->write(Lba{}, Payload::filled(4096, 9), &st);
+    st = co_await driver_->write(Lba{}, Payload::filled(4096, 9));
     done = true;
   };
   sys_.sim().spawn(io());

@@ -120,21 +120,18 @@ TEST(Prp, WalkerDirectEntries) {
     return p.future();
   });
   std::vector<BusAddr> pages;
-  auto t = [&]() -> sim::Task {
-    co_await walker.walk(BusAddr{0xA000}, BusAddr{}, Bytes{kPageSize},
-                         &pages == nullptr ? pages : pages);
-  };
   // walk with one page
-  auto one = [&]() -> sim::Task { co_await walker.walk(BusAddr{0xA000}, BusAddr{}, Bytes{100}, pages); };
+  auto one = [&]() -> sim::Task {
+    pages = co_await walker.walk(BusAddr{0xA000}, BusAddr{}, Bytes{100});
+  };
   sim.spawn(one());
   sim.run();
   ASSERT_EQ(pages.size(), 1u);
   EXPECT_EQ(pages[0].value(), 0xA000u);
-  (void)t;
 
   auto two = [&]() -> sim::Task {
-    co_await walker.walk(BusAddr{0xA000}, BusAddr{0xB000}, Bytes{2 * kPageSize},
-                         pages);
+    pages = co_await walker.walk(BusAddr{0xA000}, BusAddr{0xB000},
+                                 Bytes{2 * kPageSize});
   };
   sim.spawn(two());
   sim.run();
@@ -164,7 +161,8 @@ TEST(Prp, WalkerFollowsChainedLists) {
   });
   std::vector<BusAddr> pages;
   auto t = [&]() -> sim::Task {
-    co_await walker.walk(buf, list_base, Bytes{pages_total * kPageSize}, pages);
+    pages =
+        co_await walker.walk(buf, list_base, Bytes{pages_total * kPageSize});
   };
   sim.spawn(t());
   sim.run();
@@ -198,7 +196,7 @@ TEST_P(PrpWalkerProperty, MatchesReferenceForRandomSizes) {
                          : pages_total == 2 ? buf + Bytes{kPageSize}
                                             : list_base;
     auto t = [&]() -> sim::Task {
-      co_await walker.walk(buf, prp2, Bytes{pages_total * kPageSize}, pages);
+      pages = co_await walker.walk(buf, prp2, Bytes{pages_total * kPageSize});
     };
     sim.spawn(t());
     sim.run();
@@ -268,19 +266,19 @@ TEST(CtrlAdmin, ProtocolErrorsSurfaceInCompletions) {
     sq.prp1 = BusAddr{0x5000'0000};
     sq.cdw10 = 5 | (63u << 16);
     sq.cdw11 = (9u << 16) | 1;  // cqid 9 does not exist
-    co_await admin.command(sq, &sq_without_cq);
+    sq_without_cq = co_await admin.command(sq);
 
     // Unknown admin opcode.
     SubmissionEntry bogus;
     bogus.opcode = 0x7F;
-    co_await admin.command(bogus, &bad_opcode);
+    bad_opcode = co_await admin.command(bogus);
 
     // CQ larger than the controller supports.
     SubmissionEntry cq;
     cq.opcode = static_cast<std::uint8_t>(AdminOpcode::kCreateIoCq);
     cq.prp1 = BusAddr{0x5001'0000};
     cq.cdw10 = 7 | (60000u << 16);
-    co_await admin.command(cq, &oversized_cq);
+    oversized_cq = co_await admin.command(cq);
     done = true;
   };
   sys.sim().spawn(io());
@@ -301,7 +299,7 @@ TEST_F(CtrlFixture, UnknownOpcodeCompletesWithError) {
     // 2 MiB in one command exceeds MDTS=1 MiB -> the driver splits it, so
     // instead issue one command of exactly MDTS (fine) and rely on the
     // dedicated splitter tests; check flush path works (opcode 0).
-    co_await driver->write(Lba{}, Payload::filled(4096, 1), &st);
+    st = co_await driver->write(Lba{}, Payload::filled(4096, 1));
     done = true;
   };
   sys.sim().spawn(io());
@@ -333,9 +331,9 @@ TEST_F(CtrlFixture, InjectedNandReadFaultSurfacesUnrecoveredReadError) {
   Status wr{};
   Status rd{};
   auto io = [&]() -> sim::Task {
-    co_await driver->write(Lba{2000}, Payload::filled(8 * kLbaSize, 0x5A), &wr);
+    wr = co_await driver->write(Lba{2000}, Payload::filled(8 * kLbaSize, 0x5A));
     sys.ssd().nand().set_read_fault_plan(fault::FaultPlan::at({0}));
-    co_await driver->read(Lba{2000}, Bytes{8 * kLbaSize}, nullptr, &rd);
+    rd = (co_await driver->read(Lba{2000}, Bytes{8 * kLbaSize})).status;
     done = true;
   };
   sys.sim().spawn(io());
@@ -357,7 +355,7 @@ TEST_F(CtrlFixture, InjectedProgramFailureSurfacesWriteFault) {
   Status st{};
   auto io = [&]() -> sim::Task {
     sys.ssd().nand().set_program_fault_plan(fault::FaultPlan::at({0}));
-    co_await driver->write(Lba{3000}, Payload::filled(4096, 0x11), &st);
+    st = co_await driver->write(Lba{3000}, Payload::filled(4096, 0x11));
     done = true;
   };
   sys.sim().spawn(io());
@@ -378,21 +376,20 @@ TEST(CtrlFault, DriverRetryRecoversTransientNandFault) {
                       sys.config().profile.host, dcfg);
   Payload data = Payload::filled(16 * kLbaSize, 0x42);
   bool done = false;
-  Status st{};
-  Payload got;
+  spdk::ReadCompletion got;
   auto io = [&]() -> sim::Task {
     co_await driver.init();
     co_await driver.write(Lba{500}, data);
     // Fail the 4th page of the first read attempt; the retry reads cleanly.
     sys.ssd().nand().set_read_fault_plan(fault::FaultPlan::at({3}));
-    co_await driver.read(Lba{500}, Bytes{16 * kLbaSize}, &got, &st);
+    got = co_await driver.read(Lba{500}, Bytes{16 * kLbaSize});
     done = true;
   };
   sys.sim().spawn(io());
   sys.sim().run_until(seconds(2));
   ASSERT_TRUE(done);
-  EXPECT_EQ(st, Status::kSuccess);
-  EXPECT_TRUE(got.content_equals(data));
+  EXPECT_EQ(got.status, Status::kSuccess);
+  EXPECT_TRUE(got.data.content_equals(data));
   EXPECT_EQ(driver.io_errors(), 1u);
   EXPECT_EQ(driver.io_retries(), 1u);
   EXPECT_EQ(driver.io_failed(), 0u);

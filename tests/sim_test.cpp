@@ -1,15 +1,21 @@
-// Unit tests for the discrete-event kernel: event ordering, coroutine tasks,
-// channels (backpressure, close), futures, wait groups, gates, semaphores and
-// rate servers.
+// Unit tests for the discrete-event kernel: event ordering, coroutine tasks
+// and their result slot, channels (backpressure, close), futures, wait
+// groups, gates, semaphores and rate servers.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
 #include <vector>
 
+#include "apps/kv_store.hpp"
+#include "common/payload.hpp"
+#include "nvme/spec.hpp"
 #include "sim/channel.hpp"
 #include "sim/future.hpp"
 #include "sim/rate_server.hpp"
 #include "sim/simulator.hpp"
 #include "sim/task.hpp"
+#include "spdk/driver.hpp"
 
 namespace snacc::sim {
 namespace {
@@ -276,6 +282,138 @@ TEST(Channel, SharedOwnershipSurvivesBackpressuredPush) {
   sim.run();
   EXPECT_EQ(received, 5);
   for (auto& w : weaks) EXPECT_EQ(w.use_count(), 0);
+}
+
+// g++ 12 result-slot regression (DESIGN.md toolchain note): a TaskOf<T>
+// result crosses a co_await, the spot where g++ 12 duplicates aggregates
+// bitwise. hand_over() returns make()'s value through co_return into a
+// co_await expression, once from a child that completes without
+// suspending and once from one that suspends first; the tests below cover
+// every result type that src/ hands across co_await and check ownership
+// (use counts) wherever the type owns shared memory.
+template <class T, class Make>
+std::vector<T> hand_over(Make make) {
+  std::vector<T> got;
+  for (const bool suspend : {false, true}) {
+    Simulator sim;
+    auto child = [&]() -> TaskOf<T> {
+      T value = make();
+      if (suspend) co_await sim.delay(ns(1));
+      co_return value;
+    };
+    auto parent = [&]() -> Task { got.push_back(co_await child()); };
+    sim.spawn(parent());
+    sim.run();
+  }
+  return got;
+}
+
+TEST(TaskResult, PayloadKeepsSharedOwnership) {
+  const Payload sent = Payload::filled(4096, 0xA5);
+  std::vector<Payload> got = hand_over<Payload>([&] { return sent; });
+  ASSERT_EQ(got.size(), 2u);
+  // The sender's handle plus the two received ones; every copy the child
+  // frames and their result slots held is gone.
+  EXPECT_EQ(sent.use_count(), 3);
+  for (const Payload& p : got) {
+    EXPECT_TRUE(p.has_data() && p.content_equals(sent));
+  }
+  got.clear();
+  EXPECT_EQ(sent.use_count(), 1);
+}
+
+TEST(TaskResult, TwoMemberStructKeepsSharedOwnership) {
+  // Declares its special members like every repo struct crossing co_await
+  // (the Channel.SharedOwnership* rule).
+  struct Msg {
+    std::shared_ptr<int> p;
+    bool flag = false;
+    Msg() = default;
+    Msg(std::shared_ptr<int> q, bool f) : p(std::move(q)), flag(f) {}
+    Msg(Msg&&) noexcept = default;
+    Msg& operator=(Msg&&) noexcept = default;
+  };
+  std::vector<std::weak_ptr<int>> weaks;
+  std::vector<Msg> got = hand_over<Msg>([&] {
+    auto sp = std::make_shared<int>(77);
+    weaks.push_back(sp);
+    return Msg(std::move(sp), true);
+  });
+  ASSERT_EQ(got.size(), 2u);
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(weaks[i].use_count(), 1) << "ownership lost in hand-over " << i;
+    EXPECT_TRUE(got[i].flag);
+    ASSERT_TRUE(got[i].p != nullptr);
+    EXPECT_EQ(*got[i].p, 77);
+  }
+  got.clear();
+  for (const auto& w : weaks) EXPECT_EQ(w.use_count(), 0);
+}
+
+TEST(TaskResult, ReadResultsKeepSharedOwnership) {
+  const Payload sent = Payload::filled(512, 0x3C);
+  std::vector<ReadResult> reads =
+      hand_over<ReadResult>([&] { return ReadResult{sent, false}; });
+  std::vector<spdk::ReadCompletion> completions =
+      hand_over<spdk::ReadCompletion>([&] {
+        return spdk::ReadCompletion{sent, nvme::Status::kWriteFault};
+      });
+  EXPECT_EQ(sent.use_count(), 5);
+  for (const ReadResult& r : reads) {
+    EXPECT_FALSE(r.ok);
+    EXPECT_TRUE(r.data.content_equals(sent));
+  }
+  for (const spdk::ReadCompletion& c : completions) {
+    EXPECT_EQ(c.status, nvme::Status::kWriteFault);
+    EXPECT_TRUE(c.data.content_equals(sent));
+  }
+  reads.clear();
+  completions.clear();
+  EXPECT_EQ(sent.use_count(), 1);
+}
+
+TEST(TaskResult, ValueResultsRoundTrip) {
+  EXPECT_EQ(hand_over<bool>([] { return true; }),
+            (std::vector<bool>{true, true}));
+  EXPECT_EQ(hand_over<std::uint64_t>([] { return std::uint64_t{41}; }),
+            (std::vector<std::uint64_t>{41, 41}));
+  EXPECT_EQ(hand_over<SlotIdx>([] { return SlotIdx{3}; }),
+            (std::vector<SlotIdx>{SlotIdx{3}, SlotIdx{3}}));
+  EXPECT_EQ(hand_over<Bytes>([] { return Bytes{8192}; }),
+            (std::vector<Bytes>{Bytes{8192}, Bytes{8192}}));
+  EXPECT_EQ(hand_over<std::optional<Bytes>>(
+                [] { return std::optional<Bytes>(Bytes{4096}); }),
+            (std::vector<std::optional<Bytes>>{Bytes{4096}, Bytes{4096}}));
+  EXPECT_EQ(hand_over<nvme::Status>([] { return nvme::Status::kWriteFault; }),
+            (std::vector<nvme::Status>{nvme::Status::kWriteFault,
+                                       nvme::Status::kWriteFault}));
+  EXPECT_EQ(
+      hand_over<apps::PutStatus>([] { return apps::PutStatus::kLogFull; }),
+            (std::vector<apps::PutStatus>{apps::PutStatus::kLogFull,
+                                          apps::PutStatus::kLogFull}));
+  const std::vector<BusAddr> pages{BusAddr{0x1000}, BusAddr{0x2000}};
+  EXPECT_EQ(hand_over<std::vector<BusAddr>>([&] { return pages; }),
+            (std::vector<std::vector<BusAddr>>{pages, pages}));
+  for (const auto& id : hand_over<nvme::IdentifyController>([] {
+         nvme::IdentifyController c;
+         c.namespace_blocks = 1u << 20;
+         c.max_transfer_bytes = 1u << 20;
+         return c;
+       })) {
+    EXPECT_EQ(id.namespace_blocks, 1u << 20);
+    EXPECT_EQ(id.max_transfer_bytes, 1u << 20);
+  }
+  for (const auto& w : hand_over<spdk::WorkloadResult>([] {
+         spdk::WorkloadResult r;
+         r.bytes = 3 * 4096;
+         r.commands = 3;
+         for (int i = 1; i <= 3; ++i) r.latency.add(us(i));
+         return r;
+       })) {
+    EXPECT_EQ(w.bytes, 3u * 4096);
+    EXPECT_EQ(w.commands, 3u);
+    EXPECT_EQ(w.latency.count(), 3u);
+  }
 }
 
 TEST(Future, AwaitersResumeWhenSet) {

@@ -77,7 +77,7 @@ TEST_P(StreamerFixture, SmallWriteReadRoundTrip) {
   Payload got;
   auto io = [&]() -> sim::Task {
     co_await client_->write(Bytes{40960}, data);
-    co_await client_->read(Bytes{40960}, Bytes{4096}, &got);
+    got = (co_await client_->read(Bytes{40960}, Bytes{4096})).data;
     done = true;
   };
   sys_.sim().spawn(io());
@@ -94,7 +94,7 @@ TEST_P(StreamerFixture, MegabyteCommandRoundTripExercisesPrpList) {
   Payload got;
   auto io = [&]() -> sim::Task {
     co_await client_->write(Bytes{8 * MiB}, data);
-    co_await client_->read(Bytes{8 * MiB}, Bytes{1 * MiB}, &got);
+    got = (co_await client_->read(Bytes{8 * MiB}, Bytes{1 * MiB})).data;
     done = true;
   };
   sys_.sim().spawn(io());
@@ -113,7 +113,7 @@ TEST_P(StreamerFixture, MultiMegabyteWriteSplitsAtBoundaries) {
   Payload got;
   auto io = [&]() -> sim::Task {
     co_await client_->write(Bytes{0}, data);
-    co_await client_->read(Bytes{0}, Bytes{data.size()}, &got);
+    got = (co_await client_->read(Bytes{0}, Bytes{data.size()})).data;
     done = true;
   };
   sys_.sim().spawn(io());
@@ -132,7 +132,7 @@ TEST_P(StreamerFixture, UnalignedReadReturnsExactBytes) {
   auto io = [&]() -> sim::Task {
     co_await client_->write(Bytes{1 * MiB}, data);
     // Read 100 bytes starting 5000 bytes into the written region.
-    co_await client_->read(Bytes{1 * MiB + 5000}, Bytes{100}, &got);
+    got = (co_await client_->read(Bytes{1 * MiB + 5000}, Bytes{100})).data;
     done = true;
   };
   sys_.sim().spawn(io());
@@ -211,7 +211,7 @@ TEST_P(StreamerFixture, SequentialReadSaturatesLink) {
   auto io = [&]() -> sim::Task {
     co_await client_->write(Bytes{0}, Payload::phantom(total));
     t0 = sys_.sim().now();
-    co_await client_->read(Bytes{0}, Bytes{total}, nullptr);
+    EXPECT_TRUE((co_await client_->read(Bytes{0}, Bytes{total})).ok);
     t1 = sys_.sim().now();
     done = true;
   };
@@ -247,7 +247,7 @@ TEST_P(StreamerFixture, NoCpuInvolvementAfterInit) {
   bool done = false;
   auto io = [&]() -> sim::Task {
     co_await client_->write(Bytes{0}, Payload::phantom(32 * MiB));
-    co_await client_->read(Bytes{0}, Bytes{32 * MiB}, nullptr);
+    EXPECT_TRUE((co_await client_->read(Bytes{0}, Bytes{32 * MiB})).ok);
     done = true;
   };
   sys_.sim().spawn(io());
@@ -265,7 +265,7 @@ TEST_P(StreamerFixture, OutOfOrderExtensionPreservesDataAndOrder) {
   Payload got;
   auto io = [&]() -> sim::Task {
     co_await client_->write(Bytes{0}, data);
-    co_await client_->read(Bytes{0}, Bytes{512 * KiB}, &got);
+    got = (co_await client_->read(Bytes{0}, Bytes{512 * KiB})).data;
     done = true;
   };
   sys_.sim().spawn(io());
@@ -281,21 +281,20 @@ TEST_P(StreamerFixture, MidStreamNandFaultRecoversInOrder) {
   build_recovery();
   Payload data = random_payload(256 * KiB, 21);
   bool done = false;
-  bool err = true;
-  Payload got;
+  ReadResult got;
   auto io = [&]() -> sim::Task {
     co_await client_->write(Bytes{0}, data);
     // Fail the 6th page read of the read phase: the command's error CQE
     // triggers one streamer retry, which re-reads the range cleanly.
     sys_.ssd().nand().set_read_fault_plan(fault::FaultPlan::at({5}));
-    co_await client_->read(Bytes{0}, Bytes{256 * KiB}, &got, &err);
+    got = co_await client_->read(Bytes{0}, Bytes{256 * KiB});
     done = true;
   };
   sys_.sim().spawn(io());
   run_for(seconds(2));
   ASSERT_TRUE(done);
-  EXPECT_FALSE(err);
-  EXPECT_TRUE(got.content_equals(data));
+  EXPECT_TRUE(got.ok);
+  EXPECT_TRUE(got.data.content_equals(data));
   EXPECT_EQ(dev_->streamer().retries(), 1u);
   EXPECT_EQ(dev_->streamer().recovered(), 1u);
   EXPECT_EQ(dev_->streamer().quarantined(), 0u);
@@ -306,21 +305,20 @@ TEST_P(StreamerFixture, MidStreamNandFaultRecoversInOrder) {
 TEST_P(StreamerFixture, ExhaustedRetriesDeliverErrorNotHang) {
   build_recovery(/*out_of_order=*/false, /*max_retries=*/2);
   bool done = false;
-  bool err = false;
-  Payload got;
+  ReadResult got;
   auto io = [&]() -> sim::Task {
     co_await client_->write(Bytes{0}, random_payload(16 * KiB, 22));
     // Every page read fails: retries exhaust and the entry is quarantined.
     sys_.ssd().nand().set_read_fault_plan(fault::FaultPlan::rate(1.0));
-    co_await client_->read(Bytes{0}, Bytes{16 * KiB}, &got, &err);
+    got = co_await client_->read(Bytes{0}, Bytes{16 * KiB});
     done = true;
   };
   sys_.sim().spawn(io());
   run_for(seconds(2));
   ASSERT_TRUE(done) << "exhausted retries must not hang the stream";
-  EXPECT_TRUE(err);
+  EXPECT_FALSE(got.ok);
   // Stream framing stays intact: placeholder beats with the error TUSER tag.
-  EXPECT_EQ(got.size(), 16 * KiB);
+  EXPECT_EQ(got.data.size(), 16 * KiB);
   EXPECT_EQ(dev_->streamer().retries(), 2u);
   EXPECT_EQ(dev_->streamer().quarantined(), 1u);
   EXPECT_EQ(dev_->streamer().recovered(), 0u);
@@ -335,7 +333,7 @@ TEST_P(StreamerFixture, TransientProgramFailureRecoversWrite) {
   auto io = [&]() -> sim::Task {
     // First NAND ingest fails; the retry rewrites the same buffer slot.
     sys_.ssd().nand().set_program_fault_plan(fault::FaultPlan::at({0}));
-    co_await client_->write(Bytes{128 * KiB}, data, Bytes{16 * KiB}, &err);
+    err = !co_await client_->write(Bytes{128 * KiB}, data, Bytes{16 * KiB});
     done = true;
   };
   sys_.sim().spawn(io());
@@ -355,8 +353,8 @@ TEST_P(StreamerFixture, PersistentProgramFailurePoisonsResponseToken) {
   bool err = false;
   auto io = [&]() -> sim::Task {
     sys_.ssd().nand().set_program_fault_plan(fault::FaultPlan::rate(1.0));
-    co_await client_->write(Bytes{0}, Payload::filled(8 * KiB, 0x3C), Bytes{16 * KiB},
-                           &err);
+    err = !co_await client_->write(Bytes{0}, Payload::filled(8 * KiB, 0x3C),
+                                   Bytes{16 * KiB});
     done = true;
   };
   sys_.sim().spawn(io());
@@ -377,8 +375,7 @@ TEST_P(StreamerFixture, WatchdogRecoversDroppedCompletion) {
   build_with(cfg);
   Payload data = random_payload(4 * KiB, 24);
   bool done = false;
-  bool err = true;
-  Payload got;
+  ReadResult got;
   auto io = [&]() -> sim::Task {
     co_await client_->write(Bytes{64 * KiB}, data);
     // Drop exactly the next CQE posted into the FPGA's CQ window: the IOMMU
@@ -387,14 +384,14 @@ TEST_P(StreamerFixture, WatchdogRecoversDroppedCompletion) {
     sys_.fabric().iommu().set_fault_plan(fault::FaultPlan::at({0}),
                                          dev_->bar0() + SnaccDevice::kCqWindow,
                                          dev_->streamer().cq_window_bytes());
-    co_await client_->read(Bytes{64 * KiB}, Bytes{4 * KiB}, &got, &err);
+    got = co_await client_->read(Bytes{64 * KiB}, Bytes{4 * KiB});
     done = true;
   };
   sys_.sim().spawn(io());
   run_for(seconds(2));
   ASSERT_TRUE(done) << "a lost completion must not hang the stream";
-  EXPECT_FALSE(err);
-  EXPECT_TRUE(got.content_equals(data));
+  EXPECT_TRUE(got.ok);
+  EXPECT_TRUE(got.data.content_equals(data));
   EXPECT_EQ(dev_->streamer().watchdog_timeouts(), 1u);
   EXPECT_EQ(dev_->streamer().retries(), 1u);
   EXPECT_EQ(dev_->streamer().recovered(), 1u);

@@ -104,7 +104,7 @@ TEST(BufferRing, AllocatesPageAligned) {
   BufferRing ring(sim, Bytes{64 * KiB});
   Bytes off{~0ull};
   auto t = [&]() -> sim::Task {
-    co_await ring.alloc(Bytes{100}, &off);
+    off = co_await ring.alloc(Bytes{100});
   };
   sim.spawn(t());
   sim.run();
@@ -120,11 +120,11 @@ TEST(BufferRing, BackpressuresWhenFullAndResumesOnFree) {
   auto t = [&]() -> sim::Task {
     Bytes o;
     for (int i = 0; i < 4; ++i) {
-      co_await ring.alloc(Bytes{4096}, &o);
+      o = co_await ring.alloc(Bytes{4096});
       offs.push_back(o.value());
     }
     Bytes extra;
-    co_await ring.alloc(Bytes{4096}, &extra);  // blocks until a free
+    extra = co_await ring.alloc(Bytes{4096});  // blocks until a free
     offs.push_back(extra.value());
     fourth_done = true;
   };
@@ -142,11 +142,11 @@ TEST(BufferRing, WrapSkipsTailRemainder) {
   Bytes b;
   Bytes c;
   auto t = [&]() -> sim::Task {
-    co_await ring.alloc(Bytes{16 * KiB}, &a);  // [0, 16k)
-    co_await ring.alloc(Bytes{4 * KiB}, &b);   // [16k, 20k)
+    a = co_await ring.alloc(Bytes{16 * KiB});  // [0, 16k)
+    b = co_await ring.alloc(Bytes{4 * KiB});   // [16k, 20k)
     ring.free_oldest();                        // head -> 16k
     // 8 KiB does not fit in [20k, 24k); must wrap to 0.
-    co_await ring.alloc(Bytes{8 * KiB}, &c);
+    c = co_await ring.alloc(Bytes{8 * KiB});
   };
   sim.spawn(t());
   sim.run();
@@ -164,7 +164,7 @@ TEST(BufferRing, StressRandomAllocFreeKeepsInvariants) {
     for (int i = 0; i < 2000; ++i) {
       Bytes off;
       const Bytes len{kPageSize * (1 + rng.below(64))};
-      co_await ring.alloc(len, &off);
+      off = co_await ring.alloc(len);
       EXPECT_EQ(off.value() % kPageSize, 0u);
       EXPECT_LE(ring.in_use(), ring.capacity());
     }
@@ -198,7 +198,7 @@ TEST(ReorderBuffer, OutOfOrderCompletionInOrderRetirement) {
     for (std::uint16_t i = 0; i < 3; ++i) {
       RobEntry e;
       e.user_tag = 100 + i;
-      co_await rob.alloc(std::move(e), &slots[i]);
+      slots[i] = co_await rob.alloc(std::move(e));
     }
   };
   auto retirer = [&]() -> sim::Task {
@@ -224,7 +224,7 @@ TEST(ReorderBuffer, AllocBlocksAtCapacity) {
   auto t = [&]() -> sim::Task {
     SlotIdx s;
     for (int i = 0; i < 3; ++i) {
-      co_await rob.alloc(RobEntry{}, &s);
+      s = co_await rob.alloc(RobEntry{});
       ++allocated;
     }
   };
@@ -251,7 +251,7 @@ TEST(ReorderBuffer, PeekSeesWindowInOrder) {
     for (std::uint64_t i = 0; i < 5; ++i) {
       RobEntry e;
       e.user_tag = i;
-      co_await rob.alloc(std::move(e), &s);
+      s = co_await rob.alloc(std::move(e));
     }
   };
   sim.spawn(t());

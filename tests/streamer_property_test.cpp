@@ -114,7 +114,7 @@ TEST_P(MixedWorkload, RandomizedInterleavedIoMatchesReference) {
         const std::uint64_t addr = w_addr + off;
         if (!ref.covered(addr, len)) continue;  // later write may overlap
         Payload got;
-        co_await pe.read(Bytes{addr}, Bytes{len}, &got);
+        got = (co_await pe.read(Bytes{addr}, Bytes{len})).data;
         std::string err;
         EXPECT_TRUE(ref.check(addr, got, &err)) << err << " (op " << op << ")";
         ++checks;
@@ -180,21 +180,19 @@ TEST_P(FaultedWorkload, RecoveryPreservesIntegrityAndAccountsForFaults) {
         Payload p = Payload::bytes(std::move(data));
         ref.write(addr, p);
         extents.emplace_back(addr, len);
-        bool err = false;
-        co_await pe.write(Bytes{addr}, std::move(p), Bytes{16 * KiB}, &err);
-        EXPECT_FALSE(err) << "write quarantined (op " << op << ")";
+        const bool ok =
+            co_await pe.write(Bytes{addr}, std::move(p), Bytes{16 * KiB});
+        EXPECT_TRUE(ok) << "write quarantined (op " << op << ")";
       } else {
         const auto [w_addr, w_len] = extents[rng.below(extents.size())];
         const std::uint64_t off = rng.below(w_len);
         const std::uint64_t len = 1 + rng.below(w_len - off);
         const std::uint64_t addr = w_addr + off;
         if (!ref.covered(addr, len)) continue;
-        Payload got;
-        bool err = false;
-        co_await pe.read(Bytes{addr}, Bytes{len}, &got, &err);
-        EXPECT_FALSE(err) << "read quarantined (op " << op << ")";
+        const ReadResult got = co_await pe.read(Bytes{addr}, Bytes{len});
+        EXPECT_TRUE(got.ok) << "read quarantined (op " << op << ")";
         std::string err_msg;
-        EXPECT_TRUE(ref.check(addr, got, &err_msg))
+        EXPECT_TRUE(ref.check(addr, got.data, &err_msg))
             << err_msg << " (op " << op << ")";
         ++checks;
       }

@@ -56,8 +56,9 @@ TEST(Tracer, CapturesStreamerWorkload) {
   core::PeClient pe(dev.streamer());
   bool done = false;
   auto io = [&]() -> sim::Task {
-    co_await pe.write(Bytes{}, Payload::phantom(3 * MiB));  // 3 sub-commands
-    co_await pe.read(Bytes{}, Bytes{3 * MiB}, nullptr);            // 3 sub-commands
+    // 3 sub-commands each way.
+    co_await pe.write(Bytes{}, Payload::phantom(3 * MiB));
+    EXPECT_TRUE((co_await pe.read(Bytes{}, Bytes{3 * MiB})).ok);
     done = true;
   };
   sys.sim().spawn(io());

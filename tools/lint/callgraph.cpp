@@ -55,40 +55,6 @@ bool keyword_before_call(std::string_view t) {
          t == "throw";
 }
 
-/// Walks the receiver chain (`a.b().c`, `ns::f`) back to the start of the
-/// expression; true when the token before it ends a statement, i.e. the
-/// call's result is discarded at statement position.
-bool at_statement_start(const std::vector<Token>& toks, std::size_t i) {
-  std::size_t j = i;
-  while (true) {
-    while (j >= 2 && toks[j - 1].is("::") && toks[j - 2].kind == Tok::kIdent) {
-      j -= 2;
-    }
-    if (j == 0) return true;
-    const Token& p = toks[j - 1];
-    if (p.is(".") || p.is("->")) {
-      if (j < 2) return false;
-      const Token& recv = toks[j - 2];
-      if (recv.kind == Tok::kIdent) {
-        j -= 2;
-        continue;
-      }
-      if (recv.is(")") || recv.is("]")) {
-        const std::size_t open = match_backward(toks, j - 2);
-        if (open == SIZE_MAX) return false;
-        if (open >= 1 && toks[open - 1].kind == Tok::kIdent) {
-          j = open - 1;
-          continue;
-        }
-        j = open;
-        continue;
-      }
-      return false;
-    }
-    return p.is(";") || p.is("{") || p.is("}");
-  }
-}
-
 /// Arity range of a parameter list `( ... )` given by token indices. Counts
 /// top-level commas; trailing `= default` parameters lower the minimum and
 /// a top-level `...` opens the maximum.
@@ -121,45 +87,6 @@ void param_arity(const std::vector<Token>& toks, std::size_t open,
   *hi = variadic ? kVariadicArity : params;
 }
 
-/// True when the token range [b, e) mentions Task or Future.
-bool mentions_async_type(const std::vector<Token>& toks, std::size_t b,
-                         std::size_t e) {
-  for (std::size_t i = b; i < e && i < toks.size(); ++i) {
-    if (toks[i].ident("Task") || toks[i].ident("Future")) return true;
-  }
-  return false;
-}
-
-/// Fills returns_async / returns_auto for a named function def by scanning
-/// its leading return-type region (bounded backwards walk, the same shape
-/// the scope tracker's async harvest uses) and the trailing-return region
-/// between `)` and `{`.
-void scan_return_type(const std::vector<Token>& toks, const FuncScope& f,
-                      FuncDef* d) {
-  if (f.param_close != SIZE_MAX && f.param_close < f.body_begin &&
-      mentions_async_type(toks, f.param_close, f.body_begin)) {
-    d->returns_async = true;
-    return;
-  }
-  if (f.name_tok == SIZE_MAX) return;
-  std::size_t j = f.name_tok;
-  while (j >= 2 && toks[j - 1].is("::") && toks[j - 2].kind == Tok::kIdent) {
-    j -= 2;
-  }
-  std::size_t steps = 0;
-  bool saw_auto = false;
-  while (j-- > 0 && steps++ < 16) {
-    const Token& t = toks[j];
-    if (t.is(";") || t.is("{") || t.is("}") || t.is(":") || t.is("(")) break;
-    if (t.ident("Task") || t.ident("Future")) {
-      d->returns_async = true;
-      return;
-    }
-    if (t.ident("auto")) saw_auto = true;
-  }
-  d->returns_auto = saw_auto;
-}
-
 }  // namespace
 
 CallGraph CallGraph::build(const std::vector<const SourceFile*>& files,
@@ -190,14 +117,6 @@ CallGraph CallGraph::build(const std::vector<const SourceFile*>& files,
           static_cast<int>(f.params.size()) == d.arity_max ||
           (d.arity_max == kVariadicArity &&
            static_cast<int>(f.params.size()) >= d.arity_min);
-      if (f.is_lambda) {
-        d.returns_async =
-            f.is_coroutine ||
-            (f.param_close != SIZE_MAX && f.param_close < f.body_begin &&
-             mentions_async_type(toks, f.param_close, f.body_begin));
-      } else {
-        scan_return_type(toks, f, &d);
-      }
       g.def_of_[fi][k] = static_cast<int>(g.defs_.size());
       g.defs_.push_back(d);
     }
@@ -279,8 +198,6 @@ CallGraph CallGraph::build(const std::vector<const SourceFile*>& files,
           toks[j - 2].kind == Tok::kIdent) {
         site.recv = toks[j - 2].text;
       }
-      site.stmt_pos = close + 1 < toks.size() && toks[close + 1].is(";") &&
-                      at_statement_start(toks, i);
       // Top-level argument ranges.
       if (close > i + 2) {
         int depth = 0;

@@ -41,12 +41,6 @@ struct FuncDef {
   /// parameter. When false (unnamed or unparsable parameters), summaries
   /// must not use param indices -- positions would be skewed.
   bool params_reliable = false;
-  /// Declared return type mentions Task/Future (named functions: leading or
-  /// trailing return type; lambdas: `-> sim::Task` or being a coroutine).
-  bool returns_async = false;
-  /// Declared `auto` with no trailing type: the real return type comes from
-  /// summary propagation (`auto f() { return g(); }`).
-  bool returns_auto = false;
 };
 
 /// One `name(...)` call expression in a file.
@@ -59,7 +53,6 @@ struct CallSite {
   int callee = -1;  ///< resolved def id; -1 unresolved or ambiguous
   std::string_view callee_name;
   std::string_view recv;  ///< receiver identifier of `recv.f()` / `recv->f()`
-  bool stmt_pos = false;  ///< the whole statement is `call(...);`
   /// Top-level argument token ranges [begin, end), in order.
   std::vector<std::pair<std::size_t, std::size_t>> args;
 };

@@ -6,7 +6,6 @@
 #include <filesystem>
 #include <functional>
 #include <mutex>
-#include <set>
 #include <thread>
 
 #include "lint/rules.hpp"
@@ -113,22 +112,14 @@ ScanResult analyze(std::vector<std::unique_ptr<SourceFile>> files,
   result.stats.summaries = opts.summaries;
 
   // Phase A ran in the caller (files are already tokenized); here we do the
-  // scope analysis once per file and pool the async function names.
+  // scope analysis once per file and pool the declaration harvest.
   std::uint64_t t0 = now_ns();
   std::vector<ScopeInfo> scopes(files.size());
   for_each_index(files.size(), jobs, [&](std::size_t i) {
     scopes[i] = analyze_scopes(files[i]->tokens());
   });
-  // Pool declared async names across all files, then drop any name that is
-  // *also* declared sync somewhere: name-only resolution cannot tell which
-  // overload a call site binds, so ambiguous names must not fire.
-  std::set<std::string, std::less<>> async_fns;
-  std::set<std::string, std::less<>> sync_fns;
-  for (const ScopeInfo& s : scopes) {
-    async_fns.insert(s.async_fn_names.begin(), s.async_fn_names.end());
-    sync_fns.insert(s.sync_fn_names.begin(), s.sync_fn_names.end());
-  }
-  for (const std::string& s : sync_fns) async_fns.erase(s);
+  ResultTable results;
+  for (const ScopeInfo& s : scopes) results.merge(s);
   result.stats.scope_ms = to_ms(now_ns() - t0);
 
   // Pass 1 of 2: the whole-program layer. Sequential by design -- def ids,
@@ -154,8 +145,7 @@ ScanResult analyze(std::vector<std::unique_ptr<SourceFile>> files,
       fptrs.push_back(files[i].get());
       cptrs.push_back(cfg_store[i].get());
     }
-    prog = build_program(fptrs, scopes, cptrs, opts.cache_path,
-                         &result.stats.cache_hit);
+    prog = build_program(fptrs, scopes, cptrs);
     have_prog = true;
     result.stats.summary_ms = to_ms(now_ns() - t0);
     result.stats.defs = prog.graph.defs().size();
@@ -172,7 +162,7 @@ ScanResult analyze(std::vector<std::unique_ptr<SourceFile>> files,
   std::vector<std::vector<Finding>> raw(files.size());
   for_each_index(files.size(), jobs, [&](std::size_t i) {
     const CfgCache& cfgs = *cfg_store[i];
-    const RuleContext ctx{*files[i], scopes[i], async_fns, cfgs,
+    const RuleContext ctx{*files[i], scopes[i], results, cfgs,
                           have_prog ? &prog : nullptr,
                           have_prog ? static_cast<int>(i) : -1};
     for (std::size_t r = 0; r < rules.size(); ++r) {
@@ -247,7 +237,6 @@ ScanResult scan(const Options& opts) {
   AnalyzeOptions aopts;
   aopts.jobs = opts.jobs;
   aopts.summaries = opts.summaries;
-  aopts.cache_path = opts.cache_path;
   ScanResult analyzed = analyze(std::move(files), aopts);
   result.findings = std::move(analyzed.findings);
   result.files_scanned = analyzed.files_scanned;

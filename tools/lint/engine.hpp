@@ -28,7 +28,6 @@ struct Options {
   std::vector<std::string> roots;  // directories (recursed) or single files
   unsigned jobs = 0;               // 0: hardware concurrency
   bool summaries = true;           // build the interprocedural layer
-  std::string cache_path;          // summary cache file; empty: no cache
 };
 
 /// Wall-time and whole-program counters for one scan, surfaced by --stats
@@ -36,8 +35,8 @@ struct Options {
 /// output: findings never depend on them.
 struct ScanStats {
   double load_ms = 0;     // read + tokenize
-  double scope_ms = 0;    // scope analysis + async name pooling
-  double summary_ms = 0;  // call graph + summary propagation (or cache load)
+  double scope_ms = 0;    // scope analysis + result-table pooling
+  double summary_ms = 0;  // call graph + summary propagation
   double rules_ms = 0;    // all rules over all files (wall, not CPU-sum)
   double post_ms = 0;     // suppressions, stale check, sort
   /// Per-rule CPU time summed across files/threads, in all_rules() order.
@@ -46,7 +45,6 @@ struct ScanStats {
   std::size_t call_sites = 0;      // call expressions seen
   std::size_t resolved_calls = 0;  // sites resolved to exactly one def
   bool summaries = false;          // interprocedural layer was enabled
-  bool cache_hit = false;          // summary table loaded from cache
 };
 
 struct ScanResult {
@@ -60,7 +58,6 @@ struct ScanResult {
 struct AnalyzeOptions {
   unsigned jobs = 0;
   bool summaries = true;
-  std::string cache_path;
 };
 
 /// Runs a full scan per `opts`.
@@ -71,7 +68,7 @@ ScanResult scan(const Options& opts);
 /// check.
 ScanResult analyze(std::vector<std::unique_ptr<SourceFile>> files,
                    const AnalyzeOptions& opts);
-/// Back-compat shorthand: summaries on, no cache.
+/// Back-compat shorthand: summaries on.
 ScanResult analyze(std::vector<std::unique_ptr<SourceFile>> files,
                    unsigned jobs);
 

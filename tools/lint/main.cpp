@@ -32,8 +32,6 @@ void usage(std::FILE* to) {
       "  --no-summaries       skip the whole-program pass (call graph +\n"
       "                       function summaries); interprocedural rules\n"
       "                       degrade to per-function precision\n"
-      "  --summary-cache <f>  cache the summary table in <f>, keyed by\n"
-      "                       per-file content hashes (all-or-nothing)\n"
       "  --stats              print per-phase / per-rule wall-time and\n"
       "                       call-graph counters to stderr\n"
       "  --bench-json <file>  write the scan's timings and counters as a\n"
@@ -57,7 +55,6 @@ bool write_bench_json(const std::string& path, const lint::ScanResult& r) {
   std::fprintf(f, "\n  \"call_sites\": %zu,", st.call_sites);
   std::fprintf(f, "\n  \"resolved_calls\": %zu,", st.resolved_calls);
   std::fprintf(f, "\n  \"summaries\": %d,", st.summaries ? 1 : 0);
-  std::fprintf(f, "\n  \"cache_hit\": %d,", st.cache_hit ? 1 : 0);
   std::fprintf(f, "\n  \"metrics\": {");
   std::fprintf(f, "\n    \"load_ms\": %.3f,", st.load_ms);
   std::fprintf(f, "\n    \"scope_ms\": %.3f,", st.scope_ms);
@@ -109,8 +106,6 @@ int main(int argc, char** argv) {
       bench_json_path = next("--bench-json");
     } else if (arg == "--no-summaries") {
       opts.summaries = false;
-    } else if (arg == "--summary-cache") {
-      opts.cache_path = next("--summary-cache");
     } else if (arg == "--stats") {
       show_stats = true;
     } else if (arg == "--jobs") {
@@ -165,9 +160,8 @@ int main(int argc, char** argv) {
                  st.post_ms);
     if (st.summaries) {
       std::fprintf(stderr,
-                   "  program: %zu defs, %zu call sites, %zu resolved%s\n",
-                   st.defs, st.call_sites, st.resolved_calls,
-                   st.cache_hit ? " (summary cache hit)" : "");
+                   "  program: %zu defs, %zu call sites, %zu resolved\n",
+                   st.defs, st.call_sites, st.resolved_calls);
     } else {
       std::fprintf(stderr, "  program: summaries disabled\n");
     }

@@ -256,62 +256,6 @@ class LambdaEvent final : public Rule {
 };
 
 // ---------------------------------------------------------------------------
-// unchecked-put
-
-class UncheckedPut final : public Rule {
- public:
-  std::string_view name() const override { return "unchecked-put"; }
-  std::string_view description() const override {
-    return "KvStore::put / replicated write call without a status out-param; "
-           "a failed durable write would go unnoticed";
-  }
-
-  void run(const RuleContext& ctx, std::vector<Finding>* out) const override {
-    // src/ and examples/ only: tests assert on statuses anyway, and bench
-    // harnesses own their error budget.
-    const std::string_view rel = ctx.file.rel();
-    if (!starts_with(rel, "src/") && !starts_with(rel, "examples/")) return;
-    const auto& toks = ctx.file.tokens();
-    for (std::size_t i = 2; i + 1 < toks.size(); ++i) {
-      if (toks[i].kind != Tok::kIdent) continue;
-      const bool is_put = toks[i].text == "put";
-      const bool is_write = toks[i].text == "write";
-      if (!is_put && !is_write) continue;
-      if (!toks[i - 1].is(".") && !toks[i - 1].is("->")) continue;
-      if (!toks[i + 1].is("(")) continue;
-      if (is_write) {
-        // Only replicated receivers: a plain device write's error param is
-        // optional by design, but dropping a quorum verdict loses data.
-        if (toks[i - 2].kind != Tok::kIdent ||
-            toks[i - 2].text.find("repl") == std::string_view::npos) {
-          continue;
-        }
-      }
-      const std::size_t close = match_forward(toks, i + 1);
-      if (close >= toks.size()) continue;
-      // Exactly two top-level arguments = key/value (or addr/data) with the
-      // status out-param dropped.
-      int depth = 0;
-      std::size_t args = close > i + 2 ? 1 : 0;
-      for (std::size_t j = i + 2; j < close; ++j) {
-        if (toks[j].is("(") || toks[j].is("[") || toks[j].is("{")) {
-          ++depth;
-        } else if (toks[j].is(")") || toks[j].is("]") || toks[j].is("}")) {
-          --depth;
-        } else if (depth == 0 && toks[j].is(",")) {
-          ++args;
-        }
-      }
-      if (args != 2) continue;
-      out->push_back({ctx.file.rel(), toks[i].line, std::string(name()),
-                      std::string(is_put ? "put" : "write") +
-                          " call discards its status out-param; pass a "
-                          "PutStatus*/bool* and check it (docs/DURABILITY.md)"});
-    }
-  }
-};
-
-// ---------------------------------------------------------------------------
 // cross-domain-touch
 
 /// Components bound to different sim::Domains share no thread-safe state;
@@ -581,7 +525,6 @@ class CrossDomainTouch final : public Rule {
 // Defined in rules_coro.cpp / rule_value_escape.cpp / rules_flow.cpp /
 // typestate.cpp.
 std::unique_ptr<Rule> make_dangling_capture();
-std::unique_ptr<Rule> make_discarded_async();
 std::unique_ptr<Rule> make_value_escape();
 std::unique_ptr<Rule> make_resource_pairing();
 std::unique_ptr<Rule> make_use_after_move();
@@ -596,10 +539,8 @@ const std::vector<std::unique_ptr<Rule>>& all_rules() {
     r.push_back(std::make_unique<RawDoorbell>());
     r.push_back(std::make_unique<UnboundedPoll>());
     r.push_back(std::make_unique<LambdaEvent>());
-    r.push_back(std::make_unique<UncheckedPut>());
     r.push_back(std::make_unique<CrossDomainTouch>());
     r.push_back(make_dangling_capture());
-    r.push_back(make_discarded_async());
     r.push_back(make_value_escape());
     r.push_back(make_resource_pairing());
     r.push_back(make_use_after_move());

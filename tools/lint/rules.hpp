@@ -1,15 +1,14 @@
 // liblint: the rule API.
 //
 // A rule sees one tokenized file at a time (tokens + scope analysis) plus
-// the cross-file symbol table of async (Task/Future-returning) function
-// names. Rules run over the *shared* token stream -- each file is read and
-// tokenized exactly once no matter how many rules are enabled -- and append
-// raw findings; suppression filtering, the baseline, and stale-suppression
-// accounting happen in the engine afterwards.
+// the cross-file ResultTable that types co_await callees. Rules run over
+// the *shared* token stream -- each file is read and tokenized exactly once
+// no matter how many rules are enabled -- and append raw findings;
+// suppression filtering and stale-suppression accounting happen in the
+// engine afterwards.
 #pragma once
 
 #include <memory>
-#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -25,7 +24,7 @@ struct ProgramInfo;  // callgraph + summaries, see summary.hpp
 struct RuleContext {
   const SourceFile& file;
   const ScopeInfo& scopes;
-  const std::set<std::string, std::less<>>& async_fns;
+  const ResultTable& results;
   /// Lazily-built per-function CFGs (see cfg.hpp); flow rules share one
   /// cache per file so the CFG parse runs at most once per function.
   const CfgCache& cfgs;

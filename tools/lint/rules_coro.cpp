@@ -5,7 +5,6 @@
 #include <array>
 
 #include "lint/rules.hpp"
-#include "lint/summary.hpp"
 
 namespace lint {
 
@@ -158,125 +157,10 @@ class DanglingCapture final : public Rule {
   }
 };
 
-// ---------------------------------------------------------------------------
-// discarded-async
-//
-// Tasks are lazy: a `foo();` statement that drops a sim::Task destroys the
-// frame before it ever runs, and a dropped sim::Future loses the only
-// handle to a completion. The rule flags statement-position calls to any
-// function whose declared return type mentions Task or Future (symbol table
-// built across every scanned file). With the program layer on, the call
-// graph extends the reach to calls the name table cannot type: a lambda
-// bound to a name (`auto pump = [..]() -> sim::Task {..}; pump();`) and an
-// `auto` function whose asyncness comes from summary propagation
-// (`auto relay() { return job(); }`). `(void)`-casting is the explicit
-// acknowledgement for posted operations and is not flagged, matching the
-// [[nodiscard]] attributes on the types themselves.
-
-class DiscardedAsync final : public Rule {
- public:
-  std::string_view name() const override { return "discarded-async"; }
-  std::string_view description() const override {
-    return "result of a Task/Future-returning call is neither co_awaited, "
-           "stored, nor passed on";
-  }
-
-  void run(const RuleContext& ctx, std::vector<Finding>* out) const override {
-    const auto& toks = ctx.file.tokens();
-    for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
-      if (toks[i].kind != Tok::kIdent || !toks[i + 1].is("(")) continue;
-      if (ctx.async_fns.find(toks[i].text) == ctx.async_fns.end()) continue;
-      // Must be a full statement: `expr(...);` with nothing consuming the
-      // result.
-      const std::size_t close = match_forward(toks, i + 1);
-      if (close + 1 >= toks.size() || !toks[close + 1].is(";")) continue;
-      if (!at_statement_start(toks, i)) continue;
-      // Skip declarations/definitions: `sim::Task name(...);` has type
-      // tokens before the name, which at_statement_start already rejects
-      // (the name is preceded by an identifier, not ; { }).
-      out->push_back(
-          {ctx.file.rel(), toks[i].line, std::string(name()),
-       "result of Task/Future-returning '" + std::string(toks[i].text) +
-               "' is discarded: the coroutine frame is destroyed before it "
-               "runs; co_await it, store it, pass it to spawn(), or "
-               "(void)-cast a deliberately posted operation"});
-    }
-
-    // Interprocedural extension: statement-position calls whose *resolved*
-    // callee is async even though the name table cannot see it (bound
-    // lambdas, propagated `auto` return types). Sites whose name is in the
-    // table were already handled above; skipping them avoids duplicates.
-    if (ctx.prog == nullptr) return;
-    for (const CallSite& site : ctx.prog->graph.sites(ctx.file_index)) {
-      if (!site.stmt_pos || site.callee < 0) continue;
-      if (ctx.async_fns.find(site.callee_name) != ctx.async_fns.end()) {
-        continue;
-      }
-      const auto c = static_cast<std::size_t>(site.callee);
-      if (!ctx.prog->summaries[c].returns_async) continue;
-      const std::string callee(site.callee_name.empty() ? "<lambda>"
-                                                        : site.callee_name);
-      Finding fd{
-          ctx.file.rel(), site.line, std::string(name()),
-          "result of Task/Future-returning '" + callee +
-              "' is discarded: the coroutine frame is destroyed before it "
-              "runs; co_await it, store it, pass it to spawn(), or "
-              "(void)-cast a deliberately posted operation",
-          {}};
-      const auto& cd = ctx.prog->graph.defs()[c];
-      fd.path.push_back({site.line, "'" + callee + "' called and dropped"});
-      fd.path.push_back(
-          {cd.line, "defined as async here",
-           ctx.prog->file_rels[static_cast<std::size_t>(cd.file)]});
-      out->push_back(std::move(fd));
-    }
-  }
-
- private:
-  /// Walks the receiver chain (`a.b().c`, `ns::f`) back to the start of the
-  /// expression; true when the token before it ends a statement.
-  static bool at_statement_start(const std::vector<Token>& toks,
-                                 std::size_t i) {
-    std::size_t j = i;
-    while (true) {
-      // Qualified name: ns::f / Class::f.
-      while (j >= 2 && toks[j - 1].is("::") &&
-             toks[j - 2].kind == Tok::kIdent) {
-        j -= 2;
-      }
-      if (j == 0) return true;
-      const Token& p = toks[j - 1];
-      if (p.is(".") || p.is("->")) {
-        if (j < 2) return false;
-        const Token& recv = toks[j - 2];
-        if (recv.kind == Tok::kIdent) {
-          j -= 2;
-          continue;
-        }
-        if (recv.is(")") || recv.is("]")) {
-          const std::size_t open = match_backward(toks, j - 2);
-          if (open == SIZE_MAX) return false;
-          if (open >= 1 && toks[open - 1].kind == Tok::kIdent) {
-            j = open - 1;
-            continue;
-          }
-          j = open;
-          continue;
-        }
-        return false;
-      }
-      return p.is(";") || p.is("{") || p.is("}");
-    }
-  }
-};
-
 }  // namespace
 
 std::unique_ptr<Rule> make_dangling_capture() {
   return std::make_unique<DanglingCapture>();
-}
-std::unique_ptr<Rule> make_discarded_async() {
-  return std::make_unique<DiscardedAsync>();
 }
 
 }  // namespace lint

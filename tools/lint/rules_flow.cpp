@@ -9,11 +9,10 @@
 //                         the summary layer's substituted events
 //   use-after-move        a moved-from Payload/Chunk local is read on some
 //                         path before reassignment
-//   unchecked-status-path a PutStatus out-param is filled but dropped on
-//                         some path (the flow upgrade of unchecked-put);
-//                         with summaries, passing the status by reference
-//                         to a writer helper is a fill and passing it to a
-//                         checker helper is the check
+//   unchecked-status-path a value-returning task's result is dropped at a
+//                         bare co_await, or bound to a local that is unread
+//                         on some path (intraprocedural: the status
+//                         travels by return value)
 //   summary-leak          a coroutine acquires through a callee and can
 //                         then suspend at a point from which it never
 //                         returns, with the resource still held
@@ -34,10 +33,6 @@
 namespace lint {
 
 namespace {
-
-bool path_starts_with(std::string_view s, std::string_view prefix) {
-  return s.size() >= prefix.size() && s.compare(0, prefix.size(), prefix) == 0;
-}
 
 /// Display name of a resolved callee (lambdas bound to a name carry it).
 std::string callee_name(const ProgramInfo& prog, int def) {
@@ -421,202 +416,179 @@ class UseAfterMove final : public Rule {
 
 // ---------------------------------------------------------------------------
 // unchecked-status-path
+//
+// A value-returning task (`sim::TaskOf<T>`) hands its status or data back
+// through co_await. The compiler rejects a dropped task object
+// (-Werror=unused-result), but GCC 12 diagnoses no dropped co_await
+// *result*, not even with [[nodiscard]] on await_resume or on the result
+// type. So this rule flags, per function:
+//   * a bare `co_await f(...);` statement whose callee returns a value;
+//   * a local bound to such a result (`T x = co_await f(...)`, or a later
+//     `x = co_await f(...)`) that some path to function exit never reads.
+// The status travels by return value, visibly at the call site, so the
+// check needs no summaries. `(void)co_await f(...)` is the explicit
+// discard. Callee typing comes from the cross-file ResultTable.
+
+/// The call a `co_await` at `i` awaits: `a.b->name(args)` or `name(args)`
+/// with `recv` the identifier right before the callee (empty when the
+/// callee hangs off a call result). `name` is empty when the operand is not
+/// a call (`co_await fut;`).
+struct AwaitedCall {
+  std::string_view recv;
+  std::string_view name;
+  std::size_t close = 0;
+};
+
+AwaitedCall awaited_call(const std::vector<Token>& toks, std::size_t i) {
+  std::string_view recv;
+  for (std::size_t j = i + 1;
+       j + 1 < toks.size() && toks[j].kind == Tok::kIdent; j += 2) {
+    const Token& next = toks[j + 1];
+    if (next.is("(")) {
+      const AwaitedCall call{recv, toks[j].text, match_forward(toks, j + 1)};
+      if (call.close + 1 >= toks.size() ||
+          !(toks[call.close + 1].is(".") || toks[call.close + 1].is("->"))) {
+        return call;
+      }
+      recv = {};
+      j = call.close;  // the loop's += 2 steps over the '.' / '->'
+      continue;
+    }
+    if (next.is(".") || next.is("->")) {
+      recv = toks[j].text;
+    } else if (!next.is("::")) {
+      break;
+    }
+  }
+  return {};
+}
+
+/// True when the token before `i` ends a statement or a control header.
+bool statement_start(const std::vector<Token>& toks, std::size_t i) {
+  if (i == 0) return true;
+  const Token& p = toks[i - 1];
+  if (p.is(";") || p.is("{") || p.is("}") || p.is(":") || p.ident("else") ||
+      p.ident("do")) {
+    return true;
+  }
+  if (!p.is(")")) return false;
+  const std::size_t open = match_backward(toks, i - 1);
+  return open != SIZE_MAX && open > 0 &&
+         (toks[open - 1].ident("if") || toks[open - 1].ident("while") ||
+          toks[open - 1].ident("for") || toks[open - 1].ident("switch"));
+}
+
+/// A token that can end the type of a declaration: `T x`, `ns::T x`,
+/// `Tmpl<T> x`, `auto x`.
+bool ends_type(const Token& t) {
+  if (t.is(">")) return true;
+  if (t.kind != Tok::kIdent) return false;
+  return !(t.ident("return") || t.ident("co_return") || t.ident("co_await") ||
+           t.ident("co_yield") || t.ident("else") || t.ident("case") ||
+           t.ident("throw") || t.ident("do") || t.ident("delete"));
+}
 
 class UncheckedStatusPath final : public Rule {
  public:
   std::string_view name() const override { return "unchecked-status-path"; }
   std::string_view description() const override {
-    return "PutStatus filled through an out-param but dropped on some path "
-           "to function exit";
+    return "result of a value-returning task (sim::TaskOf<T>) dropped at a "
+           "bare co_await, or bound to a local that some path to function "
+           "exit never reads";
   }
 
   void run(const RuleContext& ctx, std::vector<Finding>* out) const override {
-    // Same scope as unchecked-put, whose gap this closes: tests assert on
-    // statuses anyway, and bench harnesses own their error budget.
-    const std::string_view rel = ctx.file.rel();
-    if (!path_starts_with(rel, "src/") && !path_starts_with(rel, "examples/")) {
-      return;
-    }
     const auto& toks = ctx.file.tokens();
     for (std::size_t fi = 0; fi < ctx.scopes.funcs.size(); ++fi) {
       const FuncScope& f = ctx.scopes.funcs[fi];
       if (f.body_end <= f.body_begin) continue;
       const auto nested = child_ranges(ctx.scopes, static_cast<int>(fi));
 
-      std::map<std::string_view, std::size_t> vars;
+      // Fill sites: a tracked local bound to a value result here.
+      struct Fill {
+        std::string_view var;
+        std::size_t tok;
+        std::string callee;
+      };
+      std::vector<Fill> fills;
+      std::vector<std::string_view> locals;
+      const auto is_local = [&](std::string_view v) {
+        return std::find(locals.begin(), locals.end(), v) != locals.end();
+      };
       for (std::size_t i = f.body_begin + 1;
-           i + 2 < toks.size() && i < f.body_end; ++i) {
+           i + 1 < toks.size() && i < f.body_end; ++i) {
         if (in_ranges(nested, i)) continue;
-        if (!toks[i].ident("PutStatus")) continue;
-        if (toks[i + 1].kind != Tok::kIdent) continue;
-        if (!toks[i + 2].is(";") && !toks[i + 2].is("=") &&
-            !toks[i + 2].is("{")) {
+        if (toks[i].kind == Tok::kIdent && ends_type(toks[i - 1]) &&
+            (toks[i + 1].is("=") || toks[i + 1].is(";") ||
+             toks[i + 1].is("{"))) {
+          locals.push_back(toks[i].text);
+        }
+        if (!toks[i].ident("co_await")) continue;
+        const AwaitedCall call = awaited_call(toks, i);
+        if (call.name.empty() ||
+            !ctx.results.returns_value(ctx.scopes, call.recv, call.name)) {
           continue;
         }
-        vars.try_emplace(toks[i + 1].text, vars.size());
+        const std::string callee(call.name);
+        if (statement_start(toks, i) && call.close + 1 < toks.size() &&
+            toks[call.close + 1].is(";")) {
+          out->push_back(
+              {ctx.file.rel(), toks[i].line, std::string(name()),
+               "result of value-returning '" + callee +
+                   "' is dropped at a bare co_await; check it, or "
+                   "(void)-cast a deliberate discard"});
+          continue;
+        }
+        if (i >= 2 && toks[i - 1].is("=") && toks[i - 2].kind == Tok::kIdent &&
+            plain_use(toks, i - 2) && is_local(toks[i - 2].text)) {
+          fills.push_back({toks[i - 2].text, i - 2, callee});
+        }
       }
-      if (vars.empty()) continue;
+      if (fills.empty()) continue;
+
+      // Forward may-analysis: a fill goes live at its binding; any other
+      // plain use of the variable consumes every pending fill of it, and
+      // a refill overwrites.
       const Cfg& cfg = ctx.cfgs.get(static_cast<int>(fi));
-
-      // Facts are fill sites: each `&st` hands the variable to a callee as
-      // an out-param. Any plain use afterwards (comparison, pass-by-value,
-      // assignment) counts as the check that consumes the pending value.
-      // With the program layer on, a resolved callee's summary refines
-      // both directions: passing the status (by `&st` or by reference) to
-      // a helper that *writes* it is a fill, and to one that *checks* it
-      // is the check -- even though no `&` appears at this call site.
-      const int def_id =
-          ctx.prog != nullptr
-              ? ctx.prog->graph.def_of(ctx.file_index, static_cast<int>(fi))
-              : -1;
-      // Classification of one occurrence via the enclosing call argument:
-      // 0 = no summary verdict (fall through to the local rules).
-      enum { kLocal = 0, kFill = 1, kCheck = 2, kInert = 3 };
-      struct Verdict {
-        int cls = kLocal;
-        int callee = -1;
-        std::uint32_t callee_line = 0;
-      };
-      const auto summarize_arg = [&](std::size_t i,
-                                     std::string_view vn) -> Verdict {
-        if (ctx.prog == nullptr) return {};
-        for (const CallSite& site : ctx.prog->graph.sites(ctx.file_index)) {
-          if (site.caller != def_id) continue;
-          for (std::size_t a = 0; a < site.args.size(); ++a) {
-            const auto& [ab, ae] = site.args[a];
-            if (i < ab || i >= ae) continue;
-            if (root_ident(toks, {ab, ae}) != vn || site.callee < 0) {
-              return {};
-            }
-            const auto c = static_cast<std::size_t>(site.callee);
-            const FuncSummary& cs = ctx.prog->summaries[c];
-            if (!ctx.prog->graph.defs()[c].params_reliable ||
-                a >= cs.params.size() || !cs.params[a].is_status_out) {
-              return {};
-            }
-            const ParamEffect& pe = cs.params[a];
-            if (pe.status_checked) return {kCheck, site.callee, 0};
-            if (pe.status_written) {
-              return {kFill, site.callee, pe.write_line};
-            }
-            return {kInert, -1, 0};
-          }
-        }
-        return {};
-      };
-      struct Ev {
-        bool fill;
-        std::size_t var;
-        std::size_t tok;
-      };
-      std::vector<std::vector<Ev>> evs(cfg.blocks.size());
-      struct Site {
-        std::size_t var;
-        std::uint32_t line;
-        int callee_def = -1;
-        std::uint32_t callee_line = 0;
-      };
-      std::vector<Site> sites;
-      std::map<std::size_t, std::size_t> fact_of_tok;
+      ForwardMay df(cfg, fills.size());
+      std::vector<int> state(fills.size());
       for (std::size_t b = 0; b < cfg.blocks.size(); ++b) {
-        const CfgBlock& blk = cfg.blocks[b];
-        const std::size_t hi = std::min(blk.end, toks.size());
-        for (std::size_t i = blk.begin; i < hi; ++i) {
-          if (in_ranges(nested, i) || toks[i].kind != Tok::kIdent) continue;
-          const auto vit = vars.find(toks[i].text);
-          if (vit == vars.end()) continue;
-          const std::size_t v = vit->second;
-          if (i > 0 && toks[i - 1].ident("PutStatus")) {
-            evs[b].push_back({false, v, i});  // declaration resets
-            continue;
-          }
-          const Verdict verdict = summarize_arg(i, toks[i].text);
-          if (verdict.cls == kFill) {
-            fact_of_tok[i] = sites.size();
-            sites.push_back(
-                {v, toks[i].line, verdict.callee, verdict.callee_line});
-            evs[b].push_back({true, v, i});
-            continue;
-          }
-          if (verdict.cls == kCheck) {
-            evs[b].push_back({false, v, i});
-            continue;
-          }
-          if (verdict.cls == kInert) continue;  // callee ignores it
-          if (i > 0 && toks[i - 1].is("&")) {
-            fact_of_tok[i] = sites.size();
-            sites.push_back({v, toks[i].line});
-            evs[b].push_back({true, v, i});
-            continue;
-          }
-          if (!plain_use(toks, i)) continue;
-          evs[b].push_back({false, v, i});  // checked / consumed
-        }
-      }
-      if (sites.empty()) continue;
-
-      ForwardMay df(cfg, sites.size());
-      std::vector<int> state(sites.size());
-      for (std::size_t b = 0; b < cfg.blocks.size(); ++b) {
-        if (evs[b].empty()) continue;
         std::fill(state.begin(), state.end(), 0);
-        for (const Ev& e : evs[b]) {
-          if (e.fill) {
-            // A refill overwrites: earlier pending fills of the same var
-            // die, this site goes live.
-            for (std::size_t s = 0; s < sites.size(); ++s) {
-              if (sites[s].var == e.var) state[s] = -1;
-            }
-            state[fact_of_tok[e.tok]] = 1;
-          } else {
-            for (std::size_t s = 0; s < sites.size(); ++s) {
-              if (sites[s].var == e.var) state[s] = -1;
-            }
+        bool any = false;
+        const std::size_t hi = std::min(cfg.blocks[b].end, toks.size());
+        for (std::size_t i = cfg.blocks[b].begin; i < hi; ++i) {
+          if (in_ranges(nested, i) || toks[i].kind != Tok::kIdent ||
+              !plain_use(toks, i)) {
+            continue;
+          }
+          for (std::size_t s = 0; s < fills.size(); ++s) {
+            if (fills[s].var != toks[i].text) continue;
+            state[s] = fills[s].tok == i ? 1 : -1;
+            any = true;
           }
         }
-        for (std::size_t s = 0; s < sites.size(); ++s) {
+        for (std::size_t s = 0; any && s < fills.size(); ++s) {
           if (state[s] == 1) df.add_gen(static_cast<int>(b), s);
           if (state[s] == -1) df.add_kill(static_cast<int>(b), s);
         }
       }
       df.solve();
 
-      std::vector<std::string_view> names(vars.size());
-      for (const auto& [n, v] : vars) names[v] = n;
-      for (std::size_t s = 0; s < sites.size(); ++s) {
+      for (std::size_t s = 0; s < fills.size(); ++s) {
         if (!df.in(cfg.exit, s)) continue;
-        const std::string vn(names[sites[s].var]);
-        const bool via_callee = sites[s].callee_def >= 0;
-        const std::string via =
-            via_callee ? "by '" + callee_name(*ctx.prog, sites[s].callee_def) +
-                             "' (which writes its status out-param)"
-                       : "through '&" + vn + "'";
-        Finding fd{ctx.file.rel(), sites[s].line, std::string(name()),
-                   "PutStatus '" + vn + "' filled " + via +
-                       " here is never checked on some path to function "
-                       "exit; a failed durable write would go unnoticed "
-                       "(docs/DURABILITY.md)",
+        const std::string vn(fills[s].var);
+        const std::uint32_t line = toks[fills[s].tok].line;
+        Finding fd{ctx.file.rel(), line, std::string(name()),
+                   "result of '" + fills[s].callee + "' bound to '" + vn +
+                       "' here is never read on some path to function "
+                       "exit; a failed operation would go unnoticed",
                    {}};
-        const auto path = df.live_path(cfg.exit, s);
-        if (via_callee) {
-          const std::string helper =
-              callee_name(*ctx.prog, sites[s].callee_def);
-          fd.path.push_back(
-              {sites[s].line, "'" + vn + "' filled by this call to '" +
-                                  helper + "'"});
-          if (sites[s].callee_line != 0) {
-            fd.path.push_back({sites[s].callee_line,
-                               "written here inside '" + helper + "'",
-                               callee_file(*ctx.prog, sites[s].callee_def)});
-          }
-        } else {
-          fd.path.push_back(
-              {sites[s].line, "'&" + vn + "' filled by this call"});
-        }
-        append_interior(cfg, path, "'" + vn + "' still unchecked", &fd.path);
+        fd.path.push_back({line, "'" + vn + "' bound to the result"});
+        append_interior(cfg, df.live_path(cfg.exit, s),
+                        "'" + vn + "' still unread", &fd.path);
         const std::uint32_t exit_ln = cfg.block(cfg.exit).line;
-        fd.path.push_back({exit_ln == 0 ? sites[s].line : exit_ln,
-                           "function exit with '" + vn + "' unchecked"});
+        fd.path.push_back({exit_ln == 0 ? line : exit_ln,
+                           "function exit with '" + vn + "' unread"});
         out->push_back(std::move(fd));
       }
     }

@@ -139,8 +139,6 @@ std::string to_sarif(const std::vector<Finding>& findings,
         << "        \"program\": {\n"
         << "          \"summaries\": " << (stats->summaries ? "true" : "false")
         << ",\n"
-        << "          \"cacheHit\": " << (stats->cache_hit ? "true" : "false")
-        << ",\n"
         << "          \"defs\": " << stats->defs << ",\n"
         << "          \"callSites\": " << stats->call_sites << ",\n"
         << "          \"resolvedCalls\": " << stats->resolved_calls << "\n"

@@ -1,7 +1,5 @@
 #include "lint/scope.hpp"
 
-#include <algorithm>
-
 namespace lint {
 
 namespace {
@@ -42,6 +40,55 @@ std::size_t match_backward(const std::vector<Token>& toks, std::size_t close) {
     else if (is_open(toks[i].text) && --depth == 0) return i;
   }
   return SIZE_MAX;
+}
+
+void ResultTable::merge(const ScopeInfo& s) {
+  const auto bare = [](const std::string& key) {
+    const std::size_t sep = key.rfind("::");
+    return sep == std::string::npos ? key : key.substr(sep + 2);
+  };
+  for (const std::string& k : s.result_fns) {
+    result.insert(k);
+    result_names.insert(bare(k));
+  }
+  for (const std::string& k : s.other_fns) {
+    other.insert(k);
+    other_names.insert(bare(k));
+  }
+  for (const auto& [var, type] : s.var_types) {
+    var_types[std::string(var)].insert(std::string(type));
+  }
+}
+
+bool ResultTable::returns_value(const ScopeInfo& file, std::string_view recv,
+                                std::string_view name) const {
+  // The receiver's declared classes: this file's declarations first (a
+  // local or parameter shadows same-named variables elsewhere), else any
+  // file's (members declared in a header).
+  std::set<std::string_view> classes;
+  for (const auto& [var, type] : file.var_types) {
+    if (var == recv) classes.insert(type);
+  }
+  if (const auto it = var_types.find(recv);
+      classes.empty() && !recv.empty() && it != var_types.end()) {
+    classes.insert(it->second.begin(), it->second.end());
+  }
+  if (classes.empty()) {
+    return result_names.count(name) > 0 && other_names.count(name) == 0;
+  }
+  int votes = 0;
+  bool all_value = true;
+  for (std::string_view cls : classes) {
+    const std::string key = std::string(cls) + "::" + std::string(name);
+    const bool value = result.count(key) > 0;
+    const bool plain = other.count(key) > 0;
+    if (!value && !plain) continue;
+    ++votes;
+    all_value = all_value && value && !plain;
+  }
+  // A known receiver type that declares no such method (a base class or a
+  // type outside the scan) stays unknown: no finding.
+  return votes > 0 && all_value;
 }
 
 int ScopeInfo::enclosing(std::size_t i) const {
@@ -104,7 +151,7 @@ class Analyzer {
         continue;
       }
     }
-    collect_async_decls();
+    collect_result_decls();
     return std::move(info_);
   }
 
@@ -414,26 +461,51 @@ class Analyzer {
     brace_stack_.push_back(idx);
   }
 
-  // --- async declaration harvest -------------------------------------------
+  // --- result declaration harvest -----------------------------------------
 
-  /// Records names of functions declared or defined with Task / Future in
-  /// their return type (async) and names declared with any other return
-  /// type or bound to a lambda (sync). Handles both `sim::Task name(...)`
-  /// definitions and bodiless member declarations `sim::Future<T> name(...);`.
-  void collect_async_decls() {
+  /// Class whose body the `{` at `b` opens (`class X ... {`, `struct X :
+  /// Base {`), or empty for any other brace.
+  std::string_view class_of_brace(std::size_t b) const {
+    for (std::size_t k = b, steps = 0; k-- > 0 && steps++ < 24;) {
+      const Token& t = toks_[k];
+      if (t.is(";") || t.is("{") || t.is("}") || t.is(")")) return {};
+      if ((t.ident("class") || t.ident("struct")) && k + 1 < b &&
+          toks_[k + 1].kind == Tok::kIdent &&
+          !(k > 0 && toks_[k - 1].ident("enum"))) {
+        return toks_[k + 1].text;
+      }
+    }
+    return {};
+  }
+
+  /// Records every declared function as "Cls::name" (class body member or
+  /// out-of-line definition) or "name" (free function) into result_fns
+  /// when its return type is a value-carrying `TaskOf<T>` and into
+  /// other_fns otherwise; names bound to a lambda count as other. Also
+  /// records "variable -> type" pairs for declarations of the shape
+  /// `Type [*&] name`, `Tmpl<Type> name` (members, locals, parameters).
+  void collect_result_decls() {
+    std::vector<std::string_view> classes;  // per open '{': class or empty
     for (std::size_t i = 0; i + 1 < toks_.size(); ++i) {
-      if (toks_[i].kind != Tok::kIdent) continue;
-      // `name = [..]` binds a lambda (or other callable) to a variable:
-      // calls through that name have whatever type the lambda has, which we
-      // cannot see -- treat the name as sync so it never triggers
-      // discarded-async.
-      if (i + 2 < toks_.size() && toks_[i + 1].is("=") &&
-          toks_[i + 2].is("[")) {
-        info_.sync_fn_names.emplace_back(toks_[i].text);
+      const Token& t = toks_[i];
+      if (t.is("{")) {
+        classes.push_back(class_of_brace(i));
         continue;
       }
-      if (!toks_[i + 1].is("(")) continue;
-      if (control_keyword(toks_[i].text) || toks_[i].ident("return")) {
+      if (t.is("}")) {
+        if (!classes.empty()) classes.pop_back();
+        continue;
+      }
+      if (t.kind != Tok::kIdent) continue;
+      record_var_type(i);
+      // `name = [..]` binds a lambda: its type is invisible here.
+      if (i + 2 < toks_.size() && toks_[i + 1].is("=") &&
+          toks_[i + 2].is("[")) {
+        info_.other_fns.emplace_back(t.text);
+        continue;
+      }
+      if (!toks_[i + 1].is("(") || control_keyword(t.text) ||
+          t.ident("return")) {
         continue;
       }
       // The candidate name must be followed, after the parameter list, by
@@ -451,15 +523,13 @@ class Analyzer {
            !toks_[after].is(":"))) {
         continue;
       }
-      // Scan the return-type region backwards to the start of the
-      // declaration; a call expression never has type tokens there.
-      bool saw_async_type = false;
-      bool saw_type_token = false;
       std::size_t j = i;
-      // Skip a qualified name: Class::name
-      while (j >= 2 && toks_[j - 1].is("::") &&
-             toks_[j - 2].kind == Tok::kIdent) {
+      std::string_view cls;
+      if (j >= 2 && toks_[j - 1].is("::") && toks_[j - 2].kind == Tok::kIdent) {
+        cls = toks_[j - 2].text;
         j -= 2;
+      } else if (!classes.empty()) {
+        cls = classes.back();
       }
       if (j == 0) continue;
       const Token& just_before = toks_[j - 1];
@@ -470,33 +540,54 @@ class Analyzer {
           just_before.ident("co_await") || just_before.ident("co_return")) {
         continue;  // a call, not a declaration
       }
-      std::size_t k = j;
-      std::size_t steps = 0;
-      while (k-- > 0 && steps++ < 16) {
-        const Token& t = toks_[k];
-        if (t.is(";") || t.is("{") || t.is("}") || t.is(":") || t.is("(")) {
+      // Scan the return-type region backwards to the start of the
+      // declaration; a call expression never has type tokens there.
+      bool saw_type = false;
+      bool value_task = false;
+      for (std::size_t k = j, steps = 0; k-- > 0 && steps++ < 16;) {
+        const Token& rt = toks_[k];
+        if (rt.is(";") || rt.is("{") || rt.is("}") || rt.is(":") ||
+            rt.is("(")) {
           break;
         }
-        if (t.ident("Task") || t.ident("Future")) {
-          saw_async_type = true;
-        } else if (t.kind == Tok::kIdent) {
-          saw_type_token = true;
+        if (rt.kind != Tok::kIdent) continue;
+        saw_type = true;
+        if (rt.ident("TaskOf") && k + 2 < j && toks_[k + 1].is("<") &&
+            !toks_[k + 2].ident("void")) {
+          value_task = true;
         }
       }
-      if (saw_async_type) {
-        info_.async_fn_names.emplace_back(toks_[i].text);
-      } else if (saw_type_token) {
-        // `void name(...)`, `std::uint64_t name(...)`, ... -- a declaration
-        // with a non-async return type.
-        info_.sync_fn_names.emplace_back(toks_[i].text);
-      }
+      if (!saw_type) continue;
+      std::string key = cls.empty() ? std::string(t.text)
+                                    : std::string(cls) + "::" +
+                                          std::string(t.text);
+      (value_task ? info_.result_fns : info_.other_fns)
+          .push_back(std::move(key));
     }
-    auto dedup = [](std::vector<std::string>* v) {
-      std::sort(v->begin(), v->end());
-      v->erase(std::unique(v->begin(), v->end()), v->end());
-    };
-    dedup(&info_.async_fn_names);
-    dedup(&info_.sync_fn_names);
+  }
+
+  /// `Type [> ...] [* & && const ...] name` followed by a declarator end
+  /// records name -> Type. Keywords never name a type.
+  void record_var_type(std::size_t i) {
+    static constexpr std::string_view kNotTypes[] = {
+        "return", "co_await", "co_return", "co_yield", "else", "do",
+        "new",    "delete",   "throw",     "case",     "goto", "using",
+        "typename", "sizeof", "template",  "namespace", "operator"};
+    for (std::string_view k : kNotTypes) {
+      if (toks_[i].text == k) return;
+    }
+    std::size_t j = i + 1;
+    while (j < toks_.size() &&
+           (toks_[j].is(">") || toks_[j].is("*") || toks_[j].is("&") ||
+            toks_[j].is("&&") || toks_[j].ident("const"))) {
+      ++j;
+    }
+    if (j + 1 >= toks_.size() || toks_[j].kind != Tok::kIdent) return;
+    const Token& end = toks_[j + 1];
+    if (end.is(";") || end.is(",") || end.is(")") || end.is("=") ||
+        end.is("{") || end.is("(") || end.is("[")) {
+      info_.var_types.emplace_back(toks_[j].text, toks_[i].text);
+    }
   }
 
   const std::vector<Token>& toks_;

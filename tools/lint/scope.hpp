@@ -8,8 +8,9 @@
 //     co_yield at its own nesting level -- a nested lambda's co_await does
 //     not make the enclosing function a coroutine);
 //   * the token positions of its own suspension points (co_await/co_yield);
-//   * the names of functions declared (or defined) to return sim::Task or
-//     sim::Future, feeding the cross-file async-call symbol table.
+//   * which declared functions return a value-carrying sim::TaskOf<T>, and
+//     the declared class of named variables, feeding the cross-file
+//     ResultTable that types co_await callees.
 //
 // This is a heuristic structural parse, not a compiler front-end: it aims
 // for zero false scope assignments on idiomatic code in this repo and its
@@ -18,6 +19,8 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -71,16 +74,34 @@ struct FuncScope {
 
 struct ScopeInfo {
   std::vector<FuncScope> funcs;
-  /// Names of functions whose declared return type mentions Task or Future.
-  std::vector<std::string> async_fn_names;
-  /// Names declared with any *other* return type (or bound to a lambda).
-  /// The engine subtracts these from the async set: a name that is async in
-  /// one class and sync in another is ambiguous at a call site, and a
-  /// name-only symbol table must stay silent rather than guess.
-  std::vector<std::string> sync_fn_names;
+  /// Declared functions keyed "Cls::name" (class member) or "name" (free
+  /// function): those returning a value-carrying `TaskOf<T>` (T != void),
+  /// and every other declaration or lambda-bound name.
+  std::vector<std::string> result_fns;
+  std::vector<std::string> other_fns;
+  /// (variable, declared class) pairs from `Cls x`, `Cls* x`, `Cls& x` and
+  /// `Tmpl<Cls> x` declarations: members, locals and parameters.
+  std::vector<std::pair<std::string_view, std::string_view>> var_types;
 
   /// Innermost FuncScope whose body contains token index `i`, or -1.
   int enclosing(std::size_t i) const;
+};
+
+/// Whole-program view of the ScopeInfo declaration harvest: answers "does
+/// awaiting `recv.name(...)` yield a value?" for unchecked-status-path.
+struct ResultTable {
+  std::set<std::string, std::less<>> result, other;
+  std::set<std::string, std::less<>> result_names, other_names;
+  std::map<std::string, std::set<std::string>, std::less<>> var_types;
+
+  void merge(const ScopeInfo& s);
+  /// Whether awaiting `recv.name(...)` (or `name(...)`, recv empty) in
+  /// `file` yields a value. A typed receiver decides by the classes that
+  /// declare `name`, which must all return a value; an untyped call by the
+  /// bare name, which must be declared with a value result only.
+  /// Ambiguity answers false.
+  bool returns_value(const ScopeInfo& file, std::string_view recv,
+                     std::string_view name) const;
 };
 
 ScopeInfo analyze_scopes(const std::vector<Token>& toks);

@@ -72,8 +72,6 @@ class SourceFile {
                                                std::string text);
 
   const std::string& rel() const { return rel_; }
-  /// The full file contents (summary-cache hashing).
-  const std::string& text() const { return text_; }
   const std::vector<Token>& tokens() const { return stream_.tokens; }
   const std::vector<Comment>& comments() const { return stream_.comments; }
   std::uint32_t line_count() const { return line_count_; }

@@ -1,12 +1,9 @@
 #include "lint/summary.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <map>
-#include <sstream>
-#include <string>
-
 #include <set>
+#include <string>
 
 #include "lint/dataflow.hpp"
 #include "lint/rules.hpp"
@@ -31,15 +28,6 @@ bool in_ranges(const std::vector<std::pair<std::size_t, std::size_t>>& rs,
     if (i >= b && i <= e) return true;
   }
   return false;
-}
-
-bool plain_use(const std::vector<Token>& toks, std::size_t i) {
-  if (i > 0 && (toks[i - 1].is(".") || toks[i - 1].is("->") ||
-                toks[i - 1].is("::"))) {
-    return false;
-  }
-  if (i + 1 < toks.size() && toks[i + 1].is("::")) return false;
-  return true;
 }
 
 /// Direct `recv.verb()` events of one function, attributed to CFG blocks.
@@ -454,146 +442,9 @@ bool same_effects(const std::vector<ResourceEffect>& a,
   return true;
 }
 
-// --- cache -----------------------------------------------------------------
-
-std::uint64_t fnv1a(std::string_view s) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-constexpr std::string_view kCacheMagic = "snacc-lint-cache v2";
-
-bool load_cache(const std::string& path,
-                const std::vector<const SourceFile*>& files,
-                const std::vector<ScopeInfo>& scopes, std::size_t ndefs,
-                std::vector<FuncSummary>* out) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::string line;
-  if (!std::getline(in, line) || line != kCacheMagic) return false;
-  std::size_t nfiles = 0, cached_defs = 0;
-  if (!(in >> nfiles >> cached_defs)) return false;
-  if (nfiles != files.size() || cached_defs != ndefs) return false;
-  // All-or-nothing validation: every file must match by relative path,
-  // content hash, and function count. A changed callee invalidates its
-  // callers transitively, so partial reuse would need a dependency walk --
-  // full recompute is the simple sound answer.
-  for (std::size_t i = 0; i < nfiles; ++i) {
-    std::uint64_t hash = 0;
-    std::size_t nfuncs = 0;
-    std::string rel;
-    if (!(in >> hash >> nfuncs)) return false;
-    if (!std::getline(in, rel)) return false;
-    if (!rel.empty() && rel.front() == ' ') rel.erase(0, 1);
-    if (rel != files[i]->rel() || hash != fnv1a(files[i]->text()) ||
-        nfuncs != scopes[i].funcs.size()) {
-      return false;
-    }
-  }
-  std::vector<FuncSummary> sums(ndefs);
-  for (std::size_t d = 0; d < ndefs; ++d) {
-    std::string tag;
-    int coro = 0, async = 0, susp = 0;
-    std::size_t nres = 0, nparams = 0, nproto = 0;
-    if (!(in >> tag >> coro >> async >> susp >> nres >> nparams >> nproto) ||
-        tag != "D") {
-      return false;
-    }
-    FuncSummary& s = sums[d];
-    s.is_coroutine = coro != 0;
-    s.returns_async = async != 0;
-    s.suspends_forever = susp != 0;
-    s.resources.resize(nres);
-    for (ResourceEffect& e : s.resources) {
-      int acq = 0, rel = 0, rall = 0;
-      if (!(in >> tag >> e.row >> e.recv_param >> acq >> rel >> rall >>
-            e.acquire_line >> e.release_line >> e.recv) ||
-          tag != "R") {
-        return false;
-      }
-      e.may_acquire = acq != 0;
-      e.may_release = rel != 0;
-      e.releases_all = rall != 0;
-    }
-    s.params.resize(nparams);
-    for (ParamEffect& p : s.params) {
-      int so = 0, w = 0, c = 0, t = 0;
-      if (!(in >> tag >> so >> w >> c >> t >> p.touch_def >> p.touch_line >>
-            p.write_line) ||
-          tag != "P") {
-        return false;
-      }
-      p.is_status_out = so != 0;
-      p.status_written = w != 0;
-      p.status_checked = c != 0;
-      p.touched = t != 0;
-    }
-    s.protocols.resize(nproto);
-    for (ProtocolEffect& e : s.protocols) {
-      std::size_t nev = 0;
-      if (!(in >> tag >> e.protocol >> e.recv_param >> nev) || tag != "T" ||
-          nev > kMaxProtocolEvents) {
-        return false;
-      }
-      e.events.resize(nev);
-      e.lines.resize(nev);
-      for (int& ev : e.events) {
-        if (!(in >> ev)) return false;
-      }
-      for (std::uint32_t& ln : e.lines) {
-        if (!(in >> ln)) return false;
-      }
-      if (!(in >> e.recv)) return false;
-    }
-  }
-  *out = std::move(sums);
-  return true;
-}
-
-void save_cache(const std::string& path,
-                const std::vector<const SourceFile*>& files,
-                const std::vector<ScopeInfo>& scopes,
-                const std::vector<FuncSummary>& sums) {
-  std::ofstream out(path);
-  if (!out) return;  // best effort: a missing cache only costs recompute
-  out << kCacheMagic << '\n' << files.size() << ' ' << sums.size() << '\n';
-  for (std::size_t i = 0; i < files.size(); ++i) {
-    out << fnv1a(files[i]->text()) << ' ' << scopes[i].funcs.size() << ' '
-        << files[i]->rel() << '\n';
-  }
-  for (const FuncSummary& s : sums) {
-    out << "D " << int(s.is_coroutine) << ' ' << int(s.returns_async) << ' '
-        << int(s.suspends_forever) << ' ' << s.resources.size() << ' '
-        << s.params.size() << ' ' << s.protocols.size() << '\n';
-    for (const ResourceEffect& e : s.resources) {
-      out << "R " << e.row << ' ' << e.recv_param << ' '
-          << int(e.may_acquire) << ' ' << int(e.may_release) << ' '
-          << int(e.releases_all) << ' ' << e.acquire_line << ' '
-          << e.release_line << ' ' << e.recv << '\n';
-    }
-    for (const ParamEffect& p : s.params) {
-      out << "P " << int(p.is_status_out) << ' ' << int(p.status_written)
-          << ' ' << int(p.status_checked) << ' ' << int(p.touched) << ' '
-          << p.touch_def << ' ' << p.touch_line << ' ' << p.write_line
-          << '\n';
-    }
-    for (const ProtocolEffect& e : s.protocols) {
-      out << "T " << e.protocol << ' ' << e.recv_param << ' '
-          << e.events.size();
-      for (const int ev : e.events) out << ' ' << ev;
-      for (const std::uint32_t ln : e.lines) out << ' ' << ln;
-      out << ' ' << e.recv << '\n';
-    }
-  }
-}
-
 // --- local extraction + propagation ----------------------------------------
 
-/// One status/touch forwarding edge: `def` passes its parameter #param as
+/// One touch forwarding edge: `def` passes its parameter #param as
 /// argument #arg of `site` (whose callee is resolved).
 struct FwdRec {
   int param;
@@ -609,11 +460,6 @@ void local_param_effects(const std::vector<Token>& toks,
   if (!params_reliable) return;  // positions would be skewed; stay silent
   const FuncScope& f = scopes.funcs[static_cast<std::size_t>(func_idx)];
   s->params.resize(f.params.size());
-  for (std::size_t pi = 0; pi < f.params.size(); ++pi) {
-    const Param& p = f.params[pi];
-    s->params[pi].is_status_out =
-        p.type_name == "PutStatus" && (p.is_pointer || p.is_lvalue_ref);
-  }
   const auto nested = child_ranges(scopes, func_idx);
 
   // Sites of this function, for argument containment checks.
@@ -645,7 +491,6 @@ void local_param_effects(const std::vector<Token>& toks,
       }
     }
     if (pi == f.params.size()) continue;
-    const Param& p = f.params[pi];
     ParamEffect& pe = s->params[pi];
 
     // Receiver of a method call: the parameter is "touched" here.
@@ -658,43 +503,11 @@ void local_param_effects(const std::vector<Token>& toks,
       }
     }
 
-    // Status out-param writes: `*st = ...` (pointer) / `st = ...` (ref).
-    if (pe.is_status_out) {
-      const bool ptr_write = p.is_pointer && i > 0 && toks[i - 1].is("*") &&
-                             i + 1 < toks.size() && toks[i + 1].is("=");
-      const bool ref_write =
-          p.is_lvalue_ref && i + 1 < toks.size() && toks[i + 1].is("=");
-      if (ptr_write || ref_write) {
-        if (!pe.status_written) {
-          pe.status_written = true;
-          pe.write_line = toks[i].line;
-        }
-        continue;
-      }
+    // Passed along to a resolved callee: record the edge for propagation.
+    const auto [site, arg] = forwarded_at(i, f.params[pi].name);
+    if (site != nullptr && site->callee >= 0) {
+      fwd->push_back({static_cast<int>(pi), site, arg});
     }
-
-    // Passed along as an argument: record the edge for propagation. When
-    // the callee is opaque, mirror the intraprocedural rule's convention:
-    // handing the status away under `&` is a write (out-param shape), a
-    // plain forward is the read that consumes the pending value.
-    if (const auto [site, arg] = forwarded_at(i, p.name); site != nullptr) {
-      if (site->callee >= 0) {
-        fwd->push_back({static_cast<int>(pi), site, arg});
-      } else if (pe.is_status_out) {
-        if (i > 0 && toks[i - 1].is("&")) {
-          if (!pe.status_written) {
-            pe.status_written = true;
-            pe.write_line = toks[i].line;
-          }
-        } else {
-          pe.status_checked = true;
-        }
-      }
-      continue;
-    }
-
-    // Any other plain use of a status out-param reads/compares it.
-    if (pe.is_status_out && plain_use(toks, i)) pe.status_checked = true;
   }
 }
 
@@ -732,23 +545,14 @@ std::vector<std::vector<TsEventRef>> typestate_events(
 
 ProgramInfo build_program(const std::vector<const SourceFile*>& files,
                           const std::vector<ScopeInfo>& scopes,
-                          const std::vector<const CfgCache*>& cfgs,
-                          const std::string& cache_path, bool* cache_hit) {
+                          const std::vector<const CfgCache*>& cfgs) {
   ProgramInfo prog;
   prog.graph = CallGraph::build(files, scopes);
   prog.file_rels.reserve(files.size());
   for (const SourceFile* f : files) prog.file_rels.push_back(f->rel());
   const auto& defs = prog.graph.defs();
-  if (cache_hit != nullptr) *cache_hit = false;
-  if (!cache_path.empty() &&
-      load_cache(cache_path, files, scopes, defs.size(), &prog.summaries)) {
-    if (cache_hit != nullptr) *cache_hit = true;
-    return prog;
-  }
-
   prog.summaries.assign(defs.size(), {});
   std::vector<std::vector<FwdRec>> fwd(defs.size());
-  std::vector<std::vector<const CallSite*>> return_sites(defs.size());
 
   // Local pass: per-function facts that need no other function's summary.
   for (std::size_t d = 0; d < defs.size(); ++d) {
@@ -759,7 +563,6 @@ ProgramInfo build_program(const std::vector<const SourceFile*>& files,
         scopes[fi].funcs[static_cast<std::size_t>(fd.func)];
     FuncSummary& s = prog.summaries[d];
     s.is_coroutine = fd.is_coroutine;
-    s.returns_async = fd.returns_async;
     const Cfg& cfg = cfgs[fi]->get(fd.func);
     if (fd.is_coroutine && !f.suspends.empty()) {
       const std::vector<bool> reach = blocks_reaching_exit(cfg);
@@ -771,18 +574,11 @@ ProgramInfo build_program(const std::vector<const SourceFile*>& files,
     local_param_effects(toks, scopes[fi], fd.func,
                         prog.graph.sites(fd.file), static_cast<int>(d),
                         fd.params_reliable, &s, &fwd[d]);
-    for (const CallSite& site : prog.graph.sites(fd.file)) {
-      if (site.caller != static_cast<int>(d) || site.name_tok == 0) continue;
-      const Token& before = toks[site.name_tok - 1];
-      if (before.ident("return") || before.ident("co_return")) {
-        return_sites[d].push_back(&site);
-      }
-    }
   }
 
-  // Phase 1: monotone fixpoint for status / touch / returns_async facts
-  // flowing through resolved call edges. Bounded rounds; each fact only
-  // ever flips false -> true, so the loop terminates early in practice.
+  // Phase 1: monotone fixpoint for touch facts flowing through resolved
+  // call edges. Bounded rounds; each fact only ever flips false -> true,
+  // so the loop terminates early in practice.
   for (int round = 0; round < 8; ++round) {
     bool changed = false;
     for (std::size_t d = 0; d < defs.size(); ++d) {
@@ -790,52 +586,19 @@ ProgramInfo build_program(const std::vector<const SourceFile*>& files,
         const auto c = static_cast<std::size_t>(fr.site->callee);
         ParamEffect& pe =
             prog.summaries[d].params[static_cast<std::size_t>(fr.param)];
+        // Opaque parameter shape: nothing to forward.
         if (!defs[c].params_reliable ||
             static_cast<std::size_t>(fr.arg) >=
                 prog.summaries[c].params.size()) {
-          // Opaque parameter shape: same conservative answer as an
-          // unresolved callee.
-          if (pe.is_status_out && !pe.status_written) {
-            pe.status_written = true;
-            pe.write_line = fr.site->line;
-            changed = true;
-          }
           continue;
         }
         const ParamEffect& cpe =
             prog.summaries[c].params[static_cast<std::size_t>(fr.arg)];
-        if (pe.is_status_out) {
-          if (cpe.is_status_out) {
-            if (cpe.status_written && !pe.status_written) {
-              pe.status_written = true;
-              pe.write_line = fr.site->line;
-              changed = true;
-            }
-            if (cpe.status_checked && !pe.status_checked) {
-              pe.status_checked = true;
-              changed = true;
-            }
-          } else if (!pe.status_checked) {
-            pe.status_checked = true;  // consumed by value
-            changed = true;
-          }
-        }
         if (cpe.touched && !pe.touched) {
           pe.touched = true;
           pe.touch_def = cpe.touch_def;
           pe.touch_line = cpe.touch_line;
           changed = true;
-        }
-      }
-      if (defs[d].returns_auto && !prog.summaries[d].returns_async) {
-        for (const CallSite* site : return_sites[d]) {
-          if (site->callee >= 0 &&
-              prog.summaries[static_cast<std::size_t>(site->callee)]
-                  .returns_async) {
-            prog.summaries[d].returns_async = true;
-            changed = true;
-            break;
-          }
         }
       }
     }
@@ -896,10 +659,6 @@ ProgramInfo build_program(const std::vector<const SourceFile*>& files,
       }
     }
     if (!changed) break;
-  }
-
-  if (!cache_path.empty()) {
-    save_cache(cache_path, files, scopes, prog.summaries);
   }
   return prog;
 }

@@ -6,26 +6,20 @@
 //                   with "released on all paths" proven by the function's
 //                   own CFG dataflow, keyed to a parameter when the
 //                   receiver is one (so callers substitute their argument);
-//   * params     -- status out-params written/checked, and parameters used
-//                   as method-call receivers ("touched", the hook that lets
-//                   a component inherit its domain through a wrapper);
-//   * returns_async / is_coroutine / suspends_forever -- async frame facts
+//   * params     -- parameters used as method-call receivers ("touched",
+//                   the hook that lets a component inherit its domain
+//                   through a wrapper);
+//   * protocols  -- unconditional typestate event sequences per object;
+//   * is_coroutine / suspends_forever -- async frame facts
 //                   (suspends_forever: a suspension point from which the
 //                   CFG cannot reach function exit, e.g. inside a
 //                   `while (true)` pump).
 //
 // Summaries are computed bottom-up: a local pass per function, then a
 // fixpoint propagation that forwards effects through resolved call edges
-// (status/touch facts first, then resource effects with callee events
-// substituted at call sites). Everything is conservative on ambiguity: an
-// unresolved call contributes nothing, except that handing a status
-// out-pointer to an unknown callee counts as a write (the pre-existing
-// local over-approximation, kept so `--no-summaries` is strictly less
-// precise, never differently wrong).
-//
-// The whole table can be cached keyed by file content hashes: the cache is
-// all-or-nothing (any changed file invalidates it), which is trivially
-// sound -- a changed callee re-propagates through every caller.
+// (touch facts first, then resource and protocol effects with callee
+// events substituted at call sites). Everything is conservative on
+// ambiguity: an unresolved call contributes nothing.
 #pragma once
 
 #include <cstdint>
@@ -53,15 +47,11 @@ struct ResourceEffect {
 };
 
 struct ParamEffect {
-  bool is_status_out = false;  ///< PutStatus* / PutStatus& parameter
-  bool status_written = false;
-  bool status_checked = false;
   /// Parameter is the receiver of a method call somewhere below this
   /// function (directly or through a resolved callee).
   bool touched = false;
   int touch_def = -1;  ///< def id where the concrete method call lives
   std::uint32_t touch_line = 0;
-  std::uint32_t write_line = 0;
 };
 
 /// Typestate events a function performs on one tracked object, in program
@@ -83,7 +73,6 @@ struct ProtocolEffect {
 
 struct FuncSummary {
   bool is_coroutine = false;
-  bool returns_async = false;
   bool suspends_forever = false;
   std::vector<ResourceEffect> resources;
   /// Parallel to the FuncScope's params; empty when params are unreliable.
@@ -100,14 +89,10 @@ struct ProgramInfo {
 
 /// Builds the whole-program layer: call graph + propagated summaries.
 /// `files`, `scopes`, `cfgs` are parallel per-file vectors; `cfgs` entries
-/// are consulted (and lazily built) sequentially. When `cache_path` is
-/// non-empty, a cache keyed by per-file content hashes is consulted first
-/// and rewritten after a recompute; `cache_hit` (optional) reports whether
-/// the summary table was loaded instead of computed.
+/// are consulted (and lazily built) sequentially.
 ProgramInfo build_program(const std::vector<const SourceFile*>& files,
                           const std::vector<ScopeInfo>& scopes,
-                          const std::vector<const CfgCache*>& cfgs,
-                          const std::string& cache_path, bool* cache_hit);
+                          const std::vector<const CfgCache*>& cfgs);
 
 /// One resource event attributed to a CFG block of a function, as consumed
 /// by the flow rules: either a direct `recv.verb()` call in the function's

@@ -81,7 +81,7 @@ struct TsProtocol {
   std::vector<TsError> errors;
   std::vector<TsObligation> obligations;
   /// Scan-root-relative path prefixes this protocol checks; empty means
-  /// everywhere (same mechanism as the unchecked-put scope).
+  /// everywhere.
   std::vector<std::string_view> path_prefixes;
 };
 
