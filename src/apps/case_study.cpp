@@ -307,8 +307,7 @@ CaseStudyResult run_spdk_case_study(const ImageStreamConfig& cfg) {
             host::addr_map::kHostDramBase +
             Bytes{staging_base + (slot % (2 * kBatch)) * slot_bytes};
         ++slot;
-        auto dma = sys->fabric().write(acc_port, dst, rec->image.data);
-        co_await dma;
+        co_await sys->fabric().write(acc_port, dst, rec->image.data);
         driver->cpu().charge(us(2));  // per-image transfer management
 
         const std::uint64_t record_span =
@@ -425,12 +424,10 @@ CaseStudyResult run_gpu_case_study(const ImageStreamConfig& cfg) {
                                Bytes{staging_base + (slot % 64) * slot_bytes};
         ++slot;
         // Full image + thumbnail to host DRAM.
-        auto dma = sys->fabric().write(acc_port, dst, img->data);
-        co_await dma;
+        co_await sys->fabric().write(acc_port, dst, img->data);
         Payload thumb = downscale(*img);
-        auto dma2 = sys->fabric().write(
+        co_await sys->fabric().write(
             acc_port, dst + Bytes{slot_bytes - kScaledBytes}, std::move(thumb));
-        co_await dma2;
         co_await out->push(Record(std::move(*img), Classification{}));
       }
       out->close();
@@ -466,19 +463,17 @@ CaseStudyResult run_gpu_case_study(const ImageStreamConfig& cfg) {
 
         // Thumbnails to GPU memory, batched.
         const std::uint64_t thumb_bytes = batch.size() * kScaledBytes;
-        auto h2d = sys->fabric().write(sys->root_port(), gpu_base,
-                                       Payload::phantom(thumb_bytes));
-        co_await h2d;
+        co_await sys->fabric().write(sys->root_port(), gpu_base,
+                                     Payload::phantom(thumb_bytes));
         driver->cpu().charge(gpu->batch_dispatch_overhead);
         co_await sys->sim().delay(
             gpu->batch_dispatch_overhead +
             TimePs{static_cast<std::uint64_t>(batch.size() * 1e12 /
                                               gpu->inference_fps)});
         // Classifications back to host (tiny DMA from the GPU).
-        auto d2h = sys->fabric().write(
+        co_await sys->fabric().write(
             gpu_port, host::addr_map::kHostDramBase + Bytes{700 * MiB},
             Payload::phantom(batch.size() * 16));
-        co_await d2h;
 
         for (Record& rec : batch) {
           rec.cls = classify_reference(downscale(rec.image), rec.image.id);

@@ -12,15 +12,11 @@ namespace snacc::host {
 class SnaccDevice::SqTarget final : public pcie::Target {
  public:
   explicit SqTarget(SnaccDevice& dev) : dev_(dev) {}
-  sim::Future<Payload> mem_read(Bytes local, Bytes len) override {
-    sim::Promise<Payload> p(dev_.sys_.sim());
-    p.set(dev_.streamer_->serve_sq_read(local, len));
-    return p.future();
+  sim::TaskOf<Payload> mem_read(Bytes local, Bytes len) override {
+    co_return dev_.streamer_->serve_sq_read(local, len);
   }
-  sim::Future<sim::Done> mem_write(Bytes, Payload) override {
-    sim::Promise<sim::Done> p(dev_.sys_.sim());
-    p.set(sim::Done{});  // writes to the SQ window are ignored
-    return p.future();
+  sim::Task mem_write(Bytes, Payload) override {
+    co_return;  // writes to the SQ window are ignored
   }
 
  private:
@@ -31,16 +27,12 @@ class SnaccDevice::SqTarget final : public pcie::Target {
 class SnaccDevice::CqTarget final : public pcie::Target {
  public:
   explicit CqTarget(SnaccDevice& dev) : dev_(dev) {}
-  sim::Future<Payload> mem_read(Bytes, Bytes len) override {
-    sim::Promise<Payload> p(dev_.sys_.sim());
-    p.set(Payload::phantom(len.value()));
-    return p.future();
+  sim::TaskOf<Payload> mem_read(Bytes, Bytes len) override {
+    co_return Payload::phantom(len.value());
   }
-  sim::Future<sim::Done> mem_write(Bytes local, Payload data) override {
+  sim::Task mem_write(Bytes local, Payload data) override {
     dev_.streamer_->on_cqe_write(local, data);
-    sim::Promise<sim::Done> p(dev_.sys_.sim());
-    p.set(sim::Done{});
-    return p.future();
+    co_return;
   }
 
  private:
@@ -51,16 +43,10 @@ class SnaccDevice::CqTarget final : public pcie::Target {
 class SnaccDevice::PrpTarget final : public pcie::Target {
  public:
   explicit PrpTarget(SnaccDevice& dev) : dev_(dev) {}
-  sim::Future<Payload> mem_read(Bytes local, Bytes len) override {
-    sim::Promise<Payload> p(dev_.sys_.sim());
-    p.set(dev_.streamer_->serve_prp_read(local, len));
-    return p.future();
+  sim::TaskOf<Payload> mem_read(Bytes local, Bytes len) override {
+    co_return dev_.streamer_->serve_prp_read(local, len);
   }
-  sim::Future<sim::Done> mem_write(Bytes, Payload) override {
-    sim::Promise<sim::Done> p(dev_.sys_.sim());
-    p.set(sim::Done{});
-    return p.future();
-  }
+  sim::Task mem_write(Bytes, Payload) override { co_return; }
 
  private:
   SnaccDevice& dev_;
@@ -71,15 +57,13 @@ class SnaccDevice::PrpTarget final : public pcie::Target {
 class SnaccDevice::UramWindowTarget final : public pcie::Target {
  public:
   explicit UramWindowTarget(SnaccDevice& dev) : dev_(dev) {}
-  sim::Future<Payload> mem_read(Bytes local, Bytes len) override {
+  sim::TaskOf<Payload> mem_read(Bytes local, Bytes len) override {
     if (dev_.uram_prp_->is_prp_read(local)) {
-      sim::Promise<Payload> p(dev_.sys_.sim());
-      p.set(dev_.streamer_->serve_prp_read(local, len));
-      return p.future();
+      co_return dev_.streamer_->serve_prp_read(local, len);
     }
-    return dev_.uram_->read(local.value(), len.value());
+    co_return co_await dev_.uram_->read(local.value(), len.value());
   }
-  sim::Future<sim::Done> mem_write(Bytes local, Payload data) override {
+  sim::Task mem_write(Bytes local, Payload data) override {
     assert(!dev_.uram_prp_->is_prp_read(local));
     return dev_.uram_->write(local.value(), std::move(data));
   }
@@ -167,7 +151,7 @@ void SnaccDevice::build_onboard_dram_variant() {
   const auto& fpga = sys_.config().profile.fpga;
   const Bytes total = cfg_.dram_buffer_bytes * 2;
   dram_ = std::make_unique<mem::Dram>(sys_.sim(), total.value(), fpga);
-  dram_target_ = std::make_unique<pcie::MemoryPortTarget>(*dram_);
+  dram_target_ = std::make_unique<pcie::MemoryTarget<mem::Dram>>(*dram_);
   sys_.fabric().map(bar2(), total, dram_target_.get(), fpga_port_,
                     pcie::MemKind::kFpgaDram);
   combined_xlat_ = std::make_unique<core::LinearTranslator>(bar2());
@@ -192,7 +176,7 @@ void SnaccDevice::build_hbm_variant() {
   const Bytes total = cfg_.dram_buffer_bytes * 2;
   hbm_ = std::make_unique<mem::Hbm>(sys_.sim(), total.value(), fpga,
                                     /*channels=*/8);
-  dram_target_ = std::make_unique<pcie::MemoryPortTarget>(*hbm_);
+  dram_target_ = std::make_unique<pcie::MemoryTarget<mem::Hbm>>(*hbm_);
   sys_.fabric().map(bar2(), total, dram_target_.get(), fpga_port_,
                     pcie::MemKind::kFpgaHbm);
   combined_xlat_ = std::make_unique<core::LinearTranslator>(bar2());

@@ -115,7 +115,7 @@ class SnaccDevice {
   std::unique_ptr<CqTarget> cq_target_;
   std::unique_ptr<PrpTarget> prp_target_;
   std::unique_ptr<UramWindowTarget> uram_target_;
-  std::unique_ptr<pcie::MemoryPortTarget> dram_target_;
+  std::unique_ptr<pcie::Target> dram_target_;  // BAR2: Dram or Hbm
 
   std::unique_ptr<core::NvmeStreamer> streamer_;
   std::unique_ptr<NvmeAdmin> admin_;

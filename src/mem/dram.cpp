@@ -21,31 +21,14 @@ Uram::Uram(sim::Simulator& sim, std::uint64_t size, const FpgaProfile& fpga)
                      1e9),
       write_port_(sim, read_port_.rate()) {}
 
-sim::Future<Payload> Uram::read(std::uint64_t addr, std::uint64_t len) {
-  sim::Promise<Payload> done(sim_);
-  auto fut = done.future();
-  sim_.spawn(do_read(addr, len, std::move(done)));
-  return fut;
-}
-
-sim::Future<sim::Done> Uram::write(std::uint64_t addr, Payload data) {
-  sim::Promise<sim::Done> done(sim_);
-  auto fut = done.future();
-  sim_.spawn(do_write(addr, std::move(data), std::move(done)));
-  return fut;
-}
-
-sim::Task Uram::do_read(std::uint64_t addr, std::uint64_t len,
-                        sim::Promise<Payload> done) {
+sim::TaskOf<Payload> Uram::read(std::uint64_t addr, std::uint64_t len) {
   co_await read_port_.acquire(len, latency_);
-  done.set(store_.read(addr, len));
+  co_return store_.read(addr, len);
 }
 
-sim::Task Uram::do_write(std::uint64_t addr, Payload data,
-                         sim::Promise<sim::Done> done) {
+sim::Task Uram::write(std::uint64_t addr, Payload data) {
   co_await write_port_.acquire(data.size(), latency_);
   store_.write(addr, data);
-  done.set(sim::Done{});
 }
 
 // ---------------------------------------------------------------------------
@@ -53,20 +36,6 @@ sim::Task Uram::do_write(std::uint64_t addr, Payload data,
 
 Dram::Dram(sim::Simulator& sim, std::uint64_t size, const FpgaProfile& fpga)
     : sim_(sim), store_(size), fpga_(fpga), bus_(sim, fpga.dram_gb_s) {}
-
-sim::Future<Payload> Dram::read(std::uint64_t addr, std::uint64_t len) {
-  sim::Promise<Payload> done(sim_);
-  auto fut = done.future();
-  sim_.spawn(do_read(addr, len, std::move(done)));
-  return fut;
-}
-
-sim::Future<sim::Done> Dram::write(std::uint64_t addr, Payload data) {
-  sim::Promise<sim::Done> done(sim_);
-  auto fut = done.future();
-  sim_.spawn(do_write(addr, std::move(data), std::move(done)));
-  return fut;
-}
 
 TimePs Dram::occupy(Dir dir, std::uint64_t /*bytes*/) {
   // Only a direction switch serializes extra bus time (tRTW/tWTR); the
@@ -81,20 +50,17 @@ TimePs Dram::occupy(Dir dir, std::uint64_t /*bytes*/) {
   return extra;
 }
 
-sim::Task Dram::do_read(std::uint64_t addr, std::uint64_t len,
-                        sim::Promise<Payload> done) {
+sim::TaskOf<Payload> Dram::read(std::uint64_t addr, std::uint64_t len) {
   const TimePs extra = occupy(Dir::kRead, len);
   co_await bus_.acquire(len, extra);
   co_await sim_.delay(fpga_.dram_access_latency);
-  done.set(store_.read(addr, len));
+  co_return store_.read(addr, len);
 }
 
-sim::Task Dram::do_write(std::uint64_t addr, Payload data,
-                         sim::Promise<sim::Done> done) {
+sim::Task Dram::write(std::uint64_t addr, Payload data) {
   const TimePs extra = occupy(Dir::kWrite, data.size());
   co_await bus_.acquire(data.size(), extra);
   store_.write(addr, data);
-  done.set(sim::Done{});
 }
 
 // ---------------------------------------------------------------------------
@@ -102,7 +68,7 @@ sim::Task Dram::do_write(std::uint64_t addr, Payload data,
 
 Hbm::Hbm(sim::Simulator& sim, std::uint64_t size, const FpgaProfile& fpga,
          std::uint32_t channels)
-    : sim_(sim), size_(size), store_(size) {
+    : sim_(sim), store_(size) {
   // Each pseudo-channel gets its own controller/bus timing; data lives in
   // one shared backing store (timing and contents are orthogonal here).
   for (std::uint32_t i = 0; i < channels; ++i) {
@@ -110,22 +76,7 @@ Hbm::Hbm(sim::Simulator& sim, std::uint64_t size, const FpgaProfile& fpga,
   }
 }
 
-sim::Future<Payload> Hbm::read(std::uint64_t addr, std::uint64_t len) {
-  sim::Promise<Payload> done(sim_);
-  auto fut = done.future();
-  sim_.spawn(do_read(addr, len, std::move(done)));
-  return fut;
-}
-
-sim::Future<sim::Done> Hbm::write(std::uint64_t addr, Payload data) {
-  sim::Promise<sim::Done> done(sim_);
-  auto fut = done.future();
-  sim_.spawn(do_write(addr, std::move(data), std::move(done)));
-  return fut;
-}
-
-sim::Task Hbm::do_read(std::uint64_t addr, std::uint64_t len,
-                       sim::Promise<Payload> done) {
+sim::TaskOf<Payload> Hbm::read(std::uint64_t addr, std::uint64_t len) {
   // Spread the access across channels page by page; complete when the
   // slowest page is out.
   sim::WaitGroup wg(sim_);
@@ -136,19 +87,17 @@ sim::Task Hbm::do_read(std::uint64_t addr, std::uint64_t len,
     wg.add(1);
     auto page = [](Dram* bank, std::uint64_t a, std::uint64_t l,
                    sim::WaitGroup* g) -> sim::Task {
-      auto f = bank->read(a, l);
-      co_await f;
+      (void)co_await bank->read(a, l);  // timing only; data lives in store_
       g->done();
     };
     sim_.spawn(page(&bank_for(addr + off), addr + off, n, &wg));
     off += n;
   }
   co_await wg.wait();
-  done.set(store_.read(addr, len));
+  co_return store_.read(addr, len);
 }
 
-sim::Task Hbm::do_write(std::uint64_t addr, Payload data,
-                        sim::Promise<sim::Done> done) {
+sim::Task Hbm::write(std::uint64_t addr, Payload data) {
   sim::WaitGroup wg(sim_);
   const std::uint64_t len = data.size();
   std::uint64_t off = 0;
@@ -158,8 +107,7 @@ sim::Task Hbm::do_write(std::uint64_t addr, Payload data,
     wg.add(1);
     auto page = [](Dram* bank, std::uint64_t a, std::uint64_t l,
                    sim::WaitGroup* g) -> sim::Task {
-      auto f = bank->write(a, Payload::phantom(l));
-      co_await f;
+      co_await bank->write(a, Payload::phantom(l));
       g->done();
     };
     sim_.spawn(page(&bank_for(addr + off), addr + off, n, &wg));
@@ -167,7 +115,6 @@ sim::Task Hbm::do_write(std::uint64_t addr, Payload data,
   }
   co_await wg.wait();
   store_.write(addr, data);
-  done.set(sim::Done{});
 }
 
 }  // namespace snacc::mem

@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "common/calibration.hpp"
-#include "mem/memory_port.hpp"
+#include "common/payload.hpp"
 #include "mem/sparse_memory.hpp"
 #include "sim/rate_server.hpp"
 #include "sim/simulator.hpp"
@@ -26,22 +26,18 @@
 
 namespace snacc::mem {
 
-class Uram final : public MemoryPort {
+class Uram final {
  public:
   Uram(sim::Simulator& sim, std::uint64_t size, const FpgaProfile& fpga);
 
-  sim::Future<Payload> read(std::uint64_t addr, std::uint64_t len) override;
-  sim::Future<sim::Done> write(std::uint64_t addr, Payload data) override;
-  std::uint64_t size() const override { return store_.size(); }
+  /// Completes with the data when it is available to the requester.
+  sim::TaskOf<Payload> read(std::uint64_t addr, std::uint64_t len);
+  /// Completes when the write has been accepted (write response).
+  sim::Task write(std::uint64_t addr, Payload data);
 
   SparseMemory& store() { return store_; }
 
  private:
-  sim::Task do_read(std::uint64_t addr, std::uint64_t len,
-                    sim::Promise<Payload> done);
-  sim::Task do_write(std::uint64_t addr, Payload data,
-                     sim::Promise<sim::Done> done);
-
   sim::Simulator& sim_;
   SparseMemory store_;
   TimePs latency_;
@@ -50,13 +46,12 @@ class Uram final : public MemoryPort {
   sim::RateServer write_port_;
 };
 
-class Dram final : public MemoryPort {
+class Dram final {
  public:
   Dram(sim::Simulator& sim, std::uint64_t size, const FpgaProfile& fpga);
 
-  sim::Future<Payload> read(std::uint64_t addr, std::uint64_t len) override;
-  sim::Future<sim::Done> write(std::uint64_t addr, Payload data) override;
-  std::uint64_t size() const override { return store_.size(); }
+  sim::TaskOf<Payload> read(std::uint64_t addr, std::uint64_t len);
+  sim::Task write(std::uint64_t addr, Payload data);
 
   SparseMemory& store() { return store_; }
   std::uint64_t turnarounds() const { return turnarounds_; }
@@ -67,11 +62,6 @@ class Dram final : public MemoryPort {
   /// Shared-bus occupation for one access, including turnaround if the
   /// direction changed. Returns the completion time awaitable.
   TimePs occupy(Dir dir, std::uint64_t bytes);
-
-  sim::Task do_read(std::uint64_t addr, std::uint64_t len,
-                    sim::Promise<Payload> done);
-  sim::Task do_write(std::uint64_t addr, Payload data,
-                     sim::Promise<sim::Done> done);
 
   sim::Simulator& sim_;
   SparseMemory store_;
@@ -86,14 +76,13 @@ class Dram final : public MemoryPort {
 /// different HBM controllers to maximize parallelism and bandwidth").
 /// Concurrent read/write streams land on different channels most of the
 /// time, removing the single-controller turnaround bottleneck.
-class Hbm final : public MemoryPort {
+class Hbm final {
  public:
   Hbm(sim::Simulator& sim, std::uint64_t size, const FpgaProfile& fpga,
       std::uint32_t channels = 8);
 
-  sim::Future<Payload> read(std::uint64_t addr, std::uint64_t len) override;
-  sim::Future<sim::Done> write(std::uint64_t addr, Payload data) override;
-  std::uint64_t size() const override { return size_; }
+  sim::TaskOf<Payload> read(std::uint64_t addr, std::uint64_t len);
+  sim::Task write(std::uint64_t addr, Payload data);
 
   std::uint32_t channels() const {
     return static_cast<std::uint32_t>(banks_.size());
@@ -104,13 +93,8 @@ class Hbm final : public MemoryPort {
   Dram& bank_for(std::uint64_t addr) {
     return *banks_[(addr / kPageSize) % banks_.size()];
   }
-  sim::Task do_read(std::uint64_t addr, std::uint64_t len,
-                    sim::Promise<Payload> done);
-  sim::Task do_write(std::uint64_t addr, Payload data,
-                     sim::Promise<sim::Done> done);
 
   sim::Simulator& sim_;
-  std::uint64_t size_;
   mem::SparseMemory store_;
   std::vector<std::unique_ptr<Dram>> banks_;  // timing only; data in store_
 

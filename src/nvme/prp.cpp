@@ -52,8 +52,7 @@ sim::TaskOf<std::vector<BusAddr>> PrpWalker::walk(BusAddr prp1, BusAddr prp2,
   std::uint64_t index_in_list = 0;
   while (out.size() < pages) {
     const BusAddr entry_addr = list_base + Bytes{index_in_list * 8};
-    auto fut = reader_(entry_addr);
-    const std::uint64_t entry = co_await fut;
+    const std::uint64_t entry = co_await reader_(entry_addr);
     const bool last_slot = index_in_list == kPrpEntriesPerList - 1;
     const bool more_needed = out.size() < pages;
     if (last_slot && more_needed && out.size() + 1 < pages) {

@@ -20,7 +20,6 @@
 
 #include "common/payload.hpp"
 #include "common/units.hpp"
-#include "sim/future.hpp"
 #include "sim/simulator.hpp"
 #include "sim/task.hpp"
 
@@ -47,7 +46,7 @@ std::vector<std::vector<std::uint64_t>> build_prp_lists(BusAddr buffer_base,
 /// Asynchronous reader for one 8-byte PRP entry at a physical address. The
 /// wire value is a raw little-endian word; the walker re-types it.
 using PrpEntryReader =
-    std::function<sim::Future<std::uint64_t>(BusAddr entry_addr)>;
+    std::function<sim::TaskOf<std::uint64_t>(BusAddr entry_addr)>;
 
 /// Walks the PRP structure of one command and produces the page addresses in
 /// transfer order. List entries are fetched via `reader` (PCIe in the real

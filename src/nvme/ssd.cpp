@@ -74,20 +74,15 @@ Payload Ssd::read_register(Bytes local, Bytes len) const {
   return Payload::bytes(std::move(raw));
 }
 
-sim::Future<Payload> Ssd::mem_read(Bytes local, Bytes len) {
-  sim::Promise<Payload> p(sim_);
-  p.set(read_register(local, len));
-  return p.future();
+sim::TaskOf<Payload> Ssd::mem_read(Bytes local, Bytes len) {
+  co_return read_register(local, len);
 }
 
-sim::Future<sim::Done> Ssd::mem_write(Bytes local, Payload data) {
-  sim::Promise<sim::Done> p(sim_);
-  auto fut = p.future();
+sim::Task Ssd::mem_write(Bytes local, Payload data) {
   // Register/doorbell writes take effect in controller order but complete
   // immediately from the fabric's point of view (posted).
   sim_.spawn(handle_register_write(local, std::move(data)));
-  p.set(sim::Done{});
-  return fut;
+  co_return;
 }
 
 sim::Task Ssd::handle_register_write(Bytes local, Payload data) {
@@ -528,38 +523,28 @@ sim::TaskOf<std::vector<BusAddr>> Ssd::resolve_prps(
   // PRP lists in bursts, not entry-by-entry. The cache is lookup-only
   // (never iterated), so unordered iteration order cannot leak into
   // simulated behaviour.
-  std::unordered_map<BusAddr, std::vector<std::uint64_t>> cache;
-  auto reader = [this, &cache](BusAddr entry_addr)
-      -> sim::Future<std::uint64_t> {
-    const BusAddr page_addr = page_base(entry_addr);
-    const std::uint64_t index = page_offset(entry_addr).value() / 8;
-    auto it = cache.find(page_addr);
-    if (it != cache.end()) {
-      sim::Promise<std::uint64_t> p(sim_);
-      p.set(it->second[index]);
-      return p.future();
-    }
-    sim::Promise<std::uint64_t> p(sim_);
-    auto fut = p.future();
-    sim_.spawn([](Ssd* self, BusAddr pa, std::uint64_t idx,
-                  std::unordered_map<BusAddr, std::vector<std::uint64_t>>*
-                      cache_ptr,
-                  sim::Promise<std::uint64_t> done) -> sim::Task {
-      auto rr = co_await self->fabric_.read(self->port_, pa, Bytes{kPageSize},
-                                            /*control=*/true);
-      std::vector<std::uint64_t> entries(kPrpEntriesPerList, 0);
-      if (rr.data.has_data()) {
-        std::memcpy(entries.data(), rr.data.view().data(),
-                    kPageSize);
-      }
-      auto [it2, _] = cache_ptr->emplace(pa, std::move(entries));
-      done.set(it2->second[idx]);
-    }(this, page_addr, index, &cache, std::move(p)));
-    return fut;
-  };
-
-  PrpWalker walker(sim_, reader);
+  PrpCache cache;
+  PrpWalker walker(sim_, [this, &cache](BusAddr entry_addr) {
+    return read_prp_entry(&cache, entry_addr);
+  });
   co_return co_await walker.walk(sqe.prp1, sqe.prp2, sqe.data_bytes());
+}
+
+sim::TaskOf<std::uint64_t> Ssd::read_prp_entry(PrpCache* cache,
+                                               BusAddr entry_addr) {
+  const BusAddr page_addr = page_base(entry_addr);
+  const std::uint64_t index = page_offset(entry_addr).value() / 8;
+  auto it = cache->find(page_addr);
+  if (it == cache->end()) {
+    auto rr = co_await fabric_.read(port_, page_addr, Bytes{kPageSize},
+                                    /*control=*/true);
+    std::vector<std::uint64_t> entries(kPrpEntriesPerList, 0);
+    if (rr.data.has_data()) {
+      std::memcpy(entries.data(), rr.data.view().data(), kPageSize);
+    }
+    it = cache->emplace(page_addr, std::move(entries)).first;
+  }
+  co_return it->second[index];
 }
 
 FetchPath Ssd::classify_source(pcie::Addr addr) const {

@@ -47,8 +47,8 @@ class Ssd final : public pcie::Target {
   static constexpr Bytes kBarSize{16 * KiB};
 
   // --- pcie::Target --------------------------------------------------------
-  sim::Future<Payload> mem_read(Bytes local, Bytes len) override;
-  sim::Future<sim::Done> mem_write(Bytes local, Payload data) override;
+  sim::TaskOf<Payload> mem_read(Bytes local, Bytes len) override;
+  sim::Task mem_write(Bytes local, Payload data) override;
 
   // --- direct (test) configuration ----------------------------------------
   /// Creates an I/O queue pair without going through the admin queue; used
@@ -154,7 +154,14 @@ class Ssd final : public pcie::Target {
   void note_block_write(Lba lba);
   void destage_oldest();
   void flush_cache();
+
+  /// One command's PRP-list pages, fetched whole and keyed by page address.
+  using PrpCache = std::unordered_map<BusAddr, std::vector<std::uint64_t>>;
   sim::TaskOf<std::vector<BusAddr>> resolve_prps(const SubmissionEntry& sqe);
+  /// The PrpWalker's reader: one list entry, served from `cache` or by a
+  /// burst read of its whole list page over PCIe.
+  sim::TaskOf<std::uint64_t> read_prp_entry(PrpCache* cache,
+                                            BusAddr entry_addr);
   FetchPath classify_source(pcie::Addr addr) const;
 
   sim::Simulator& sim_;

@@ -145,21 +145,6 @@ const std::string& Fabric::port_name(PortId p) const {
   return ports_.at(static_cast<std::size_t>(p))->name;
 }
 
-sim::Future<ReadResult> Fabric::read(PortId src, Addr addr, Bytes len,
-                                     bool control) {
-  sim::Promise<ReadResult> done(sim_);
-  auto fut = done.future();
-  sim_.spawn(do_read(src, addr, len, control, std::move(done)));
-  return fut;
-}
-
-sim::Future<sim::Done> Fabric::write(PortId src, Addr addr, Payload data) {
-  sim::Promise<sim::Done> done(sim_);
-  auto fut = done.future();
-  sim_.spawn(do_write(src, addr, std::move(data), std::move(done)));
-  return fut;
-}
-
 namespace {
 /// TLPs up to one max-payload packet interleave with queued bulk traffic on
 /// a real link (transaction-level fairness); modelling them through the
@@ -169,29 +154,26 @@ namespace {
 constexpr Bytes kInterleaveBypassBytes{512};
 }  // namespace
 
-sim::Task Fabric::do_read(PortId src, Addr addr, Bytes len, bool control,
-                          sim::Promise<ReadResult> done) {
+sim::TaskOf<ReadResult> Fabric::read(PortId src, Addr addr, Bytes len,
+                                     bool control) {
   const Window* w = route(addr, len);
   if (w == nullptr) {
     ++unmapped_errors_;
     record_fault(FaultKind::kUnmappedRead, src, addr, len);
     co_await sim_.delay(profile_.host_read_rtt);
-    done.set(ReadResult{Payload::phantom(len), false});
-    co_return;
+    co_return ReadResult{Payload::phantom(len), false};
   }
   if (src != root_ && !iommu_.check(src, addr, len, /*write=*/false)) {
     record_fault(FaultKind::kIommuRead, src, addr, len);
     co_await sim_.delay(profile_.host_read_rtt);
-    done.set(ReadResult{Payload::phantom(len), false});
-    co_return;
+    co_return ReadResult{Payload::phantom(len), false};
   }
   if (read_loss_.armed() && read_loss_.fire()) {
     // Lost non-posted TLP: no completion ever arrives; the initiator's
     // completion timer expires and the transaction fails like a UR/CA.
     record_fault(FaultKind::kCompletionTimeout, src, addr, len);
     co_await sim_.delay(profile_.completion_timeout);
-    done.set(ReadResult{Payload::phantom(len), false});
-    co_return;
+    co_return ReadResult{Payload::phantom(len), false};
   }
 
   Port& sp = *ports_.at(static_cast<std::size_t>(src));
@@ -202,8 +184,7 @@ sim::Task Fabric::do_read(PortId src, Addr addr, Bytes len, bool control,
   co_await sim_.delay(transfer_time(profile_.tlp_header_bytes, sp.tx.rate()));
   co_await sim_.delay(rtt / 2);
 
-  auto served = w->target->mem_read(addr - w->base, len);
-  Payload data = co_await served;
+  Payload data = co_await w->target->mem_read(addr - w->base, len);
 
   // Completion(s) with data serialize on the target's TX link, then travel
   // back. (A same-port read -- e.g. SSD reading its own BAR -- never happens.)
@@ -221,17 +202,15 @@ sim::Task Fabric::do_read(PortId src, Addr addr, Bytes len, bool control,
   // snacc-lint: allow(value-escape): aggregate traffic counters are raw totals
   ps.read_bytes += len.value();
   ps.reads += 1;
-  done.set(ReadResult{std::move(data), true});
+  co_return ReadResult{std::move(data), true};
 }
 
-sim::Task Fabric::do_write(PortId src, Addr addr, Payload data,
-                           sim::Promise<sim::Done> done) {
+sim::Task Fabric::write(PortId src, Addr addr, Payload data) {
   const Bytes len{data.size()};
   const Window* w = route(addr, len);
   if (w == nullptr) {
     ++unmapped_errors_;
     record_fault(FaultKind::kUnmappedWrite, src, addr, len);
-    done.set(sim::Done{});
     co_return;
   }
   if (src != root_ && !iommu_.check(src, addr, len, /*write=*/true)) {
@@ -240,7 +219,6 @@ sim::Task Fabric::do_write(PortId src, Addr addr, Payload data,
     // counted per initiator and exposed via last_fault() -- so watchdogs
     // and tests can see what the wire never reports.
     record_fault(FaultKind::kIommuWriteDrop, src, addr, len);
-    done.set(sim::Done{});
     co_return;
   }
 
@@ -263,7 +241,6 @@ sim::Task Fabric::do_write(PortId src, Addr addr, Payload data,
   ps.writes += 1;
 
   co_await w->target->mem_write(addr - w->base, std::move(data));
-  done.set(sim::Done{});
 }
 
 }  // namespace snacc::pcie

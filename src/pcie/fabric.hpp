@@ -25,7 +25,6 @@
 #include "common/payload.hpp"
 #include "fault/fault.hpp"
 #include "pcie/iommu.hpp"
-#include "sim/future.hpp"
 #include "sim/rate_server.hpp"
 #include "sim/simulator.hpp"
 #include "sim/task.hpp"
@@ -34,12 +33,13 @@ namespace snacc::pcie {
 
 /// A device-side handler for memory transactions hitting one of its windows.
 /// Addresses passed in are *local* to the window base. Implementations model
-/// their own internal service time.
+/// their own internal service time; the fabric awaits both calls directly,
+/// so a target that needs no time simply `co_return`s.
 class Target {
  public:
   virtual ~Target() = default;
-  virtual sim::Future<Payload> mem_read(Bytes local_off, Bytes len) = 0;
-  virtual sim::Future<sim::Done> mem_write(Bytes local_off, Payload data) = 0;
+  virtual sim::TaskOf<Payload> mem_read(Bytes local_off, Bytes len) = 0;
+  virtual sim::Task mem_write(Bytes local_off, Payload data) = 0;
 };
 
 /// What backs a mapped window -- used by the NVMe controller model to select
@@ -110,18 +110,20 @@ class Fabric {
   /// Owner port of the window containing `addr` (kInvalidPort if unmapped).
   PortId owner_at(Addr addr) const;
 
-  /// Initiates a memory read of `len` bytes at global address `addr`.
+  /// A memory read of `len` bytes at global address `addr`; the task
+  /// completes with the data when the last completion TLP arrives.
   /// `control` marks protocol traffic (SQE fetches, PRP-list reads,
   /// doorbell-adjacent reads): it interleaves with queued bulk data at TLP
   /// granularity instead of waiting behind it, paying only its own wire
   /// time. Data-path reads must leave it false so link bandwidth is
   /// conserved.
-  sim::Future<ReadResult> read(PortId src, Addr addr, Bytes len,
+  sim::TaskOf<ReadResult> read(PortId src, Addr addr, Bytes len,
                                bool control = false);
 
-  /// Initiates a posted memory write. The returned future completes when the
-  /// target has accepted the data (awaiting it is optional).
-  sim::Future<sim::Done> write(PortId src, Addr addr, Payload data);
+  /// A posted memory write. Awaiting the task waits until the target has
+  /// accepted the data; spawn it for a posted write the initiator does not
+  /// wait on (a doorbell).
+  sim::Task write(PortId src, Addr addr, Payload data);
 
   Iommu& iommu() { return iommu_; }
   const PcieProfile& profile() const { return profile_; }
@@ -184,10 +186,6 @@ class Fabric {
 
   const Window* route(Addr addr, Bytes len) const;
   Bytes wire_bytes(Bytes payload) const;
-  sim::Task do_read(PortId src, Addr addr, Bytes len, bool control,
-                    sim::Promise<ReadResult> done);
-  sim::Task do_write(PortId src, Addr addr, Payload data,
-                     sim::Promise<sim::Done> done);
   sim::Task restore_link(PortId p, TimePs at);
   PathStats& path_mut(PortId src, PortId dst);
   void record_fault(FaultKind kind, PortId initiator, Addr addr, Bytes len);

@@ -1,11 +1,12 @@
-// Ready-made fabric targets: a host-DRAM window and an adapter exposing any
-// mem::MemoryPort (URAM / on-board DRAM) as a BAR target.
+// Ready-made fabric targets: a host-DRAM window and an adapter exposing an
+// FPGA memory model (on-board DRAM or HBM) as a BAR target. Both serve a
+// transaction inside the fabric's own task: the fabric awaits mem_read /
+// mem_write directly, so serving costs no event beyond the memory's timing.
 #pragma once
 
 #include <memory>
 #include <utility>
 
-#include "mem/memory_port.hpp"
 #include "mem/sparse_memory.hpp"
 #include "pcie/fabric.hpp"
 
@@ -22,58 +23,45 @@ class HostMemory final : public Target {
              TimePs access_latency = ns(95))
       : sim_(sim), store_(size), bus_(sim, dram_gb_s), latency_(access_latency) {}
 
-  sim::Future<Payload> mem_read(Bytes local, Bytes len) override {
-    sim::Promise<Payload> done(sim_);
-    auto fut = done.future();
-    sim_.spawn(serve_read(local, len, std::move(done)));
-    return fut;
+  sim::TaskOf<Payload> mem_read(Bytes local, Bytes len) override {
+    // Access latency pipelines with other requests; only the data transfer
+    // occupies the channel.
+    co_await bus_.acquire(len.value());
+    co_await sim_.delay(latency_);
+    co_return store_.read(local.value(), len.value());
   }
 
-  sim::Future<sim::Done> mem_write(Bytes local, Payload data) override {
-    sim::Promise<sim::Done> done(sim_);
-    auto fut = done.future();
-    sim_.spawn(serve_write(local, std::move(data), std::move(done)));
-    return fut;
+  sim::Task mem_write(Bytes local, Payload data) override {
+    co_await bus_.acquire(data.size());
+    co_await sim_.delay(latency_);
+    store_.write(local.value(), data);
   }
 
   mem::SparseMemory& store() { return store_; }
 
  private:
-  sim::Task serve_read(Bytes local, Bytes len, sim::Promise<Payload> done) {
-    // Access latency pipelines with other requests; only the data transfer
-    // occupies the channel.
-    co_await bus_.acquire(len.value());
-    co_await sim_.delay(latency_);
-    done.set(store_.read(local.value(), len.value()));
-  }
-  sim::Task serve_write(Bytes local, Payload data, sim::Promise<sim::Done> done) {
-    co_await bus_.acquire(data.size());
-    co_await sim_.delay(latency_);
-    store_.write(local.value(), data);
-    done.set(sim::Done{});
-  }
-
   sim::Simulator& sim_;
   mem::SparseMemory store_;
   sim::RateServer bus_;
   TimePs latency_;
 };
 
-/// Adapts a mem::MemoryPort into a fabric Target (e.g. the FPGA's on-board
-/// DRAM window in BAR2, Sec. 4.5).
-class MemoryPortTarget final : public Target {
+/// Exposes an FPGA memory model -- mem::Dram or mem::Hbm -- as a fabric
+/// Target (the on-board memory window in BAR2, Sec. 4.5).
+template <class Memory>
+class MemoryTarget final : public Target {
  public:
-  explicit MemoryPortTarget(mem::MemoryPort& port) : port_(port) {}
+  explicit MemoryTarget(Memory& memory) : memory_(memory) {}
 
-  sim::Future<Payload> mem_read(Bytes local, Bytes len) override {
-    return port_.read(local.value(), len.value());
+  sim::TaskOf<Payload> mem_read(Bytes local, Bytes len) override {
+    return memory_.read(local.value(), len.value());
   }
-  sim::Future<sim::Done> mem_write(Bytes local, Payload data) override {
-    return port_.write(local.value(), std::move(data));
+  sim::Task mem_write(Bytes local, Payload data) override {
+    return memory_.write(local.value(), std::move(data));
   }
 
  private:
-  mem::MemoryPort& port_;
+  Memory& memory_;
 };
 
 }  // namespace snacc::pcie

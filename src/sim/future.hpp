@@ -1,7 +1,9 @@
-// One-shot Future/Promise for RPC-style completion (e.g. a PCIe read that
-// returns data, an NVMe command completion). Multiple coroutines may await
-// the same Future; all are resumed through the event queue when the value is
-// set, preserving determinism and avoiding reentrancy.
+// One-shot Future/Promise for a value that *another process* sets: an NVMe
+// completion harvested by a polling loop, a buffer fill finishing while the
+// committer waits. A call/return is not one of these -- it is a plain
+// `co_await task()` (sim/task.hpp). Multiple coroutines may await the same
+// Future; all are resumed through the event queue when the value is set,
+// preserving determinism and avoiding reentrancy.
 //
 // Memory model: the shared one-shot State is an intrusively-refcounted block
 // from the Simulator's recycling pool -- no shared_ptr, no control block, no
@@ -93,8 +95,6 @@ class Promise {
     }
   }
 
-  bool ready() const { return state_ && state_->has_value; }
-
  private:
   friend class Future<T>;
   struct State {
@@ -141,8 +141,6 @@ class [[nodiscard]] Future {
   }
   ~Future() { Promise<T>::unref(state_); }
 
-  bool ready() const { return state_ && state_->has_value; }
-
   /// Awaiting is inline and allocation-free: the waiter link lives in the
   /// awaiter object inside the awaiting coroutine's frame. The Future
   /// handle itself keeps the state alive across the suspension.
@@ -162,11 +160,6 @@ class [[nodiscard]] Future {
       }
     };
     return Awaiter{state_, {}};
-  }
-
-  /// Non-awaiting peek (for polled consumers).
-  const T* peek() const {
-    return state_ && state_->has_value ? state_->value() : nullptr;
   }
 
  private:

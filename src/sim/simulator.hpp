@@ -1,9 +1,9 @@
 // Discrete-event simulation kernel.
 //
 // A Domain owns a time-ordered event queue; model code is written as
-// C++20 coroutines (sim::Task) that `co_await` delays, channels, futures and
-// rate servers. Events at equal timestamps run in schedule order (stable
-// sequence numbers), which makes runs fully deterministic.
+// C++20 coroutines (sim::Task) that `co_await` delays, channels, rate
+// servers and each other. Events at equal timestamps run in schedule order
+// (stable sequence numbers), which makes runs fully deterministic.
 //
 // A Domain is the unit of parallelism: it has its own clock, its own event
 // heap, and its own slab pools, so distinct domains share no mutable state
@@ -13,17 +13,16 @@
 // concurrently with conservative lookahead synchronization, exchanging
 // traffic only through sim::Mailbox (sim/mailbox.hpp) boundaries.
 //
-// The queue is *intrusive and allocation-free on the hot path*: every
-// suspension primitive (delay, channel hand-off, future completion, rate
-// server, spawn) embeds an EventNode in its awaiter or promise object --
-// which lives in the suspended coroutine's frame -- and links that node into
-// the scheduler directly. The heap itself stores (time, seq, node*) entries
-// by value in a flat vector, so scheduling N simultaneous events costs zero
-// heap allocations in steady state and comparisons never chase pointers.
-// The legacy `at(t, fn)` closure API remains for tests and cold setup code
-// (it heap-allocates a self-owning node); tools/snacc-lint's `lambda-event`
-// rule keeps it out of src/ hot paths. docs/MODEL.md ("Scheduler
-// internals") documents the design and the ordering guarantee.
+// The queue is *intrusive and allocation-free*: every suspension primitive
+// (delay, channel hand-off, cross-process completion, rate server, spawn)
+// embeds an EventNode in its awaiter or promise object -- which lives in the
+// suspended coroutine's frame -- and links that node into the scheduler
+// directly. The heap itself stores (time, seq, node*) entries by value in a
+// flat vector, so scheduling N simultaneous events costs zero heap
+// allocations in steady state and comparisons never chase pointers. A
+// call/return (a PCIe transaction, a memory access) is a plain awaited task
+// and costs no event of its own; only waiting does. docs/MODEL.md
+// ("Scheduler internals") documents the design and the ordering guarantee.
 #pragma once
 
 #include <algorithm>
@@ -33,7 +32,6 @@
 #include <coroutine>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -72,7 +70,7 @@ constexpr std::uint64_t raw_trace_arg(const T& t) {
 ///
 /// Dispatch: a null `fire` means "resume `h`" -- the dominant case, one
 /// indirect call with no type erasure. A non-null `fire` receives the node
-/// and owns its lifetime (the closure path deletes itself).
+/// (a Mailbox delivery hook).
 struct EventNode {
   void (*fire)(EventNode&) = nullptr;
   std::coroutine_handle<> h{};
@@ -110,17 +108,11 @@ class Domain {
   SimCluster* cluster() const { return cluster_; }
 
   ~Domain() {
-    // Discard pending events without running them. Closure nodes own
-    // themselves and must be freed; intrusive nodes are owned by frames or
-    // stack objects that are still alive at this point (detached frames are
-    // only destroyed below, after this sweep, so no node is read after its
-    // owner died).
-    for (const HeapEntry& e : heap_) {
-      e.node->linked = false;
-      if (e.node->fire == &ClosureNode::invoke) {
-        delete static_cast<ClosureNode*>(e.node);
-      }
-    }
+    // Discard pending events without running them. Every node is owned by a
+    // frame or stack object that is still alive at this point (detached
+    // frames are only destroyed below, after this sweep, so no node is read
+    // after its owner died).
+    for (const HeapEntry& e : heap_) e.node->linked = false;
     heap_.clear();
     // Destroy still-suspended spawned frames, newest first. Unlink before
     // destroy: the node lives inside the frame being freed.
@@ -163,34 +155,10 @@ class Domain {
     schedule(n, t);
   }
 
-  /// Zero-delay wakeup at the current time: the scheduled-order equivalent
-  /// of the old `after(0, [h]{ h.resume(); })` hand-off. `n.h` (and `n.fire`
-  /// if used) must already be set -- typically by an awaiter's
-  /// await_suspend.
+  /// Zero-delay wakeup at the current time, ordered after everything
+  /// already scheduled for now. `n.h` (and `n.fire` if used) must already
+  /// be set -- typically by an awaiter's await_suspend.
   void wake(EventNode& n) { schedule(n, now_); }
-
-  // -- Legacy closure scheduling (cold paths: tests, setup) ----------------
-
-  /// Schedules `fn` at absolute time `t` (must be >= now()). Type-erased and
-  /// heap-allocating -- fine for tests and cold setup, but hot paths must
-  /// use the intrusive API above (tools/snacc-lint's `lambda-event` rule
-  /// enforces this under src/).
-  void at(TimePs t, std::function<void()> fn) {
-    auto* n = new ClosureNode(std::move(fn));
-    n->fire = &ClosureNode::invoke;
-    schedule(*n, t);
-  }
-
-  /// Schedules `fn` after a relative delay.
-  void after(TimePs delay, std::function<void()> fn) {
-    at(now_ + delay, std::move(fn));
-  }
-
-  /// Schedules a coroutine resumption at absolute time `t` without an
-  /// intrusive node to link (allocates; prefer schedule_resume).
-  void resume_at(TimePs t, std::coroutine_handle<> h) {
-    at(t, [h] { h.resume(); });
-  }
 
   /// Starts a coroutine task detached; the frame frees itself on completion
   /// and is registered here so a frame suspended at simulation end is freed
@@ -328,7 +296,7 @@ class Domain {
   // -- Micro-object pool ---------------------------------------------------
 
   /// Size-class recycling allocator for simulation-lifetime micro-objects
-  /// (one-shot future states). Freed blocks go on a per-class freelist and
+  /// (Promise/Future states). Freed blocks go on a per-class freelist and
   /// are reused by the next allocation; memory returns to the OS only at
   /// ~Simulator. Blocks above the largest class fall back to operator new.
   void* pool_alloc(std::size_t bytes) {
@@ -446,17 +414,6 @@ class Domain {
     }
     heap_[i] = last;
   }
-
-  struct ClosureNode : EventNode {
-    explicit ClosureNode(std::function<void()> f) : body(std::move(f)) {}
-    std::function<void()> body;
-    static void invoke(EventNode& e) {
-      auto* c = static_cast<ClosureNode*>(&e);
-      std::function<void()> fn = std::move(c->body);
-      delete c;
-      fn();
-    }
-  };
 
   struct DelayAwaiter {
     Domain* sim;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "sim/future.hpp"
+
 namespace snacc::core {
 
 namespace {
@@ -24,8 +26,7 @@ constexpr bool is_bulk(Bytes len) { return len.value() > kPageSize; }
 sim::Task OnboardDramBackend::fill(Bytes off, Payload data) {
   // Stream-in uses long bursts; the Dram model charges bus time and
   // read/write turnaround against the NVMe controller's concurrent reads.
-  auto fut = dram_.write((region_base_ + off).value(), std::move(data));
-  co_await fut;
+  co_await dram_.write((region_base_ + off).value(), std::move(data));
 }
 
 sim::TaskOf<Payload> OnboardDramBackend::drain(Bytes off, Bytes len) {
@@ -36,8 +37,8 @@ sim::TaskOf<Payload> OnboardDramBackend::drain(Bytes off, Bytes len) {
     std::uint64_t done = 0;
     while (done < len.value()) {
       const std::uint64_t n = std::min<std::uint64_t>(req, len.value() - done);
-      auto fut = dram_.read((region_base_ + off).value() + done, n);
-      Payload part = co_await fut;
+      Payload part =
+          co_await dram_.read((region_base_ + off).value() + done, n);
       co_await sim_.delay(kAxiReadoutRoundTrip);
       acc = done == 0 ? std::move(part) : Payload::concat(acc, part);
       done += n;
@@ -47,24 +48,21 @@ sim::TaskOf<Payload> OnboardDramBackend::drain(Bytes off, Bytes len) {
   // Bulk drain: the mover ramps its request window; model as one pipelined
   // burst read plus a single ramp-up round trip.
   co_await sim_.delay(kAxiReadoutRoundTrip);
-  auto fut = dram_.read((region_base_ + off).value(), len.value());
-  co_return co_await fut;
+  co_return co_await dram_.read((region_base_ + off).value(), len.value());
 }
 
 // ---------------------------------------------------------------------------
 // HbmBackend
 
 sim::Task HbmBackend::fill(Bytes off, Payload data) {
-  auto fut = hbm_.write((region_base_ + off).value(), std::move(data));
-  co_await fut;
+  co_await hbm_.write((region_base_ + off).value(), std::move(data));
 }
 
 sim::TaskOf<Payload> HbmBackend::drain(Bytes off, Bytes len) {
   // HBM channels pipeline independently; one ramp round trip, then a
   // channel-parallel burst read.
   co_await sim_.delay(kAxiReadoutRoundTrip);
-  auto fut = hbm_.read((region_base_ + off).value(), len.value());
-  co_return co_await fut;
+  co_return co_await hbm_.read((region_base_ + off).value(), len.value());
 }
 
 // ---------------------------------------------------------------------------
@@ -79,9 +77,8 @@ sim::Task HostDramBackend::fill(Bytes off, Payload data) {
     const Bytes logical = off + Bytes{done};
     const std::uint64_t chunk_rem = (4 * MiB) - (logical.value() % (4 * MiB));
     const std::uint64_t n = std::min(len - done, chunk_rem);
-    auto fut = fabric_.write(fpga_port_, xlat_.translate(logical),
-                             data.slice(done, n));
-    co_await fut;
+    co_await fabric_.write(fpga_port_, xlat_.translate(logical),
+                           data.slice(done, n));
     done += n;
   }
 }
@@ -95,9 +92,8 @@ sim::TaskOf<Payload> HostDramBackend::drain(Bytes off, Bytes len) {
     std::uint64_t done = 0;
     while (done < len.value()) {
       const std::uint64_t n = std::min<std::uint64_t>(req, len.value() - done);
-      auto fut = fabric_.read(fpga_port_, xlat_.translate(off + Bytes{done}),
-                              Bytes{n});
-      auto rr = co_await fut;
+      auto rr = co_await fabric_.read(
+          fpga_port_, xlat_.translate(off + Bytes{done}), Bytes{n});
       acc = done == 0 ? std::move(rr.data) : Payload::concat(acc, rr.data);
       done += n;
     }
@@ -114,8 +110,7 @@ sim::TaskOf<Payload> HostDramBackend::drain(Bytes off, Bytes len) {
   auto issue = [](HostDramBackend* self, pcie::Addr addr, std::uint64_t n,
                   Payload* slot, sim::WaitGroup* group,
                   sim::Semaphore* win) -> sim::Task {
-    auto fut = self->fabric_.read(self->fpga_port_, addr, Bytes{n});
-    auto rr = co_await fut;
+    auto rr = co_await self->fabric_.read(self->fpga_port_, addr, Bytes{n});
     *slot = std::move(rr.data);
     win->release();
     group->done();

@@ -46,12 +46,10 @@ class UramBackend final : public BufferBackend {
       : uram_(uram), xlat_(window_base) {}
 
   sim::Task fill(Bytes off, Payload data) override {
-    auto fut = uram_.write(off.value(), std::move(data));
-    co_await fut;
+    co_await uram_.write(off.value(), std::move(data));
   }
   sim::TaskOf<Payload> drain(Bytes off, Bytes len) override {
-    auto fut = uram_.read(off.value(), len.value());
-    co_return co_await fut;
+    co_return co_await uram_.read(off.value(), len.value());
   }
   const AddressTranslator& translator() const override { return xlat_; }
 

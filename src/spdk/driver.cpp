@@ -114,17 +114,17 @@ sim::Task Driver::ring_sq_doorbell(std::uint16_t qid, std::uint16_t tail) {
   // not wait for delivery (SQE bytes are already globally visible).
   cpu_.charge(host_.doorbell_write);
   co_await sim_.delay(host_.doorbell_write);
-  (void)fabric_.write(fabric_.root_port(),
-                      ssd_.bar_base() + nvme::reg::sq_tail_doorbell(qid),
-                      u32_payload(tail));
+  sim_.spawn(fabric_.write(fabric_.root_port(),
+                           ssd_.bar_base() + nvme::reg::sq_tail_doorbell(qid),
+                           u32_payload(tail)));
 }
 
 sim::Task Driver::ring_cq_doorbell(std::uint16_t qid, std::uint16_t head) {
   cpu_.charge(host_.doorbell_write);
   co_await sim_.delay(host_.doorbell_write);
-  (void)fabric_.write(fabric_.root_port(),
-                      ssd_.bar_base() + nvme::reg::cq_head_doorbell(qid),
-                      u32_payload(head));
+  sim_.spawn(fabric_.write(fabric_.root_port(),
+                           ssd_.bar_base() + nvme::reg::cq_head_doorbell(qid),
+                           u32_payload(head)));
 }
 
 sim::TaskOf<nvme::Status> Driver::admin_cmd(nvme::SubmissionEntry sqe) {

@@ -22,7 +22,7 @@ Task kept(Simulator& sim) {
   co_await job();                       // awaited
   auto held = job();                    // stored
   co_await held;
-  (void)post();                         // deliberately posted
+  (void)post();                         // compiles, but never runs: lazy
   sim.spawn(job());                     // handed to an owner
   amb(7);                               // the sync overload of a mixed name
   auto pump = []() -> Task { co_return; };

@@ -16,6 +16,7 @@
 #include "sim/mailbox.hpp"
 #include "sim/simulator.hpp"
 #include "sim/task.hpp"
+#include "run_at.hpp"
 
 namespace snacc::sim {
 namespace {
@@ -24,9 +25,9 @@ TEST(SimCluster, SingleDomainRunsLikeASimulator) {
   SimCluster cluster(1);
   Domain& d = cluster.domain(0);
   std::vector<int> order;
-  d.at(ns(30), [&] { order.push_back(3); });
-  d.at(ns(10), [&] { order.push_back(1); });
-  d.at(ns(10), [&] { order.push_back(2); });
+  d.spawn(run_at(&d, ns(30), [&] { order.push_back(3); }));
+  d.spawn(run_at(&d, ns(10), [&] { order.push_back(1); }));
+  d.spawn(run_at(&d, ns(10), [&] { order.push_back(2); }));
   cluster.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(d.now(), ns(30));
@@ -36,19 +37,23 @@ TEST(SimCluster, SingleDomainRunsLikeASimulator) {
 TEST(SimCluster, IndependentDomainsBothDrain) {
   SimCluster cluster(2);
   int a = 0, b = 0;
-  cluster.domain(0).at(ns(5), [&] { a = 1; });
-  cluster.domain(1).at(ns(9), [&] { b = 1; });
+  Domain& d0 = cluster.domain(0);
+  Domain& d1 = cluster.domain(1);
+  d0.spawn(run_at(&d0, ns(5), [&] { a = 1; }));
+  d1.spawn(run_at(&d1, ns(9), [&] { b = 1; }));
   cluster.run();
   EXPECT_EQ(a, 1);
   EXPECT_EQ(b, 1);
-  EXPECT_EQ(cluster.events_processed(), 2u);
+  // Two events per timed action: the task's start and its timer.
+  EXPECT_EQ(cluster.events_processed(), 4u);
 }
 
 TEST(SimCluster, RunUntilAdvancesEveryClockToHorizon) {
   SimCluster cluster(2);
   int fired = 0;
-  cluster.domain(0).at(us(1), [&] { ++fired; });
-  cluster.domain(0).at(us(3), [&] { ++fired; });
+  Domain& d = cluster.domain(0);
+  d.spawn(run_at(&d, us(1), [&] { ++fired; }));
+  d.spawn(run_at(&d, us(3), [&] { ++fired; }));
   cluster.run_until(us(2));
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(cluster.domain(0).now(), us(2));

@@ -9,7 +9,7 @@ struct PutRepl {
   sim::TaskOf<bool> write(unsigned long addr, int data);
 };
 struct PutDevice {
-  sim::Future<sim::Done> write(unsigned long addr, int data);
+  sim::Task write(unsigned long addr, int data);
 };
 
 sim::Task positives(PutStore& store, PutStore* heap, PutRepl* repl) {

@@ -66,13 +66,11 @@ TEST(Uram, DualPortsDoNotContend) {
   TimePs read_done;
   TimePs write_done;
   auto reader = [&]() -> sim::Task {
-    auto f = uram.read(0, 1 * MiB);
-    co_await f;
+    (void)co_await uram.read(0, 1 * MiB);
     read_done = sim.now();
   };
   auto writer = [&]() -> sim::Task {
-    auto f = uram.write(2 * MiB, Payload::phantom(1 * MiB));
-    co_await f;
+    co_await uram.write(2 * MiB, Payload::phantom(1 * MiB));
     write_done = sim.now();
   };
   sim.spawn(reader());
@@ -91,14 +89,10 @@ TEST(Dram, TurnaroundChargedOnDirectionSwitch) {
   FpgaProfile fpga;
   mem::Dram dram(sim, 16 * MiB, fpga);
   auto t = [&]() -> sim::Task {
-    auto w1 = dram.write(0, Payload::phantom(4096));
-    co_await w1;
-    auto r1 = dram.read(0, 4096);  // W -> R switch
-    co_await r1;
-    auto r2 = dram.read(4096, 4096);  // no switch
-    co_await r2;
-    auto w2 = dram.write(8192, Payload::phantom(4096));  // R -> W switch
-    co_await w2;
+    co_await dram.write(0, Payload::phantom(4096));
+    (void)co_await dram.read(0, 4096);                    // W -> R switch
+    (void)co_await dram.read(4096, 4096);                 // no switch
+    co_await dram.write(8192, Payload::phantom(4096));    // R -> W switch
   };
   sim.spawn(t());
   sim.run();
@@ -115,11 +109,9 @@ TEST(Dram, SharedBusSerializesReadAndWriteStreams) {
   auto stream = [&](bool write, std::uint64_t base) -> sim::Task {
     for (std::uint64_t off = 0; off < total; off += 64 * KiB) {
       if (write) {
-        auto f = dram.write(base + off, Payload::phantom(64 * KiB));
-        co_await f;
+        co_await dram.write(base + off, Payload::phantom(64 * KiB));
       } else {
-        auto f = dram.read(base + off, 64 * KiB);
-        co_await f;
+        (void)co_await dram.read(base + off, 64 * KiB);
       }
     }
     if (--remaining == 0) t_end = sim.now();

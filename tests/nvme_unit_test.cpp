@@ -111,13 +111,14 @@ TEST(Prp, PageCountMath) {
   EXPECT_EQ(prp_page_count(Bytes{1 * MiB}), 256u);
 }
 
+/// A PRP-entry read served without simulated time (a fake list in memory).
+sim::TaskOf<std::uint64_t> entry_now(std::uint64_t entry) { co_return entry; }
+
 TEST(Prp, WalkerDirectEntries) {
   sim::Simulator sim;
-  PrpWalker walker(sim, [&](BusAddr) -> sim::Future<std::uint64_t> {
+  PrpWalker walker(sim, [](BusAddr) {
     ADD_FAILURE() << "direct PRPs must not fetch a list";
-    sim::Promise<std::uint64_t> p(sim);
-    p.set(0);
-    return p.future();
+    return entry_now(0);
   });
   std::vector<BusAddr> pages;
   // walk with one page
@@ -151,13 +152,11 @@ TEST(Prp, WalkerFollowsChainedLists) {
   ASSERT_EQ(lists.size(), 2u);
 
   std::uint64_t fetches = 0;
-  PrpWalker walker(sim, [&](BusAddr addr) -> sim::Future<std::uint64_t> {
+  PrpWalker walker(sim, [&](BusAddr addr) {
     ++fetches;
     const std::uint64_t page = (addr - list_base).value() / kPageSize;
     const std::uint64_t idx = addr.value() % kPageSize / 8;
-    sim::Promise<std::uint64_t> p(sim);
-    p.set(lists.at(page).at(idx));
-    return p.future();
+    return entry_now(lists.at(page).at(idx));
   });
   std::vector<BusAddr> pages;
   auto t = [&]() -> sim::Task {
@@ -184,12 +183,10 @@ TEST_P(PrpWalkerProperty, MatchesReferenceForRandomSizes) {
     const BusAddr list_base{0x4000'0000};
     auto lists =
         build_prp_lists(buf, Bytes{pages_total * kPageSize}, list_base);
-    PrpWalker walker(sim, [&](BusAddr addr) -> sim::Future<std::uint64_t> {
+    PrpWalker walker(sim, [&](BusAddr addr) {
       const std::uint64_t page = (addr - list_base).value() / kPageSize;
       const std::uint64_t idx = addr.value() % kPageSize / 8;
-      sim::Promise<std::uint64_t> p(sim);
-      p.set(lists.at(page).at(idx));
-      return p.future();
+      return entry_now(lists.at(page).at(idx));
     });
     std::vector<BusAddr> pages;
     const BusAddr prp2 = pages_total == 1   ? BusAddr{}

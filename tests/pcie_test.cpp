@@ -6,6 +6,7 @@
 #include "common/calibration.hpp"
 #include "pcie/fabric.hpp"
 #include "pcie/memory_target.hpp"
+#include "sim/future.hpp"
 #include "sim/task.hpp"
 
 namespace snacc::pcie {
@@ -39,10 +40,8 @@ TEST_F(Fixture, WriteThenReadRoundTripsThroughHostMemory) {
   bool done = false;
   Payload got;
   auto io = [&]() -> sim::Task {
-    auto w = fabric.write(root, Addr{0x1000}, data);
-    co_await w;
-    auto r = fabric.read(root, Addr{0x1000}, Bytes{8192});
-    auto rr = co_await r;
+    co_await fabric.write(root, Addr{0x1000}, data);
+    auto rr = co_await fabric.read(root, Addr{0x1000}, Bytes{8192});
     got = std::move(rr.data);
     done = rr.ok;
   };
@@ -55,10 +54,10 @@ TEST_F(Fixture, WriteThenReadRoundTripsThroughHostMemory) {
 TEST_F(Fixture, RoutingSelectsWindowByAddress) {
   bool ok_dev = false;
   auto io = [&]() -> sim::Task {
-    auto w = fabric.write(root, Addr{0x1000'0000} + Bytes{4096}, Payload::filled(64, 9));
-    co_await w;
-    auto r = fabric.read(root, Addr{0x1000'0000} + Bytes{4096}, Bytes{64});
-    auto rr = co_await r;
+    co_await fabric.write(root, Addr{0x1000'0000} + Bytes{4096},
+                          Payload::filled(64, 9));
+    auto rr = co_await fabric.read(root, Addr{0x1000'0000} + Bytes{4096},
+                                   Bytes{64});
     ok_dev = rr.ok && rr.data.content_equals(Payload::filled(64, 9));
   };
   sim.spawn(io());
@@ -71,8 +70,7 @@ TEST_F(Fixture, RoutingSelectsWindowByAddress) {
 TEST_F(Fixture, UnmappedAddressFailsTheRead) {
   bool got_not_ok = false;
   auto io = [&]() -> sim::Task {
-    auto r = fabric.read(root, Addr{0x9999'0000'0000}, Bytes{64});
-    auto rr = co_await r;
+    auto rr = co_await fabric.read(root, Addr{0x9999'0000'0000}, Bytes{64});
     got_not_ok = !rr.ok && !rr.data.has_data();
   };
   sim.spawn(io());
@@ -86,12 +84,10 @@ TEST_F(Fixture, DeviceInitiatedAccessRequiresIommuGrant) {
   bool first_failed = false;
   bool second_ok = false;
   auto io = [&]() -> sim::Task {
-    auto r1 = fabric.read(dev, Addr{0x2000}, Bytes{512});
-    auto rr1 = co_await r1;
+    auto rr1 = co_await fabric.read(dev, Addr{0x2000}, Bytes{512});
     first_failed = !rr1.ok;
     fabric.iommu().grant({dev, Addr{}, Bytes{64 * MiB}, true, true});
-    auto r2 = fabric.read(dev, Addr{0x2000}, Bytes{512});
-    auto rr2 = co_await r2;
+    auto rr2 = co_await fabric.read(dev, Addr{0x2000}, Bytes{512});
     second_ok = rr2.ok;
   };
   sim.spawn(io());
@@ -104,8 +100,7 @@ TEST_F(Fixture, DeviceInitiatedAccessRequiresIommuGrant) {
 TEST_F(Fixture, ReadOnlyGrantRejectsWrites) {
   fabric.iommu().grant({dev, Addr{}, Bytes{64 * MiB}, true, false});
   auto io = [&]() -> sim::Task {
-    auto w = fabric.write(dev, Addr{0x3000}, Payload::filled(4096, 7));
-    co_await w;
+    co_await fabric.write(dev, Addr{0x3000}, Payload::filled(4096, 7));
   };
   sim.spawn(io());
   sim.run();
@@ -117,10 +112,8 @@ TEST_F(Fixture, DisabledIommuAllowsEverything) {
   fabric.iommu().set_enabled(false);
   bool ok = false;
   auto io = [&]() -> sim::Task {
-    auto w = fabric.write(dev, Addr{0x4000}, Payload::filled(4096, 1));
-    co_await w;
-    auto r = fabric.read(peer, Addr{0x4000}, Bytes{4096});
-    auto rr = co_await r;
+    co_await fabric.write(dev, Addr{0x4000}, Payload::filled(4096, 1));
+    auto rr = co_await fabric.read(peer, Addr{0x4000}, Bytes{4096});
     ok = rr.ok;
   };
   sim.spawn(io());
@@ -141,13 +134,10 @@ TEST_F(Fixture, TrafficAccountingMatchesTransfers) {
   fabric.iommu().grant({dev, Addr{}, Bytes{64 * MiB}, true, true});
   auto io = [&]() -> sim::Task {
     for (int i = 0; i < 4; ++i) {
-      auto w = fabric.write(dev, Addr{0x8000} + Bytes{4096} * std::uint64_t(i),
+      co_await fabric.write(dev, Addr{0x8000} + Bytes{4096} * std::uint64_t(i),
                             Payload::phantom(4096));
-      co_await w;
     }
-    auto r = fabric.read(dev, Addr{0x8000}, Bytes{8192});
-    auto rr = co_await r;
-    (void)rr;
+    (void)co_await fabric.read(dev, Addr{0x8000}, Bytes{8192});
   };
   sim.spawn(io());
   sim.run();
@@ -172,8 +162,7 @@ TEST_F(Fixture, BulkWritesAreLinkRateLimited) {
     for (std::uint64_t off = 0; off < total; off += chunk) {
       auto issue = [](Fabric* f, PortId p, pcie::Addr a, std::uint64_t n,
                       sim::WaitGroup* g) -> sim::Task {
-        auto w = f->write(p, a, Payload::phantom(n));
-        co_await w;
+        co_await f->write(p, a, Payload::phantom(n));
         g->done();
       };
       sim.spawn(issue(&fabric, dev, Addr{off % (32 * MiB)}, chunk, &wg));
@@ -188,6 +177,44 @@ TEST_F(Fixture, BulkWritesAreLinkRateLimited) {
   EXPECT_GT(gbs, 11.5);
 }
 
+// A transaction is a plain task: one spawned transaction costs its own start
+// event plus one event per timed step, with no helper start or completion
+// wake in between. A spawn or wake hop that comes back fails these counts.
+TEST_F(Fixture, TransactionsCostOnlyTheirTimedSteps) {
+  const auto events_of = [&](sim::Task io) {
+    const std::uint64_t before = sim.events_processed();
+    sim.spawn(std::move(io));
+    sim.run();
+    return sim.events_processed() - before;
+  };
+  bool ok = false;
+  // start, request TLP, rtt/2, target bus + access latency, completion on
+  // the target's TX and the initiator's RX link, rtt/2.
+  auto bulk_read = [&]() -> sim::Task {
+    ok = (co_await fabric.read(root, Addr{0x1000'0000}, Bytes{8 * KiB})).ok;
+  };
+  EXPECT_EQ(events_of(bulk_read()), 8u);
+  EXPECT_TRUE(ok);
+
+  // start, initiator TX link, posted latency, target RX link, target bus +
+  // access latency.
+  fabric.iommu().grant({dev, Addr{}, Bytes{64 * MiB}, true, true});
+  auto posted_write = [&]() -> sim::Task {
+    co_await fabric.write(dev, Addr{0x5000}, Payload::filled(4096, 5));
+  };
+  EXPECT_EQ(events_of(posted_write()), 6u);
+  EXPECT_EQ(fabric.path(dev, root).writes, 1u);
+
+  // start, request TLP, rtt/2, target bus + access latency, interleaved
+  // completion, rtt/2.
+  ok = false;
+  auto small_read = [&]() -> sim::Task {
+    ok = (co_await fabric.read(dev, Addr{0x5000}, Bytes{64})).ok;
+  };
+  EXPECT_EQ(events_of(small_read()), 7u);
+  EXPECT_TRUE(ok);
+}
+
 TEST_F(Fixture, KindAtReportsWindowKind) {
   EXPECT_EQ(fabric.kind_at(Addr{0x100}), MemKind::kHostDram);
   EXPECT_EQ(fabric.kind_at(Addr{0x1000'0000}), MemKind::kFpgaUram);
@@ -200,8 +227,7 @@ TEST_F(Fixture, UnmapRemovesWindow) {
   fabric.unmap(Addr{0x1000'0000});
   bool not_ok = false;
   auto io = [&]() -> sim::Task {
-    auto r = fabric.read(root, Addr{0x1000'0000}, Bytes{64});
-    auto rr = co_await r;
+    auto rr = co_await fabric.read(root, Addr{0x1000'0000}, Bytes{64});
     not_ok = !rr.ok;
   };
   sim.spawn(io());

@@ -16,6 +16,7 @@
 #include "sim/simulator.hpp"
 #include "sim/task.hpp"
 #include "spdk/driver.hpp"
+#include "run_at.hpp"
 
 namespace snacc::sim {
 namespace {
@@ -23,9 +24,9 @@ namespace {
 TEST(Simulator, EventsRunInTimeOrder) {
   Simulator sim;
   std::vector<int> order;
-  sim.at(ns(30), [&] { order.push_back(3); });
-  sim.at(ns(10), [&] { order.push_back(1); });
-  sim.at(ns(20), [&] { order.push_back(2); });
+  sim.spawn(run_at(&sim, ns(30), [&] { order.push_back(3); }));
+  sim.spawn(run_at(&sim, ns(10), [&] { order.push_back(1); }));
+  sim.spawn(run_at(&sim, ns(20), [&] { order.push_back(2); }));
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(sim.now(), ns(30));
@@ -34,7 +35,9 @@ TEST(Simulator, EventsRunInTimeOrder) {
 TEST(Simulator, EqualTimestampsRunInScheduleOrder) {
   Simulator sim;
   std::vector<int> order;
-  for (int i = 0; i < 5; ++i) sim.at(ns(7), [&order, i] { order.push_back(i); });
+  for (int i = 0; i < 5; ++i) {
+    sim.spawn(run_at(&sim, ns(7), [&order, i] { order.push_back(i); }));
+  }
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
@@ -42,8 +45,8 @@ TEST(Simulator, EqualTimestampsRunInScheduleOrder) {
 TEST(Simulator, RunUntilStopsAtBoundary) {
   Simulator sim;
   int fired = 0;
-  sim.at(us(1), [&] { ++fired; });
-  sim.at(us(3), [&] { ++fired; });
+  sim.spawn(run_at(&sim, us(1), [&] { ++fired; }));
+  sim.spawn(run_at(&sim, us(3), [&] { ++fired; }));
   sim.run_until(us(2));
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(sim.now(), us(2));
@@ -54,13 +57,13 @@ TEST(Simulator, RunUntilStopsAtBoundary) {
 TEST(Simulator, NestedEventsFromHandlers) {
   Simulator sim;
   int depth = 0;
-  sim.at(ns(1), [&] {
-    sim.after(ns(1), [&] {
-      sim.after(ns(1), [&] { depth = 3; });
+  sim.spawn(run_at(&sim, ns(1), [&] {
+    sim.spawn(run_at(&sim, sim.now() + ns(1), [&] {
+      sim.spawn(run_at(&sim, sim.now() + ns(1), [&] { depth = 3; }));
       depth = 2;
-    });
+    }));
     depth = 1;
-  });
+  }));
   sim.run();
   EXPECT_EQ(depth, 3);
   EXPECT_EQ(sim.now(), ns(3));
@@ -161,7 +164,7 @@ TEST(Channel, PopOnClosedEmptyReturnsNullopt) {
     saw_end = !v.has_value();
   };
   sim.spawn(consumer());
-  sim.after(ns(5), [&] { ch.close(); });
+  sim.spawn(run_at(&sim, ns(5), [&] { ch.close(); }));
   sim.run();
   EXPECT_TRUE(saw_end);
 }
@@ -427,7 +430,7 @@ TEST(Future, AwaitersResumeWhenSet) {
   };
   sim.spawn(waiter(&got_a));
   sim.spawn(waiter(&got_b));
-  sim.after(us(2), [&] { promise.set(42); });
+  sim.spawn(run_at(&sim, us(2), [&] { promise.set(42); }));
   sim.run();
   EXPECT_EQ(got_a, 42);
   EXPECT_EQ(got_b, 42);
@@ -477,7 +480,7 @@ TEST(Gate, ClosedGateBlocksUntilOpened) {
     passed_at = sim.now();
   };
   sim.spawn(proc());
-  sim.after(us(9), [&] { gate.open(); });
+  sim.spawn(run_at(&sim, us(9), [&] { gate.open(); }));
   sim.run();
   EXPECT_EQ(passed_at, us(9));
 }
@@ -591,7 +594,7 @@ TEST(RateServer, SetRateMidFlightAppliesToSubsequentAcquiresOnly) {
   sim.spawn(proc());
   // Rate change lands while the first acquisition is in flight; its already
   // computed occupation window must not shrink retroactively.
-  sim.after(ns(200), [&] { server.set_rate(2.0); });
+  sim.spawn(run_at(&sim, ns(200), [&] { server.set_rate(2.0); }));
   sim.run();
   ASSERT_EQ(done.size(), 2u);
   EXPECT_EQ(done[0], ns(1000));
@@ -716,9 +719,10 @@ TEST(Simulator, WakeInterleavesWithTimedEventsDeterministically) {
   a.out = b.out = &order;
   a.id = 1;
   b.id = 2;
-  // A closure scheduled at t=5 wakes `a` (zero-delay, so still t=5); the
-  // pre-scheduled `b` at t=5 was linked first and must fire first.
-  sim.at(ns(5), [&] { sim.wake(a); });
+  // A task's timer at t=5 fires first and wakes `a` (zero-delay, so still
+  // t=5); `b`, linked at t=5 before that wake, must fire before `a`.
+  sim.spawn(run_at(&sim, ns(5), [&] { sim.wake(a); }));
+  sim.run_until(TimePs{});  // start the task: its timer is linked before b
   sim.schedule(b, ns(5));
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{2, 1}));
@@ -740,7 +744,7 @@ TEST(Channel, CloseWakesBlockedProducer) {
     producer_finished = true;
   };
   sim.spawn(producer());
-  sim.after(ns(10), [&] { ch.close(); });
+  sim.spawn(run_at(&sim, ns(10), [&] { ch.close(); }));
   sim.run();
   EXPECT_TRUE(producer_finished);
   EXPECT_TRUE(push1_ok);
@@ -760,7 +764,7 @@ TEST(Channel, CloseWakesAllBlockedProducersInOrder) {
   };
   sim.spawn(producer(1));
   sim.spawn(producer(2));
-  sim.after(ns(10), [&] { ch.close(); });
+  sim.spawn(run_at(&sim, ns(10), [&] { ch.close(); }));
   sim.run();
   // Producer 1 filled the channel; both then parked (1 first) and close()
   // must wake them in park order with a failed push each.

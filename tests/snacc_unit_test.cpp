@@ -13,6 +13,7 @@
 #include "snacc/prp_engine.hpp"
 #include "snacc/reorder_buffer.hpp"
 #include "snacc/splitter.hpp"
+#include "run_at.hpp"
 
 namespace snacc::core {
 namespace {
@@ -129,7 +130,7 @@ TEST(BufferRing, BackpressuresWhenFullAndResumesOnFree) {
     fourth_done = true;
   };
   sim.spawn(t());
-  sim.after(us(5), [&] { ring.free_oldest(); });
+  sim.spawn(sim::run_at(&sim, us(5), [&] { ring.free_oldest(); }));
   sim.run();
   ASSERT_TRUE(fourth_done);
   EXPECT_EQ(offs, (std::vector<std::uint64_t>{0, 4096, 8192, 12288, 0}));
@@ -210,9 +211,15 @@ TEST(ReorderBuffer, OutOfOrderCompletionInOrderRetirement) {
   sim.spawn(setup());
   sim.spawn(retirer());
   // Complete out of order: 2, 0, 1.
-  sim.after(us(1), [&] { rob.complete(slots[2], nvme::Status::kSuccess); });
-  sim.after(us(2), [&] { rob.complete(slots[0], nvme::Status::kSuccess); });
-  sim.after(us(3), [&] { rob.complete(slots[1], nvme::Status::kSuccess); });
+  sim.spawn(sim::run_at(&sim, us(1), [&] {
+    rob.complete(slots[2], nvme::Status::kSuccess);
+  }));
+  sim.spawn(sim::run_at(&sim, us(2), [&] {
+    rob.complete(slots[0], nvme::Status::kSuccess);
+  }));
+  sim.spawn(sim::run_at(&sim, us(3), [&] {
+    rob.complete(slots[1], nvme::Status::kSuccess);
+  }));
   sim.run();
   EXPECT_EQ(retired, (std::vector<std::uint64_t>{100, 101, 102}));
 }

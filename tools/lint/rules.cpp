@@ -1,7 +1,7 @@
-// The five rules ported from the regex engine, now running on token
+// The four rules ported from the regex engine, now running on token
 // streams: comments, string literals, and preprocessor lines can no longer
-// produce false positives, and multi-line constructs (a `sim->at(` call
-// split before its lambda) can no longer produce false negatives.
+// produce false positives, and multi-line constructs can no longer produce
+// false negatives.
 #include <algorithm>
 #include <array>
 #include <map>
@@ -207,49 +207,6 @@ class UnboundedPoll final : public Rule {
         out->push_back({ctx.file.rel(), line, std::string(name()),
                         "try_pop/try_recv loop without a co_await yield or "
                         "closed() exit spins the scheduler at +0 time"});
-      }
-    }
-  }
-};
-
-// ---------------------------------------------------------------------------
-// lambda-event
-
-class LambdaEvent final : public Rule {
- public:
-  std::string_view name() const override { return "lambda-event"; }
-  std::string_view description() const override {
-    return "Simulator::at/after with a closure allocates an event node; "
-           "model code must embed a sim::EventNode";
-  }
-
-  void run(const RuleContext& ctx, std::vector<Finding>* out) const override {
-    // src/ only: the closure overloads are fine in tests and benches, where
-    // setup runs once and nobody counts allocations.
-    if (!starts_with(ctx.file.rel(), "src/")) return;
-    const auto& toks = ctx.file.tokens();
-    for (std::size_t i = 1; i + 1 < toks.size(); ++i) {
-      if (toks[i].kind != Tok::kIdent ||
-          (toks[i].text != "at" && toks[i].text != "after")) {
-        continue;
-      }
-      if (!toks[i - 1].is(".") && !toks[i - 1].is("->")) continue;
-      if (!toks[i + 1].is("(")) continue;
-      const std::size_t close = match_forward(toks, i + 1);
-      if (close >= toks.size()) continue;
-      // A lambda anywhere in the argument list marks the closure overload;
-      // a container `.at(idx)` never contains one. Scope analysis already
-      // knows exactly which `[` tokens begin lambdas, so a call split
-      // across lines -- invisible to the old line regex -- is still caught.
-      for (const FuncScope& f : ctx.scopes.funcs) {
-        if (f.is_lambda && f.body_begin > i + 1 && f.body_begin < close) {
-          out->push_back(
-              {ctx.file.rel(), toks[i].line, std::string(name()),
-               "Simulator::" + std::string(toks[i].text) +
-                   "(.., lambda) allocates a closure node per event; embed a "
-                   "sim::EventNode and use schedule()/wake() in model code"});
-          break;
-        }
       }
     }
   }
@@ -538,7 +495,6 @@ const std::vector<std::unique_ptr<Rule>>& all_rules() {
     r.push_back(std::make_unique<Nondeterminism>());
     r.push_back(std::make_unique<RawDoorbell>());
     r.push_back(std::make_unique<UnboundedPoll>());
-    r.push_back(std::make_unique<LambdaEvent>());
     r.push_back(std::make_unique<CrossDomainTouch>());
     r.push_back(make_dangling_capture());
     r.push_back(make_value_escape());
