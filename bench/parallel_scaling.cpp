@@ -127,6 +127,9 @@ struct Node {
   TimePs write_start;
   TimePs write_end;
   bool done = false;
+  /// Heartbeats this node's domain received; one counter per node so the
+  /// domains' workers never share one.
+  std::uint64_t heartbeats_received = 0;
 };
 
 constexpr std::uint64_t kBytesPerNode = 64 * MiB;
@@ -202,7 +205,6 @@ GoodputResult bench_goodput(std::uint32_t domains) {
   EthProfile eth_profile;
   std::vector<std::unique_ptr<eth::Wire>> wires;
   std::vector<std::unique_ptr<eth::Mac>> macs;
-  std::uint64_t heartbeats_received = 0;
   if (domains > 1) {
     for (std::uint32_t i = 0; i < domains; ++i) {
       sim::Domain& a = cluster.domain(i);
@@ -216,7 +218,8 @@ GoodputResult bench_goodput(std::uint32_t domains) {
       mac_a->start();
       mac_b->start();
       a.spawn(heartbeat_tx(mac_a.get(), &a, /*beats=*/200));
-      b.spawn(heartbeat_rx(mac_b.get(), &heartbeats_received));
+      b.spawn(heartbeat_rx(mac_b.get(),
+                           &nodes[(i + 1) % domains].heartbeats_received));
       wires.push_back(std::move(fwd));
       wires.push_back(std::move(rev));
       macs.push_back(std::move(mac_a));
@@ -233,9 +236,9 @@ GoodputResult bench_goodput(std::uint32_t domains) {
   cluster.run_until(seconds(11));
   GoodputResult r;
   r.wall_seconds = seconds_since(t0);
-  r.heartbeats = heartbeats_received;
   r.all_done = true;
   for (const Node& n : nodes) {
+    r.heartbeats += n.heartbeats_received;
     if (!n.done) {
       r.all_done = false;
       continue;

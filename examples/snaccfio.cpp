@@ -195,28 +195,22 @@ int main(int argc, char** argv) {
     driver = std::make_unique<spdk::Driver>(
         sys.sim(), sys.fabric(), sys.host_mem(), host::addr_map::kHostDramBase,
         sys.ssd(), sys.config().profile.host, cfg);
-    // `boot` is a named local whose
-    // closure outlives run_until(); the frame completes before destruction.
-    // snacc-lint: allow(dangling-capture): safe by construction, see above.
-    auto boot = [&]() -> sim::Task {
-      co_await driver->init();
-      booted = true;
+    auto boot = [](spdk::Driver* d, bool* flag) -> sim::Task {
+      co_await d->init();
+      *flag = true;
     };
-    sys.sim().spawn(boot());
+    sys.sim().spawn(boot(driver.get(), &booted));
   } else {
     host::SnaccDeviceConfig cfg;
     cfg.streamer.variant = opt.variant;
     cfg.streamer.queue_depth = opt.qd;
     cfg.streamer.out_of_order = opt.ooo;
     dev = std::make_unique<host::SnaccDevice>(sys, cfg);
-    // `boot` is a named local whose
-    // closure outlives run_until(); the frame completes before destruction.
-    // snacc-lint: allow(dangling-capture): safe by construction, see above.
-    auto boot = [&]() -> sim::Task {
-      co_await dev->init();
-      booted = true;
+    auto boot = [](host::SnaccDevice* d, bool* flag) -> sim::Task {
+      co_await d->init();
+      *flag = true;
     };
-    sys.sim().spawn(boot());
+    sys.sim().spawn(boot(dev.get(), &booted));
   }
   sys.sim().run_until(seconds(1));
   if (!booted) {

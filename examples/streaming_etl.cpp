@@ -14,6 +14,7 @@
 #include "eth/mac.hpp"
 #include "host/snacc_device.hpp"
 #include "host/system.hpp"
+#include "sim/future.hpp"
 #include "snacc/pe_client.hpp"
 
 using namespace snacc;
@@ -43,6 +44,17 @@ struct Record {
     return true;
   }
 };
+
+/// Retires segment-write responses as they arrive. The streamer's response
+/// FIFO holds 16 tokens, and a full FIFO stalls retirement -- and with it
+/// the issue credits and ring space the next write needs -- so a writer
+/// that reaps only after its last write deadlocks after about 22 segments.
+sim::Task reap_writes(core::PeClient* pe, sim::WaitGroup* pending) {
+  while (true) {
+    co_await pe->wait_write_response();
+    pending->done();
+  }
+}
 
 }  // namespace
 
@@ -80,6 +92,7 @@ int main(int argc, char** argv) {
   std::uint64_t dropped = 0;
   std::uint64_t digest = 0;
   std::uint64_t segments = 0;
+  sim::WaitGroup pending(sys.sim());
   bool done = false;
   TimePs t0;
   TimePs t1;
@@ -111,7 +124,6 @@ int main(int argc, char** argv) {
     std::vector<Payload> segment;
     std::uint64_t segment_bytes = 0;
     std::uint64_t cursor = 0;
-    std::uint64_t writes_out = 0;
     bool eos = false;
     while (!eos) {
       std::optional<eth::Frame> frame;
@@ -134,22 +146,21 @@ int main(int argc, char** argv) {
         }
       }
       if (segment_bytes >= 1 * MiB || (eos && segment_bytes > 0)) {
+        pending.add();
         co_await pe.start_write(Bytes{cursor}, Payload::gather(segment));
         segment.clear();
         cursor += (segment_bytes + kPageSize - 1) & ~(kPageSize - 1);
         segment_bytes = 0;
         ++segments;
-        ++writes_out;
       }
     }
-    for (std::uint64_t i = 0; i < writes_out; ++i) {
-      co_await pe.wait_write_response();
-    }
+    co_await pending.wait();
     t1 = sys.sim().now();
     done = true;
   };
 
   sys.sim().spawn(source());
+  sys.sim().spawn(reap_writes(&pe, &pending));
   sys.sim().spawn(etl());
   sys.sim().run_until(sys.sim().now() + seconds(60));
   if (!done) {

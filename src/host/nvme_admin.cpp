@@ -93,7 +93,7 @@ sim::TaskOf<nvme::Status> NvmeAdmin::command(nvme::SubmissionEntry sqe) {
                           Payload::bytes({raw.begin(), raw.end()}));
   const std::uint16_t tail = sq_.advance_tail();
   co_await fabric_.write(fabric_.root_port(),
-                         ssd_.bar_base() + nvme::reg::sq_tail_doorbell(0),
+                         ssd_.bar_base() + nvme::reg::Doorbell::sq_tail(0),
                          u32_payload(tail));
   while (true) {
     Payload raw_cqe = host_mem_.store().read(
@@ -103,9 +103,10 @@ sim::TaskOf<nvme::Status> NvmeAdmin::command(nvme::SubmissionEntry sqe) {
       if (cq_.is_new(cqe) && cqe.cid == sqe.cid) {
         sq_.update_head(cqe.sq_head);
         const std::uint16_t head = cq_.advance();
-        co_await fabric_.write(fabric_.root_port(),
-                               ssd_.bar_base() + nvme::reg::cq_head_doorbell(0),
-                               u32_payload(head));
+        co_await fabric_.write(
+            fabric_.root_port(),
+            ssd_.bar_base() + nvme::reg::Doorbell::cq_head(0),
+            u32_payload(head));
         co_return cqe.status;
       }
     }

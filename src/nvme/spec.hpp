@@ -10,6 +10,7 @@
 #include <array>
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <span>
 
 #include "common/payload.hpp"
@@ -174,17 +175,36 @@ inline constexpr Bytes kCsts{0x1C};   // controller status
 inline constexpr Bytes kAqa{0x24};    // admin queue attributes
 inline constexpr Bytes kAsq{0x28};    // admin SQ base
 inline constexpr Bytes kAcq{0x30};    // admin CQ base
-inline constexpr Bytes kDoorbellBase{0x1000};
-inline constexpr std::uint64_t kDoorbellStride = 8;  // CAP.DSTRD = 0
 
-/// The *only* sanctioned way to form a doorbell offset; snacc-lint flags
-/// raw `kDoorbellBase + ...` arithmetic outside this header.
-constexpr Bytes sq_tail_doorbell(std::uint16_t qid) {
-  return kDoorbellBase + Bytes{2ull * qid * kDoorbellStride};
-}
-constexpr Bytes cq_head_doorbell(std::uint16_t qid) {
-  return kDoorbellBase + Bytes{(2ull * qid + 1) * kDoorbellStride};
-}
+/// Doorbell registers: SQ tail then CQ head of each queue, from BAR0
+/// offset 0x1000 with CAP.DSTRD = 0. Base and stride are private, so these
+/// functions are the only way to form or decode a doorbell offset.
+class Doorbell {
+ public:
+  /// The queue a doorbell register belongs to.
+  struct Target {
+    std::uint16_t qid = 0;
+    bool is_cq_head = false;  // else: SQ tail
+  };
+
+  static constexpr Bytes sq_tail(std::uint16_t qid) {
+    return kBase + Bytes{2ull * qid * kStride};
+  }
+  static constexpr Bytes cq_head(std::uint16_t qid) {
+    return kBase + Bytes{(2ull * qid + 1) * kStride};
+  }
+  /// The doorbell at BAR0 offset `local`; nullopt for the controller
+  /// registers below the doorbell range.
+  static constexpr std::optional<Target> decode(Bytes local) {
+    if (local < kBase) return std::nullopt;
+    const std::uint64_t idx = (local - kBase) / Bytes{kStride};
+    return Target{static_cast<std::uint16_t>(idx / 2), idx % 2 == 1};
+  }
+
+ private:
+  static constexpr Bytes kBase{0x1000};
+  static constexpr std::uint64_t kStride = 8;
+};
 }  // namespace reg
 
 /// The subset of Identify-Controller data SNAcc needs, serialized into the

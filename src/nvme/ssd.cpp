@@ -86,19 +86,14 @@ sim::Task Ssd::mem_write(Bytes local, Payload data) {
 }
 
 sim::Task Ssd::handle_register_write(Bytes local, Payload data) {
-  // Device side of the doorbell protocol: this *decoder* is the one place
-  // besides spec.hpp that may touch the raw doorbell layout.
-  if (local >= reg::kDoorbellBase) {  // snacc-lint: allow(raw-doorbell)
-    const std::uint64_t idx =  // snacc-lint: allow(raw-doorbell)
-        (local - reg::kDoorbellBase).value() / reg::kDoorbellStride;
-    const std::uint16_t qid = static_cast<std::uint16_t>(idx / 2);
-    const bool is_cq_head = (idx % 2) == 1;
+  // Device side of the doorbell protocol.
+  if (const auto db = reg::Doorbell::decode(local)) {
     const std::uint32_t value = decode_scalar<std::uint32_t>(data);
     assert(data.has_data() && "doorbell writes must carry real values");
-    auto it = queues_.find(qid);
+    auto it = queues_.find(db->qid);
     if (it == queues_.end()) co_return;  // doorbell to nonexistent queue
     IoQueue& q = *it->second;
-    if (is_cq_head) {
+    if (db->is_cq_head) {
       q.cq_head_db = static_cast<std::uint16_t>(value % q.cq_entries);
       q.cq_space->open();
     } else {

@@ -191,14 +191,14 @@ sim::Task NvmeStreamer::submit(const SubCommand& sub, bool is_write,
              is_write ? "submit-write" : "submit-read", slot, sub.slba);
   // Posted doorbell: the SQE is already visible in the FIFO window.
   sim_.spawn(fabric_.write(
-      fpga_port_, ssd_bar_ + nvme::reg::sq_tail_doorbell(cfg_.nvme_qid),
+      fpga_port_, ssd_bar_ + nvme::reg::Doorbell::sq_tail(cfg_.nvme_qid),
       u32_payload(sq_tail_)));
   co_return;
 }
 
 sim::Task NvmeStreamer::ring_cq_doorbell() {
   sim_.spawn(fabric_.write(
-      fpga_port_, ssd_bar_ + nvme::reg::cq_head_doorbell(cfg_.nvme_qid),
+      fpga_port_, ssd_bar_ + nvme::reg::Doorbell::cq_head(cfg_.nvme_qid),
       u32_payload(cq_head_)));
   co_return;
 }

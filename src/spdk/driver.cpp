@@ -115,7 +115,7 @@ sim::Task Driver::ring_sq_doorbell(std::uint16_t qid, std::uint16_t tail) {
   cpu_.charge(host_.doorbell_write);
   co_await sim_.delay(host_.doorbell_write);
   sim_.spawn(fabric_.write(fabric_.root_port(),
-                           ssd_.bar_base() + nvme::reg::sq_tail_doorbell(qid),
+                           ssd_.bar_base() + nvme::reg::Doorbell::sq_tail(qid),
                            u32_payload(tail)));
 }
 
@@ -123,7 +123,7 @@ sim::Task Driver::ring_cq_doorbell(std::uint16_t qid, std::uint16_t head) {
   cpu_.charge(host_.doorbell_write);
   co_await sim_.delay(host_.doorbell_write);
   sim_.spawn(fabric_.write(fabric_.root_port(),
-                           ssd_.bar_base() + nvme::reg::cq_head_doorbell(qid),
+                           ssd_.bar_base() + nvme::reg::Doorbell::cq_head(qid),
                            u32_payload(head)));
 }
 

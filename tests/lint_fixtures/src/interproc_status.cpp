@@ -1,6 +1,6 @@
 // unchecked-status-path fixture, helper edition: the status comes back
 // through a helper task's return value, visible at the call site, so the
-// rule finds these intraprocedurally (they hold under --no-summaries).
+// rule finds these without looking into the helper.
 // Fixtures are scanned, not compiled.
 namespace fix {
 

@@ -1,7 +1,8 @@
 // Self-tests for the snacc-lint analysis engine: golden findings over the
 // fixture tree (true positives AND near-misses per rule), tokenizer
-// behaviour, suppression/stale bookkeeping, SARIF output shape, and
-// determinism across worker counts.
+// behaviour, suppression/stale bookkeeping, the result table and policy
+// globs the rules consult, SARIF output shape, and determinism across
+// worker counts.
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
@@ -16,6 +17,7 @@
 #include "lint/engine.hpp"
 #include "lint/rules.hpp"
 #include "lint/sarif.hpp"
+#include "lint/scope.hpp"
 #include "lint/source.hpp"
 #include "lint/token.hpp"
 
@@ -25,11 +27,10 @@ std::string fixture_src() {
   return std::string(LINT_FIXTURE_DIR) + "/src";
 }
 
-lint::ScanResult scan_fixtures(unsigned jobs = 0, bool summaries = true) {
+lint::ScanResult scan_fixtures(unsigned jobs = 0) {
   lint::Options opts;
   opts.roots = {fixture_src()};
   opts.jobs = jobs;
-  opts.summaries = summaries;
   return lint::scan(opts);
 }
 
@@ -54,8 +55,8 @@ bool has(const std::vector<lint::Finding>& fs, std::string_view file,
 TEST(LintFixtures, ScansWholeTree) {
   const auto res = scan_fixtures();
   EXPECT_TRUE(res.error.empty()) << res.error;
-  EXPECT_EQ(res.files_scanned, 24u);
-  EXPECT_EQ(res.findings.size(), 47u);
+  EXPECT_EQ(res.files_scanned, 18u);
+  EXPECT_EQ(res.findings.size(), 37u);
 }
 
 TEST(LintFixtures, GoldenPositives) {
@@ -63,7 +64,6 @@ TEST(LintFixtures, GoldenPositives) {
   EXPECT_TRUE(has(fs, "src/pcie/bad_sig.hpp", "bare-uint-signature", 8));
   EXPECT_TRUE(has(fs, "src/nondet.cpp", "nondeterminism", 8));    // rand()
   EXPECT_TRUE(has(fs, "src/nondet.cpp", "nondeterminism", 20));   // map order
-  EXPECT_TRUE(has(fs, "src/doorbell.cpp", "raw-doorbell", 8));
   EXPECT_TRUE(has(fs, "src/poll.cpp", "unbounded-poll", 13));
   // dangling-capture: ref capture after suspend, [&] header, T&& param.
   EXPECT_TRUE(has(fs, "src/coro.cpp", "dangling-capture", 23));
@@ -86,7 +86,7 @@ TEST(LintFixtures, GoldenPositives) {
   EXPECT_TRUE(has(fs, "src/use_move.cpp", "use-after-move", 29));
   // unchecked-status-path, bound but unread on some path: one branch,
   // early exit, switch default; then the same through a helper task's
-  // return value (one branch, early exit).
+  // return value (one branch, early exit) -- visible at the call site.
   EXPECT_TRUE(has(fs, "src/status_path.cpp", "unchecked-status-path", 14));
   EXPECT_TRUE(has(fs, "src/status_path.cpp", "unchecked-status-path", 23));
   EXPECT_TRUE(has(fs, "src/status_path.cpp", "unchecked-status-path", 33));
@@ -98,16 +98,7 @@ TEST(LintFixtures, GoldenPositives) {
   EXPECT_TRUE(has(fs, "src/domain_touch.cpp", "cross-domain-touch", 25));
   EXPECT_TRUE(has(fs, "src/domain_touch.cpp", "cross-domain-touch", 32));
   EXPECT_TRUE(has(fs, "src/domain_touch.cpp", "cross-domain-touch", 38));
-  // Interprocedural positives: resource pair split across helpers (branch
-  // leak, continue-skips-release), wrapper-level domain coupling, and
-  // callee-acquired summary leaks.
-  EXPECT_TRUE(has(fs, "src/interproc_resource.cpp", "resource-pairing", 29));
-  EXPECT_TRUE(has(fs, "src/interproc_resource.cpp", "resource-pairing", 40));
-  EXPECT_TRUE(has(fs, "src/interproc_domain.cpp", "cross-domain-touch", 36));
-  EXPECT_TRUE(has(fs, "src/interproc_domain.cpp", "cross-domain-touch", 44));
-  EXPECT_TRUE(has(fs, "src/summary_leak.cpp", "summary-leak", 22));
-  EXPECT_TRUE(has(fs, "src/summary_leak.cpp", "summary-leak", 35));
-  // Typestate protocols, intraprocedural: mailbox shutdown ordering (push
+  // Typestate protocols: mailbox shutdown ordering (push
   // after close, push/pop after close_rx), the WAL commit obligation
   // (early bail, break-skips-commit), blind/raced NVMe retires, and the
   // credit double-acquire (branch, loop back-edge).
@@ -121,18 +112,12 @@ TEST(LintFixtures, GoldenPositives) {
   EXPECT_TRUE(has(fs, "src/ts_nvme.cpp", "ts-nvme-cid", 36));
   EXPECT_TRUE(has(fs, "src/ts_credit.cpp", "ts-credit", 16));
   EXPECT_TRUE(has(fs, "src/ts_credit.cpp", "ts-credit", 25));
-  // Typestate protocols, interprocedural: the close/put/acquire happens
-  // inside a helper whose summary carries the protocol effect.
-  EXPECT_TRUE(has(fs, "src/interproc_ts.cpp", "ts-mailbox", 37));
-  EXPECT_TRUE(has(fs, "src/interproc_ts.cpp", "ts-kv-wal", 44));
-  EXPECT_TRUE(has(fs, "src/interproc_ts.cpp", "ts-credit", 55));
 }
 
 TEST(LintFixtures, GoldenCounts) {
   const auto& fs = scan_fixtures().findings;
   EXPECT_EQ(count(fs, "src/pcie/bad_sig.hpp", "bare-uint-signature"), 1u);
   EXPECT_EQ(count(fs, "src/nondet.cpp", "nondeterminism"), 2u);
-  EXPECT_EQ(count(fs, "src/doorbell.cpp", "raw-doorbell"), 1u);
   EXPECT_EQ(count(fs, "src/poll.cpp", "unbounded-poll"), 1u);
   EXPECT_EQ(count(fs, "src/coro.cpp", "dangling-capture"), 3u);
   EXPECT_EQ(count(fs, "src/snacc/escape.cpp", "value-escape"), 1u);
@@ -142,18 +127,12 @@ TEST(LintFixtures, GoldenCounts) {
   EXPECT_EQ(count(fs, "src/use_move.cpp", "use-after-move"), 3u);
   EXPECT_EQ(count(fs, "src/status_path.cpp", "unchecked-status-path"), 3u);
   EXPECT_EQ(count(fs, "src/domain_touch.cpp", "cross-domain-touch"), 3u);
-  EXPECT_EQ(count(fs, "src/interproc_resource.cpp", "resource-pairing"), 2u);
   EXPECT_EQ(count(fs, "src/interproc_status.cpp", "unchecked-status-path"),
             2u);
-  EXPECT_EQ(count(fs, "src/interproc_domain.cpp", "cross-domain-touch"), 2u);
-  EXPECT_EQ(count(fs, "src/summary_leak.cpp", "summary-leak"), 2u);
   EXPECT_EQ(count(fs, "src/ts_mailbox.cpp", "ts-mailbox"), 3u);
   EXPECT_EQ(count(fs, "src/ts_wal.cpp", "ts-kv-wal"), 2u);
   EXPECT_EQ(count(fs, "src/ts_nvme.cpp", "ts-nvme-cid"), 3u);
   EXPECT_EQ(count(fs, "src/ts_credit.cpp", "ts-credit"), 2u);
-  EXPECT_EQ(count(fs, "src/interproc_ts.cpp", "ts-mailbox"), 1u);
-  EXPECT_EQ(count(fs, "src/interproc_ts.cpp", "ts-kv-wal"), 1u);
-  EXPECT_EQ(count(fs, "src/interproc_ts.cpp", "ts-credit"), 1u);
 }
 
 // Near-misses: code shaped like a violation that must NOT be flagged.
@@ -164,8 +143,6 @@ TEST(LintFixtures, NearMissesStaySilent) {
   // "rand()" inside a string literal (line 12) or a comment (line 14).
   EXPECT_FALSE(has(fs, "src/nondet.cpp", "nondeterminism", 12));
   EXPECT_FALSE(has(fs, "src/nondet.cpp", "nondeterminism", 14));
-  // kDoorbellBase inside the exempt spec header.
-  EXPECT_EQ(count(fs, "src/nvme/spec.hpp", "raw-doorbell"), 0u);
   // A poll loop bounded by closed().
   EXPECT_EQ(count(fs, "src/poll_ok.cpp", "unbounded-poll"), 0u);
   // dangling-capture near-misses: a non-coroutine ref-capture lambda
@@ -194,22 +171,11 @@ TEST(LintFixtures, NearMissesStaySilent) {
   // cross-domain-touch near-misses: same-domain pair, a Mailbox-mediated
   // statement, and two aliases of one cluster index.
   EXPECT_EQ(count(fs, "src/domain_touch.cpp", "cross-domain-touch"), 3u);
-  // Interprocedural near-misses: all-path release via helpers, acquire-only
-  // handoff, balanced helper on a branch (interproc_resource); check-by-
-  // helper on every path, inert helper, void helper with an int out-param
-  // (interproc_status); same-domain args, boundary-mediated statement,
-  // unresolved helper
-  // (interproc_domain); release-before-park, bounded pump, direct acquire
-  // (summary_leak) -- the 2 positives per file must be the only findings.
-  EXPECT_EQ(count(fs, "src/interproc_resource.cpp", "resource-pairing"), 2u);
+  // Helper-task near-misses: check-by-helper on every path, inert helper,
+  // void helper with an int out-param -- the 2 positives must be the only
+  // findings.
   EXPECT_EQ(count(fs, "src/interproc_status.cpp", "unchecked-status-path"),
             2u);
-  EXPECT_EQ(count(fs, "src/interproc_domain.cpp", "cross-domain-touch"), 2u);
-  EXPECT_EQ(count(fs, "src/summary_leak.cpp", "summary-leak"), 2u);
-  // summary-leak tracks callee-substituted acquires only; the direct
-  // acquire in sl_direct stays resource-pairing's business (and its exit
-  // paths all release, so that rule is silent too).
-  EXPECT_EQ(count(fs, "src/summary_leak.cpp", "resource-pairing"), 0u);
   // Typestate near-misses. Mailbox: post-close drain, push on the branch
   // that did not close, two distinct objects, an untracked receiver, and a
   // consumed allow() -- only the 3 positives flag.
@@ -225,41 +191,22 @@ TEST(LintFixtures, NearMissesStaySilent) {
   // outside the protocol's type/glob set.
   EXPECT_EQ(count(fs, "src/ts_credit.cpp", "ts-credit"), 2u);
   EXPECT_FALSE(has(fs, "src/ts_credit.cpp", "ts-credit", 42));
-  // Interprocedural typestate near-misses: push-before-close ordering, the
-  // opaque conditional-close helper, and commit-on-every-path -- the 3
-  // positives must be the only findings.
-  EXPECT_EQ(count(fs, "src/interproc_ts.cpp", "ts-mailbox"), 1u);
-  EXPECT_EQ(count(fs, "src/interproc_ts.cpp", "ts-kv-wal"), 1u);
-  EXPECT_EQ(count(fs, "src/interproc_ts.cpp", "ts-credit"), 1u);
   // The typestate protocols must not leak onto the older fixtures' stand-in
   // objects (resource_pair.cpp shares the rob_/credits vocabulary).
   EXPECT_EQ(count(fs, "src/resource_pair.cpp", "ts-nvme-cid"), 0u);
   EXPECT_EQ(count(fs, "src/resource_pair.cpp", "ts-credit"), 0u);
-  EXPECT_EQ(count(fs, "src/summary_leak.cpp", "ts-credit"), 0u);
-  EXPECT_EQ(count(fs, "src/interproc_resource.cpp", "ts-credit"), 0u);
-  // The new fixtures must not trip any pre-existing rule.
+  // The flow and protocol fixtures must not trip any other rule.
   for (const char* file :
        {"src/resource_pair.cpp", "src/use_move.cpp", "src/status_path.cpp",
-        "src/domain_touch.cpp", "src/interproc_resource.cpp",
-        "src/interproc_status.cpp", "src/interproc_domain.cpp",
-        "src/summary_leak.cpp",
+        "src/domain_touch.cpp", "src/interproc_status.cpp",
         "src/ts_mailbox.cpp", "src/ts_wal.cpp", "src/ts_nvme.cpp",
-        "src/ts_credit.cpp", "src/interproc_ts.cpp"}) {
+        "src/ts_credit.cpp"}) {
     for (const char* rule :
          {"dangling-capture", "unchecked-status-path", "unbounded-poll",
-          "nondeterminism", "stale-suppression", "resource-pairing",
-          "summary-leak"}) {
+          "nondeterminism", "stale-suppression", "resource-pairing"}) {
       if (std::string_view(file) == "src/resource_pair.cpp" &&
           std::string_view(rule) == "resource-pairing") {
         continue;  // its own three positives
-      }
-      if (std::string_view(file) == "src/interproc_resource.cpp" &&
-          std::string_view(rule) == "resource-pairing") {
-        continue;
-      }
-      if (std::string_view(file) == "src/summary_leak.cpp" &&
-          std::string_view(rule) == "summary-leak") {
-        continue;
       }
       if ((std::string_view(file) == "src/status_path.cpp" ||
            std::string_view(file) == "src/interproc_status.cpp") &&
@@ -269,40 +216,6 @@ TEST(LintFixtures, NearMissesStaySilent) {
       EXPECT_EQ(count(fs, file, rule), 0u) << file << " " << rule;
     }
   }
-}
-
-// --no-summaries parity: without the program layer every interprocedural
-// positive disappears (the facts literally do not exist at function scope)
-// and the intraprocedural findings are byte-identical to the full scan's.
-// unchecked-status-path is intraprocedural now: a status returned by value
-// is visible at the call site, so its helper-edition positives stay.
-TEST(LintFixtures, NoSummariesDegradesCleanly) {
-  const auto full = scan_fixtures();
-  const auto bare = scan_fixtures(/*jobs=*/0, /*summaries=*/false);
-  ASSERT_TRUE(bare.error.empty()) << bare.error;
-
-  for (const char* file :
-       {"src/interproc_resource.cpp", "src/interproc_domain.cpp",
-        "src/summary_leak.cpp", "src/interproc_ts.cpp"}) {
-    std::size_t n = 0;
-    for (const lint::Finding& f : bare.findings) n += f.file == file;
-    EXPECT_EQ(n, 0u) << file << " must be silent under --no-summaries";
-  }
-  EXPECT_EQ(bare.findings.size(), full.findings.size() - 9u);
-  EXPECT_EQ(count(bare.findings, "src/interproc_status.cpp",
-                  "unchecked-status-path"),
-            2u);
-
-  // Every finding the bare scan produces is also in the full scan,
-  // unchanged -- summaries only ever add precision, never perturb the
-  // intraprocedural rules.
-  for (const lint::Finding& f : bare.findings) {
-    EXPECT_NE(std::find(full.findings.begin(), full.findings.end(), f),
-              full.findings.end())
-        << f.file << ":" << f.line << " " << f.rule;
-  }
-  EXPECT_FALSE(bare.stats.summaries);
-  EXPECT_EQ(bare.stats.defs, 0u);
 }
 
 // A consumed suppression must not be reported stale; only the marker in
@@ -384,6 +297,50 @@ TEST(LintEngine, AnalyzeInMemory) {
 }
 
 // ---------------------------------------------------------------------------
+// Tables the rules consult.
+
+TEST(LintResultTable, TypesCalleesByReceiverThenName) {
+  const auto a = lint::SourceFile::from_text(
+      "src/a.hpp",
+      "struct Client {\n"
+      "  sim::TaskOf<bool> write(int a);\n"
+      "  sim::TaskOf<void> flush();\n"
+      "};\n"
+      "struct Fabric {\n"
+      "  sim::Future<sim::Done> write(int a);\n"
+      "};\n"
+      "sim::TaskOf<int> count();\n"
+      "sim::Task count(int v);\n"
+      "sim::TaskOf<Bytes> alloc(int n);\n");
+  const auto b_file = lint::SourceFile::from_text(
+      "src/b.cpp",
+      "sim::Task use(Client* client, Fabric& fabric,\n"
+      "              Other* other) {\n"
+      "  co_return;\n"
+      "}\n");
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b_file, nullptr);
+  lint::ResultTable t;
+  t.merge(lint::analyze_scopes(a->tokens()));
+  const lint::ScopeInfo b = lint::analyze_scopes(b_file->tokens());
+  t.merge(b);
+  EXPECT_TRUE(t.returns_value(b, "client", "write"));
+  EXPECT_FALSE(t.returns_value(b, "fabric", "write"));  // posted: no result
+  EXPECT_FALSE(t.returns_value(b, "client", "flush"));  // TaskOf<void>
+  EXPECT_FALSE(t.returns_value(b, "other", "write"));   // typed, no such method
+  EXPECT_FALSE(t.returns_value(b, "", "write"));        // bare name: ambiguous
+  EXPECT_TRUE(t.returns_value(b, "", "alloc"));         // bare name: value only
+  EXPECT_FALSE(t.returns_value(b, "", "count"));        // overloads disagree
+}
+
+TEST(LintPolicy, GlobMatch) {
+  EXPECT_TRUE(lint::glob_match("*", "anything"));
+  EXPECT_TRUE(lint::glob_match("*ring*", "tx_ring_buf"));
+  EXPECT_FALSE(lint::glob_match("*ring*", "robq"));
+  EXPECT_TRUE(lint::glob_match("rob_", "rob_"));
+}
+
+// ---------------------------------------------------------------------------
 // SARIF output.
 
 TEST(LintSarif, ShapeAndContent) {
@@ -395,23 +352,21 @@ TEST(LintSarif, ShapeAndContent) {
   // Every rule is in the driver table even when it has no results, and
   // engine-level stale-suppression findings resolve a ruleIndex too.
   for (const char* rule :
-       {"bare-uint-signature", "nondeterminism", "raw-doorbell",
-        "unbounded-poll", "dangling-capture", "value-escape",
+       {"bare-uint-signature", "nondeterminism", "unbounded-poll",
+        "cross-domain-touch", "dangling-capture", "value-escape",
         "resource-pairing", "use-after-move", "unchecked-status-path",
-        "summary-leak", "ts-mailbox", "ts-kv-wal", "ts-nvme-cid",
-        "ts-credit", "stale-suppression"}) {
+        "ts-mailbox", "ts-kv-wal", "ts-nvme-cid", "ts-credit",
+        "stale-suppression"}) {
     EXPECT_NE(sarif.find(rule), std::string::npos) << rule;
   }
   EXPECT_NE(sarif.find("\"startLine\""), std::string::npos);
   EXPECT_NE(sarif.find("src/coro.cpp"), std::string::npos);
-  // With stats, the run carries the phase/rule wall-times and the
-  // whole-program counters as properties.
+  // With stats, the run carries the phase/rule wall-times as properties.
   EXPECT_EQ(sarif.find("\"properties\""), std::string::npos);
   const std::string with_stats = lint::to_sarif(res.findings, &res.stats);
   EXPECT_NE(with_stats.find("\"properties\""), std::string::npos);
   EXPECT_NE(with_stats.find("\"phaseWallMs\""), std::string::npos);
   EXPECT_NE(with_stats.find("\"ruleWallMs\""), std::string::npos);
-  EXPECT_NE(with_stats.find("\"resolvedCalls\""), std::string::npos);
 }
 
 // Path-sensitive findings carry their execution path, and the SARIF
@@ -419,10 +374,9 @@ TEST(LintSarif, ShapeAndContent) {
 TEST(LintSarif, CodeFlowsShape) {
   const auto res = scan_fixtures();
 
-  // Every flow-rule finding has a path; token-level findings have none.
-  // cross-domain-touch carries a path only on its interprocedural
-  // (summary-driven) variant. unchecked-status-path is a flow rule on its
-  // bound-local variant; a bare co_await drop is a one-token finding.
+  // Every flow-rule finding has a path; token-level findings (including
+  // cross-domain-touch) have none. unchecked-status-path is a flow rule on
+  // its bound-local variant; a bare co_await drop is a one-token finding.
   for (const lint::Finding& f : res.findings) {
     const bool ts_rule = f.rule.rfind("ts-", 0) == 0;
     const bool bare_drop =
@@ -430,21 +384,16 @@ TEST(LintSarif, CodeFlowsShape) {
         f.message.find("dropped at a bare co_await") != std::string::npos;
     const bool flow_rule =
         f.rule == "resource-pairing" || f.rule == "use-after-move" ||
-        (f.rule == "unchecked-status-path" && !bare_drop) ||
-        f.rule == "summary-leak" || ts_rule;
-    const bool path_optional = f.rule == "cross-domain-touch";
-    if (!path_optional) {
-      EXPECT_EQ(!f.path.empty(), flow_rule)
-          << f.rule << " at " << f.file << ":" << f.line;
-    }
+        (f.rule == "unchecked-status-path" && !bare_drop) || ts_rule;
+    EXPECT_EQ(!f.path.empty(), flow_rule)
+        << f.rule << " at " << f.file << ":" << f.line;
     if (f.path.empty()) continue;
-    // resource-pairing, unchecked-status-path, summary-leak and the
-    // interprocedural variants anchor at the path's source (the acquire /
-    // the fill / the call); use-after-move and the typestate error rows
-    // anchor at their sink (the read / the illegal event). Typestate
-    // obligations anchor mid-path (the last event before the exit step),
-    // so only the containment of the anchor is pinned for them. Every
-    // step carries a human-readable note.
+    // resource-pairing and unchecked-status-path anchor at the path's
+    // source (the acquire / the fill); use-after-move and the typestate
+    // error rows anchor at their sink (the read / the illegal event).
+    // Typestate obligations anchor mid-path (the last event before the
+    // exit step), so only the containment of the anchor is pinned for
+    // them. Every step carries a human-readable note.
     if (f.rule == "use-after-move") {
       EXPECT_EQ(f.path.back().line, f.line);
     } else if (ts_rule) {
@@ -461,18 +410,6 @@ TEST(LintSarif, CodeFlowsShape) {
       EXPECT_FALSE(s.note.empty());
     }
   }
-  // Interprocedural findings point into the callee's body with an explicit
-  // per-step artifact (the callee may live in another file; see the
-  // call-graph tests for the genuinely cross-file case).
-  bool callee_step = false;
-  for (const lint::Finding& f : res.findings) {
-    for (const lint::PathStep& s : f.path) {
-      if (!s.file.empty()) callee_step = true;
-    }
-  }
-  EXPECT_TRUE(callee_step)
-      << "expected at least one callee-side path step with its own artifact";
-
   const std::string sarif = lint::to_sarif(res.findings);
   EXPECT_NE(sarif.find("\"codeFlows\""), std::string::npos);
   EXPECT_NE(sarif.find("\"threadFlows\""), std::string::npos);
@@ -506,30 +443,16 @@ TEST(LintEngine, DeterministicAcrossJobCounts) {
   ASSERT_TRUE(one.error.empty());
   ASSERT_TRUE(eight.error.empty());
   // Finding equality includes the execution path, so this also pins the
-  // flow rules' codeFlows across worker counts -- make sure they fired,
-  // including the two-pass (scope -> program -> rules) interprocedural
-  // pipeline whose program build is sequential by construction.
+  // flow rules' codeFlows across worker counts -- make sure they fired.
   EXPECT_GT(count(one.findings, "src/resource_pair.cpp", "resource-pairing"),
             0u);
   EXPECT_GT(count(one.findings, "src/use_move.cpp", "use-after-move"), 0u);
   EXPECT_GT(
       count(one.findings, "src/status_path.cpp", "unchecked-status-path"),
       0u);
-  EXPECT_GT(count(one.findings, "src/summary_leak.cpp", "summary-leak"), 0u);
-  EXPECT_GT(
-      count(one.findings, "src/interproc_resource.cpp", "resource-pairing"),
-      0u);
   EXPECT_GT(count(one.findings, "src/ts_mailbox.cpp", "ts-mailbox"), 0u);
-  EXPECT_GT(count(one.findings, "src/interproc_ts.cpp", "ts-kv-wal"), 0u);
+  EXPECT_GT(count(one.findings, "src/ts_wal.cpp", "ts-kv-wal"), 0u);
   EXPECT_TRUE(one.findings == eight.findings);
-  EXPECT_EQ(one.stats.defs, eight.stats.defs);
-  EXPECT_EQ(one.stats.call_sites, eight.stats.call_sites);
-  EXPECT_EQ(one.stats.resolved_calls, eight.stats.resolved_calls);
-
-  // And the same for the degraded single-pass pipeline.
-  const auto bare1 = scan_fixtures(1, /*summaries=*/false);
-  const auto bare8 = scan_fixtures(8, /*summaries=*/false);
-  EXPECT_TRUE(bare1.findings == bare8.findings);
 }
 
 // ---------------------------------------------------------------------------
@@ -537,11 +460,11 @@ TEST(LintEngine, DeterministicAcrossJobCounts) {
 
 // Every rule the binary knows (including the engine-level stale-suppression
 // pass) must be documented by name in docs/STATIC_ANALYSIS.md, and the
-// catalog itself must be the full 15+1 set (11 hand-written rules, 4
+// catalog itself must be the full 13+1 set (9 hand-written rules, 4
 // typestate protocols, plus the stale-suppression pass).
 TEST(LintCatalog, DocsListEveryRule) {
   const auto catalog = lint::rule_catalog();
-  EXPECT_EQ(catalog.size(), 16u);
+  EXPECT_EQ(catalog.size(), 14u);
   std::ifstream in(LINT_DOCS_FILE);
   ASSERT_TRUE(in.good()) << "cannot open " << LINT_DOCS_FILE;
   std::stringstream ss;

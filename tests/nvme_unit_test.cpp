@@ -424,7 +424,7 @@ TEST(CtrlRaw, ErrorCqeCarriesCorrectPhaseTag) {
     const std::uint32_t tail = 1;
     std::memcpy(db.data(), &tail, 4);
     co_await sys.fabric().write(sys.root_port(),
-                                ssd.bar_base() + reg::sq_tail_doorbell(1),
+                                ssd.bar_base() + reg::Doorbell::sq_tail(1),
                                 Payload::bytes(std::move(db)));
     while (true) {
       Payload p = sys.host_mem().store().read(cq_off.value(), kCqeSize);

@@ -17,11 +17,9 @@ class Builder {
  public:
   Builder(const std::vector<Token>& toks, const ScopeInfo& scopes,
           int func_idx)
-      : toks_(toks), f_(scopes.funcs[static_cast<std::size_t>(func_idx)]) {
-    for (const FuncScope& g : scopes.funcs) {
-      if (g.parent == func_idx) child_.emplace_back(g.body_begin, g.body_end);
-    }
-  }
+      : toks_(toks),
+        f_(scopes.funcs[static_cast<std::size_t>(func_idx)]),
+        child_(child_ranges(scopes, func_idx)) {}
 
   Cfg run() {
     cfg_.blocks.resize(2);  // entry = 0, exit = 1
@@ -69,13 +67,6 @@ class Builder {
     attribute_line(cur_, from);
   }
 
-  bool in_child(std::size_t i) const {
-    for (const auto& [b, e] : child_) {
-      if (i >= b && i <= e) return true;
-    }
-    return false;
-  }
-
   // --- statement scanning --------------------------------------------------
 
   /// Index one past the `;` terminating the simple statement at `i` (depth-
@@ -86,7 +77,8 @@ class Builder {
     for (std::size_t j = i; j < limit; ++j) {
       const Token& t = toks_[j];
       if (t.kind == Tok::kIdent) {
-        if ((t.text == "co_await" || t.text == "co_yield") && !in_child(j)) {
+        if ((t.text == "co_await" || t.text == "co_yield") &&
+            !in_ranges(child_, j)) {
           *suspends = true;
         }
         continue;
@@ -180,7 +172,7 @@ class Builder {
     if (prev != -1) edge(prev, hdr);
     for (std::size_t j = kw; j < end; ++j) {
       if ((toks_[j].ident("co_await") || toks_[j].ident("co_yield")) &&
-          !in_child(j)) {
+          !in_ranges(child_, j)) {
         cfg_.blocks[static_cast<std::size_t>(hdr)].suspends = true;
       }
     }
@@ -409,7 +401,7 @@ class Builder {
 
   const std::vector<Token>& toks_;
   const FuncScope& f_;
-  std::vector<std::pair<std::size_t, std::size_t>> child_;
+  const TokenRanges child_;
   Cfg cfg_;
   int cur_ = -1;
   std::vector<int> break_;
@@ -423,21 +415,19 @@ Cfg build_cfg(const std::vector<Token>& toks, const ScopeInfo& scopes,
   return Builder(toks, scopes, func_idx).run();
 }
 
-std::vector<bool> blocks_reaching_exit(const Cfg& cfg) {
-  std::vector<bool> r(cfg.blocks.size(), false);
-  std::vector<int> work{cfg.exit};
-  r[static_cast<std::size_t>(cfg.exit)] = true;
-  while (!work.empty()) {
-    const int b = work.back();
-    work.pop_back();
-    for (const int p : cfg.block(b).pred) {
-      if (!r[static_cast<std::size_t>(p)]) {
-        r[static_cast<std::size_t>(p)] = true;
-        work.push_back(p);
-      }
-    }
+TokenRanges child_ranges(const ScopeInfo& scopes, int func_idx) {
+  TokenRanges out;
+  for (const FuncScope& g : scopes.funcs) {
+    if (g.parent == func_idx) out.emplace_back(g.body_begin, g.body_end);
   }
-  return r;
+  return out;
+}
+
+bool in_ranges(const TokenRanges& ranges, std::size_t i) {
+  for (const auto& [b, e] : ranges) {
+    if (i >= b && i <= e) return true;
+  }
+  return false;
 }
 
 const Cfg& CfgCache::get(int func_idx) const {

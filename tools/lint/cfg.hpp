@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "lint/scope.hpp"
@@ -53,15 +54,16 @@ struct Cfg {
 /// Builds the CFG of `scopes.funcs[func_idx]` over `toks`. Token ranges of
 /// that function's direct child lambdas are excluded from the blocks'
 /// suspension scan (callers doing their own token walks over block ranges
-/// must skip them too -- see child ranges in ScopeInfo/FuncScope).
+/// must skip them too -- see `child_ranges` below).
 Cfg build_cfg(const std::vector<Token>& toks, const ScopeInfo& scopes,
               int func_idx);
 
-/// Per-block reachability of the CFG exit: `result[b]` is true when some
-/// path from block `b` reaches the exit block. False for every block of a
-/// `while (true)` pump past the last escape -- the "suspends forever"
-/// region the summary layer and the summary-leak rule reason about.
-std::vector<bool> blocks_reaching_exit(const Cfg& cfg);
+/// Token ranges [body_begin, body_end] of the direct child lambdas of
+/// `scopes.funcs[func_idx]`. Each lambda has its own CFG, so a token walk
+/// over the parent's blocks skips these (`in_ranges`).
+using TokenRanges = std::vector<std::pair<std::size_t, std::size_t>>;
+TokenRanges child_ranges(const ScopeInfo& scopes, int func_idx);
+bool in_ranges(const TokenRanges& ranges, std::size_t i);
 
 /// Lazily-built per-function CFGs for one file, shared by every flow rule
 /// so the parse runs once per function no matter how many rules consult

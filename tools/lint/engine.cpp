@@ -10,7 +10,6 @@
 
 #include "lint/rules.hpp"
 #include "lint/scope.hpp"
-#include "lint/summary.hpp"
 
 namespace fs = std::filesystem;
 
@@ -105,14 +104,12 @@ std::vector<std::pair<std::string, std::string>> collect(
 }  // namespace
 
 ScanResult analyze(std::vector<std::unique_ptr<SourceFile>> files,
-                   const AnalyzeOptions& opts) {
-  const unsigned jobs = opts.jobs;
+                   unsigned jobs) {
   ScanResult result;
   result.files_scanned = files.size();
-  result.stats.summaries = opts.summaries;
 
-  // Phase A ran in the caller (files are already tokenized); here we do the
-  // scope analysis once per file and pool the declaration harvest.
+  // Loading and tokenizing ran in the caller; here we do the scope
+  // analysis once per file and pool the declaration harvest.
   std::uint64_t t0 = now_ns();
   std::vector<ScopeInfo> scopes(files.size());
   for_each_index(files.size(), jobs, [&](std::size_t i) {
@@ -122,49 +119,16 @@ ScanResult analyze(std::vector<std::unique_ptr<SourceFile>> files,
   for (const ScopeInfo& s : scopes) results.merge(s);
   result.stats.scope_ms = to_ms(now_ns() - t0);
 
-  // Pass 1 of 2: the whole-program layer. Sequential by design -- def ids,
-  // propagation order and therefore every summary are identical at any
-  // --jobs value. The CFG caches are shared with the rules pass below:
-  // each file's cache is only ever touched by one thread at a time
-  // (sequentially here, by that file's single worker there).
-  std::vector<std::unique_ptr<CfgCache>> cfg_store;
-  cfg_store.reserve(files.size());
-  for (std::size_t i = 0; i < files.size(); ++i) {
-    cfg_store.push_back(
-        std::make_unique<CfgCache>(files[i]->tokens(), scopes[i]));
-  }
-  ProgramInfo prog;
-  bool have_prog = false;
-  if (opts.summaries) {
-    t0 = now_ns();
-    std::vector<const SourceFile*> fptrs;
-    std::vector<const CfgCache*> cptrs;
-    fptrs.reserve(files.size());
-    cptrs.reserve(files.size());
-    for (std::size_t i = 0; i < files.size(); ++i) {
-      fptrs.push_back(files[i].get());
-      cptrs.push_back(cfg_store[i].get());
-    }
-    prog = build_program(fptrs, scopes, cptrs);
-    have_prog = true;
-    result.stats.summary_ms = to_ms(now_ns() - t0);
-    result.stats.defs = prog.graph.defs().size();
-    result.stats.call_sites = prog.graph.call_site_count();
-    result.stats.resolved_calls = prog.graph.resolved_count();
-  }
-
-  // Pass 2 of 2: every rule over every file's shared token stream. Each
-  // file writes its own findings slot; no cross-file state is mutated
-  // (the program layer is read-only from here on).
+  // Every rule over every file's shared token stream. Each file writes its
+  // own findings slot and owns its CFG cache; the pooled result table is
+  // read-only from here on.
   t0 = now_ns();
   const auto& rules = all_rules();
   std::vector<std::atomic<std::uint64_t>> rule_ns(rules.size());
   std::vector<std::vector<Finding>> raw(files.size());
   for_each_index(files.size(), jobs, [&](std::size_t i) {
-    const CfgCache& cfgs = *cfg_store[i];
-    const RuleContext ctx{*files[i], scopes[i], results, cfgs,
-                          have_prog ? &prog : nullptr,
-                          have_prog ? static_cast<int>(i) : -1};
+    const CfgCache cfgs(files[i]->tokens(), scopes[i]);
+    const RuleContext ctx{*files[i], scopes[i], results, cfgs};
     for (std::size_t r = 0; r < rules.size(); ++r) {
       const std::uint64_t rt = now_ns();
       rules[r]->run(ctx, &raw[i]);
@@ -203,13 +167,6 @@ ScanResult analyze(std::vector<std::unique_ptr<SourceFile>> files,
   return result;
 }
 
-ScanResult analyze(std::vector<std::unique_ptr<SourceFile>> files,
-                   unsigned jobs) {
-  AnalyzeOptions opts;
-  opts.jobs = jobs;
-  return analyze(std::move(files), opts);
-}
-
 ScanResult scan(const Options& opts) {
   ScanResult result;
   const auto paths = collect(opts.roots, &result.error);
@@ -234,15 +191,9 @@ ScanResult scan(const Options& opts) {
   }
   const double load_ms = to_ms(now_ns() - t0);
 
-  AnalyzeOptions aopts;
-  aopts.jobs = opts.jobs;
-  aopts.summaries = opts.summaries;
-  ScanResult analyzed = analyze(std::move(files), aopts);
-  result.findings = std::move(analyzed.findings);
-  result.files_scanned = analyzed.files_scanned;
-  result.stats = std::move(analyzed.stats);
-  result.stats.load_ms = load_ms;
-  return result;
+  ScanResult analyzed = analyze(std::move(files), opts.jobs);
+  analyzed.stats.load_ms = load_ms;
+  return analyzed;
 }
 
 }  // namespace lint

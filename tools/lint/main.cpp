@@ -29,11 +29,7 @@ void usage(std::FILE* to) {
       "options:\n"
       "  --sarif <file>       also write findings as SARIF 2.1.0\n"
       "  --jobs <n>           scan with n threads (default: hardware)\n"
-      "  --no-summaries       skip the whole-program pass (call graph +\n"
-      "                       function summaries); interprocedural rules\n"
-      "                       degrade to per-function precision\n"
-      "  --stats              print per-phase / per-rule wall-time and\n"
-      "                       call-graph counters to stderr\n"
+      "  --stats              print per-phase / per-rule wall-time to stderr\n"
       "  --bench-json <file>  write the scan's timings and counters as a\n"
       "                       BENCH_*.json-shaped perf artifact\n"
       "  --list-rules         print the rule catalog and exit\n"
@@ -51,14 +47,9 @@ bool write_bench_json(const std::string& path, const lint::ScanResult& r) {
   std::fprintf(f, "{\n  \"bench\": \"lint\",");
   std::fprintf(f, "\n  \"files_scanned\": %zu,", r.files_scanned);
   std::fprintf(f, "\n  \"findings\": %zu,", r.findings.size());
-  std::fprintf(f, "\n  \"defs\": %zu,", st.defs);
-  std::fprintf(f, "\n  \"call_sites\": %zu,", st.call_sites);
-  std::fprintf(f, "\n  \"resolved_calls\": %zu,", st.resolved_calls);
-  std::fprintf(f, "\n  \"summaries\": %d,", st.summaries ? 1 : 0);
   std::fprintf(f, "\n  \"metrics\": {");
   std::fprintf(f, "\n    \"load_ms\": %.3f,", st.load_ms);
   std::fprintf(f, "\n    \"scope_ms\": %.3f,", st.scope_ms);
-  std::fprintf(f, "\n    \"summary_ms\": %.3f,", st.summary_ms);
   std::fprintf(f, "\n    \"rules_ms\": %.3f,", st.rules_ms);
   std::fprintf(f, "\n    \"post_ms\": %.3f", st.post_ms);
   for (const auto& [rule, ms] : st.rule_ms) {
@@ -104,8 +95,6 @@ int main(int argc, char** argv) {
       sarif_path = next("--sarif");
     } else if (arg == "--bench-json") {
       bench_json_path = next("--bench-json");
-    } else if (arg == "--no-summaries") {
-      opts.summaries = false;
     } else if (arg == "--stats") {
       show_stats = true;
     } else if (arg == "--jobs") {
@@ -155,16 +144,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "snacc-lint stats:\n"
                  "  phase wall-time (ms): load %.1f, scope %.1f, "
-                 "summaries %.1f, rules %.1f, post %.1f\n",
-                 st.load_ms, st.scope_ms, st.summary_ms, st.rules_ms,
-                 st.post_ms);
-    if (st.summaries) {
-      std::fprintf(stderr,
-                   "  program: %zu defs, %zu call sites, %zu resolved\n",
-                   st.defs, st.call_sites, st.resolved_calls);
-    } else {
-      std::fprintf(stderr, "  program: summaries disabled\n");
-    }
+                 "rules %.1f, post %.1f\n",
+                 st.load_ms, st.scope_ms, st.rules_ms, st.post_ms);
     std::fprintf(stderr, "  per-rule (ms, CPU-sum across threads):\n");
     for (const auto& [rule, ms] : st.rule_ms) {
       std::fprintf(stderr, "    %-22s %8.1f\n", rule.c_str(), ms);

@@ -1,6 +1,5 @@
-// The four rules ported from the regex engine, now running on token
-// streams: comments, string literals, and preprocessor lines can no longer
-// produce false positives, and multi-line constructs can no longer produce
+// The token-level rules: comments, string literals, and preprocessor lines
+// never produce false positives, and multi-line constructs never produce
 // false negatives.
 #include <algorithm>
 #include <array>
@@ -9,7 +8,6 @@
 #include <string>
 
 #include "lint/rules.hpp"
-#include "lint/summary.hpp"
 #include "lint/typestate.hpp"
 
 namespace lint {
@@ -146,29 +144,6 @@ class Nondeterminism final : public Rule {
 };
 
 // ---------------------------------------------------------------------------
-// raw-doorbell
-
-class RawDoorbell final : public Rule {
- public:
-  std::string_view name() const override { return "raw-doorbell"; }
-  std::string_view description() const override {
-    return "kDoorbellBase arithmetic outside src/nvme/spec.hpp; use "
-           "sq_tail_doorbell()/cq_head_doorbell()";
-  }
-
-  void run(const RuleContext& ctx, std::vector<Finding>* out) const override {
-    if (ctx.file.rel() == "src/nvme/spec.hpp") return;
-    for (const Token& t : ctx.file.tokens()) {
-      if (t.ident("kDoorbellBase")) {
-        out->push_back({ctx.file.rel(), t.line, std::string(name()),
-                        "doorbell offsets must come from "
-                        "nvme::reg::sq_tail_doorbell()/cq_head_doorbell()"});
-      }
-    }
-  }
-};
-
-// ---------------------------------------------------------------------------
 // unbounded-poll
 
 class UnboundedPoll final : public Rule {
@@ -228,12 +203,7 @@ class UnboundedPoll final : public Rule {
 /// bound to a domain other than `a`, and (b) statements where a method is
 /// invoked on a component of one domain while a component of another
 /// domain appears in the same statement -- unless a boundary-typed
-/// variable is also present (the crossing is then mediated). With the
-/// program layer on, (b) also sees *wrapper-level* touches: a statement
-/// `helper(a, b)` where the resolved helper's summary says it invokes
-/// methods on its parameters counts `a` (and `b`) as touched components,
-/// with the concrete method call inside the helper attached as a
-/// cross-function code flow.
+/// variable is also present (the crossing is then mediated).
 class CrossDomainTouch final : public Rule {
  public:
   std::string_view name() const override { return "cross-domain-touch"; }
@@ -399,79 +369,19 @@ class CrossDomainTouch final : public Rule {
         recv_domain = cp->second;
       }
     }
-    if (recv_domain >= 0) {
-      for (std::size_t i = begin; i < end; ++i) {
-        if (toks[i].kind != Tok::kIdent || i == recv) continue;
-        const auto cp = comp_of.find(toks[i].text);
-        if (cp == comp_of.end() || cp->second == recv_domain) continue;
-        out->push_back(
-            {ctx.file.rel(), toks[recv].line, std::string(name_static()),
-             "'" + std::string(toks[recv].text) + "' and '" +
-                 std::string(toks[i].text) +
-                 "' are bound to different domains; direct calls between "
-                 "them race -- route the interaction through a "
-                 "Mailbox/Channel/Wire boundary"});
-        return;
-      }
+    if (recv_domain < 0) return;
+    for (std::size_t i = begin; i < end; ++i) {
+      if (toks[i].kind != Tok::kIdent || i == recv) continue;
+      const auto cp = comp_of.find(toks[i].text);
+      if (cp == comp_of.end() || cp->second == recv_domain) continue;
+      out->push_back(
+          {ctx.file.rel(), toks[recv].line, std::string(name_static()),
+           "'" + std::string(toks[recv].text) + "' and '" +
+               std::string(toks[i].text) +
+               "' are bound to different domains; direct calls between "
+               "them race -- route the interaction through a "
+               "Mailbox/Channel/Wire boundary"});
       return;
-    }
-
-    // No direct receiver: with summaries, a resolved helper whose summary
-    // touches its parameters makes this statement a wrapper-level access.
-    // `helper(a, b)` where the helper calls methods on both params and the
-    // caller's arguments live in different domains is the same race, one
-    // call deep.
-    if (ctx.prog == nullptr) return;
-    for (const CallSite& site : ctx.prog->graph.sites(ctx.file_index)) {
-      if (site.name_tok < begin || site.name_tok >= end || site.callee < 0) {
-        continue;
-      }
-      const auto c = static_cast<std::size_t>(site.callee);
-      if (!ctx.prog->graph.defs()[c].params_reliable) continue;
-      const FuncSummary& cs = ctx.prog->summaries[c];
-      for (std::size_t a = 0; a < site.args.size() && a < cs.params.size();
-           ++a) {
-        if (!cs.params[a].touched) continue;
-        const std::string_view root = root_ident(toks, site.args[a]);
-        const auto cp = comp_of.find(root);
-        if (cp == comp_of.end()) continue;
-        // A touched component: look for any *other* component in the
-        // statement bound to a different domain.
-        for (std::size_t i = begin; i < end; ++i) {
-          if (toks[i].kind != Tok::kIdent || toks[i].text == root) continue;
-          const auto op = comp_of.find(toks[i].text);
-          if (op == comp_of.end() || op->second == cp->second) continue;
-          const std::string helper(
-              ctx.prog->graph.defs()[c].name.empty()
-                  ? std::string_view("<lambda>")
-                  : ctx.prog->graph.defs()[c].name);
-          Finding fd{
-              ctx.file.rel(), site.line, std::string(name_static()),
-              "'" + helper + "' touches '" + std::string(root) +
-                  "' while '" + std::string(toks[i].text) +
-                  "' -- bound to a different domain -- is in the same "
-                  "statement; the wrapper races across domains -- route "
-                  "the interaction through a Mailbox/Channel/Wire boundary",
-              {}};
-          fd.path.push_back({site.line, "call into '" + helper +
-                                            "' touches '" +
-                                            std::string(root) + "'"});
-          const ParamEffect& pe = cs.params[a];
-          if (pe.touch_def >= 0 && pe.touch_line != 0) {
-            const auto& tdef = ctx.prog->graph.defs()[static_cast<std::size_t>(
-                pe.touch_def)];
-            fd.path.push_back(
-                {pe.touch_line, "method invoked on it here",
-                 ctx.prog->file_rels[static_cast<std::size_t>(tdef.file)]});
-          }
-          fd.path.push_back({toks[i].line,
-                             "'" + std::string(toks[i].text) +
-                                 "' from another domain in the same "
-                                 "statement"});
-          out->push_back(std::move(fd));
-          return;
-        }
-      }
     }
   }
   static std::string name_static() { return "cross-domain-touch"; }
@@ -486,14 +396,12 @@ std::unique_ptr<Rule> make_value_escape();
 std::unique_ptr<Rule> make_resource_pairing();
 std::unique_ptr<Rule> make_use_after_move();
 std::unique_ptr<Rule> make_unchecked_status_path();
-std::unique_ptr<Rule> make_summary_leak();
 
 const std::vector<std::unique_ptr<Rule>>& all_rules() {
   static const std::vector<std::unique_ptr<Rule>> kRules = [] {
     std::vector<std::unique_ptr<Rule>> r;
     r.push_back(std::make_unique<BareUintSignature>());
     r.push_back(std::make_unique<Nondeterminism>());
-    r.push_back(std::make_unique<RawDoorbell>());
     r.push_back(std::make_unique<UnboundedPoll>());
     r.push_back(std::make_unique<CrossDomainTouch>());
     r.push_back(make_dangling_capture());
@@ -501,7 +409,6 @@ const std::vector<std::unique_ptr<Rule>>& all_rules() {
     r.push_back(make_resource_pairing());
     r.push_back(make_use_after_move());
     r.push_back(make_unchecked_status_path());
-    r.push_back(make_summary_leak());
     for (auto& ts : make_typestate_rules()) r.push_back(std::move(ts));
     return r;
   }();

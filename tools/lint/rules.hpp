@@ -19,8 +19,6 @@
 
 namespace lint {
 
-struct ProgramInfo;  // callgraph + summaries, see summary.hpp
-
 struct RuleContext {
   const SourceFile& file;
   const ScopeInfo& scopes;
@@ -28,12 +26,6 @@ struct RuleContext {
   /// Lazily-built per-function CFGs (see cfg.hpp); flow rules share one
   /// cache per file so the CFG parse runs at most once per function.
   const CfgCache& cfgs;
-  /// Whole-program layer (call graph + function summaries). Null under
-  /// `--no-summaries`; every rule must degrade to its intraprocedural
-  /// behaviour when absent.
-  const ProgramInfo* prog = nullptr;
-  /// Index of `file` in the scanned file list; -1 when `prog` is null.
-  int file_index = -1;
 };
 
 class Rule {
@@ -80,5 +72,9 @@ struct ResourcePairEntry {
   std::string_view release;        // method name that must pair with it
 };
 const std::vector<ResourcePairEntry>& resource_pair_policy();
+
+/// '*'-wildcard match used by the policy and protocol tables (the only
+/// metacharacter).
+bool glob_match(std::string_view glob, std::string_view s);
 
 }  // namespace lint

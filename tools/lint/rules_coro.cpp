@@ -34,25 +34,6 @@ bool free_use(const std::vector<Token>& toks, std::size_t i) {
   return true;
 }
 
-/// Token ranges of `f`'s direct children, to keep nested lambdas' bodies
-/// out of `f`'s own use analysis.
-std::vector<std::pair<std::size_t, std::size_t>> child_ranges(
-    const ScopeInfo& scopes, int idx) {
-  std::vector<std::pair<std::size_t, std::size_t>> out;
-  for (const FuncScope& g : scopes.funcs) {
-    if (g.parent == idx) out.emplace_back(g.body_begin, g.body_end);
-  }
-  return out;
-}
-
-bool in_ranges(const std::vector<std::pair<std::size_t, std::size_t>>& rs,
-               std::size_t i) {
-  for (const auto& [b, e] : rs) {
-    if (i >= b && i <= e) return true;
-  }
-  return false;
-}
-
 // ---------------------------------------------------------------------------
 // dangling-capture
 //
@@ -124,8 +105,7 @@ class DanglingCapture final : public Rule {
 
  private:
   void report_uses(const RuleContext& ctx, const FuncScope& f,
-                   std::size_t first_susp,
-                   const std::vector<std::pair<std::size_t, std::size_t>>& nested,
+                   std::size_t first_susp, const TokenRanges& nested,
                    const std::vector<std::string_view>& names,
                    std::string_view what, std::vector<Finding>* out) const {
     if (names.empty()) return;

@@ -4,22 +4,14 @@
 // with the offending path attached (Finding::path -> SARIF codeFlows):
 //
 //   resource-pairing      an acquire from the policy table can reach
-//                         function exit without its release -- acquires
-//                         made *inside a resolved callee* count too, via
-//                         the summary layer's substituted events
+//                         function exit without its release
 //   use-after-move        a moved-from Payload/Chunk local is read on some
 //                         path before reassignment
 //   unchecked-status-path a value-returning task's result is dropped at a
 //                         bare co_await, or bound to a local that is unread
-//                         on some path (intraprocedural: the status
-//                         travels by return value)
-//   summary-leak          a coroutine acquires through a callee and can
-//                         then suspend at a point from which it never
-//                         returns, with the resource still held
+//                         on some path
 //
-// All interprocedural extensions degrade gracefully: with
-// `ctx.prog == nullptr` (--no-summaries) each rule reproduces its older
-// intraprocedural behaviour exactly, and summary-leak stays silent.
+// Every rule is intraprocedural: facts come from the function's own body.
 #include <algorithm>
 #include <map>
 #include <string>
@@ -28,42 +20,10 @@
 
 #include "lint/dataflow.hpp"
 #include "lint/rules.hpp"
-#include "lint/summary.hpp"
 
 namespace lint {
 
 namespace {
-
-/// Display name of a resolved callee (lambdas bound to a name carry it).
-std::string callee_name(const ProgramInfo& prog, int def) {
-  const std::string_view n = prog.graph.defs()[static_cast<std::size_t>(def)].name;
-  return n.empty() ? std::string("<lambda>") : std::string(n);
-}
-
-/// Scan-root-relative path of a resolved callee's file.
-const std::string& callee_file(const ProgramInfo& prog, int def) {
-  return prog.file_rels[static_cast<std::size_t>(
-      prog.graph.defs()[static_cast<std::size_t>(def)].file)];
-}
-
-/// Token ranges of `idx`'s direct child lambdas: a lambda body is its own
-/// FuncScope with its own CFG, so the parent's event scan skips it.
-std::vector<std::pair<std::size_t, std::size_t>> child_ranges(
-    const ScopeInfo& scopes, int idx) {
-  std::vector<std::pair<std::size_t, std::size_t>> out;
-  for (const FuncScope& g : scopes.funcs) {
-    if (g.parent == idx) out.emplace_back(g.body_begin, g.body_end);
-  }
-  return out;
-}
-
-bool in_ranges(const std::vector<std::pair<std::size_t, std::size_t>>& rs,
-               std::size_t i) {
-  for (const auto& [b, e] : rs) {
-    if (i >= b && i <= e) return true;
-  }
-  return false;
-}
 
 /// Free-standing use: not a member access (`x.v`) or qualified name.
 bool plain_use(const std::vector<Token>& toks, std::size_t i) {
@@ -92,6 +52,47 @@ void append_interior(const Cfg& cfg, const std::vector<int>& path,
 // ---------------------------------------------------------------------------
 // resource-pairing
 
+/// One `recv.verb()` acquire or release from the policy table, in a CFG
+/// block of the function being checked.
+struct ResourceEvent {
+  std::size_t row = 0;  ///< resource_pair_policy() index
+  std::string recv;
+  bool acquire = false;  ///< else: release
+  std::uint32_t line = 0;
+};
+
+/// Per-CFG-block resource events of `scopes.funcs[func_idx]`, in token
+/// order. The receiver must match the row's glob; the first matching row
+/// wins.
+std::vector<std::vector<ResourceEvent>> resource_events(
+    const std::vector<Token>& toks, const ScopeInfo& scopes, int func_idx,
+    const Cfg& cfg) {
+  const auto& policy = resource_pair_policy();
+  const TokenRanges nested = child_ranges(scopes, func_idx);
+  std::vector<std::vector<ResourceEvent>> evs(cfg.blocks.size());
+  for (std::size_t b = 0; b < cfg.blocks.size(); ++b) {
+    const CfgBlock& blk = cfg.blocks[b];
+    const std::size_t hi = std::min(blk.end, toks.size());
+    for (std::size_t i = blk.begin; i + 3 < toks.size() && i < hi; ++i) {
+      if (in_ranges(nested, i)) continue;
+      if (toks[i].kind != Tok::kIdent) continue;
+      if (!toks[i + 1].is(".") && !toks[i + 1].is("->")) continue;
+      if (toks[i + 2].kind != Tok::kIdent || !toks[i + 3].is("(")) continue;
+      const std::string_view recv = toks[i].text;
+      const std::string_view verb = toks[i + 2].text;
+      for (std::size_t pi = 0; pi < policy.size(); ++pi) {
+        const ResourcePairEntry& e = policy[pi];
+        const bool acq = verb == e.acquire;
+        if (!acq && verb != e.release) continue;
+        if (!glob_match(e.receiver_glob, recv)) continue;
+        evs[b].push_back({pi, std::string(recv), acq, toks[i].line});
+        break;
+      }
+    }
+  }
+  return evs;
+}
+
 class ResourcePairing final : public Rule {
  public:
   std::string_view name() const override { return "resource-pairing"; }
@@ -107,11 +108,9 @@ class ResourcePairing final : public Rule {
       if (f.body_end <= f.body_begin) continue;
       const Cfg& cfg = ctx.cfgs.get(static_cast<int>(fi));
 
-      // Acquire/release events per block, keyed by (policy row, receiver):
-      // direct calls plus -- when the program layer is on -- effects of
-      // resolved callees substituted at their call sites.
-      const auto evs = resource_events(ctx.prog, ctx.file_index, ctx.file,
-                                       ctx.scopes, cfg, static_cast<int>(fi));
+      // Acquire/release events per block, keyed by (policy row, receiver).
+      const auto evs = resource_events(ctx.file.tokens(), ctx.scopes,
+                                       static_cast<int>(fi), cfg);
       std::map<std::pair<std::size_t, std::string>, std::size_t> keys;
       struct KeyInfo {
         std::size_t policy_row;
@@ -121,7 +120,7 @@ class ResourcePairing final : public Rule {
       };
       std::vector<KeyInfo> key_info;
       for (const auto& block_evs : evs) {
-        for (const ResourceEventEx& e : block_evs) {
+        for (const ResourceEvent& e : block_evs) {
           const auto [it, fresh] =
               keys.try_emplace({e.row, e.recv}, key_info.size());
           if (fresh) key_info.push_back({e.row, e.recv});
@@ -145,19 +144,17 @@ class ResourcePairing final : public Rule {
       struct Site {
         std::size_t key;
         std::uint32_t line;
-        int callee_def;
-        std::uint32_t callee_line;
       };
       std::vector<Site> sites;
       std::vector<std::vector<std::size_t>> fact_of(evs.size());
       for (std::size_t b = 0; b < evs.size(); ++b) {
         fact_of[b].assign(evs[b].size(), SIZE_MAX);
         for (std::size_t j = 0; j < evs[b].size(); ++j) {
-          const ResourceEventEx& e = evs[b][j];
+          const ResourceEvent& e = evs[b][j];
           const std::size_t k = keys.at({e.row, e.recv});
           if (e.acquire && active[k]) {
             fact_of[b][j] = sites.size();
-            sites.push_back({k, e.line, e.callee_def, e.callee_line});
+            sites.push_back({k, e.line});
           }
         }
       }
@@ -169,7 +166,7 @@ class ResourcePairing final : public Rule {
         if (evs[b].empty()) continue;
         std::fill(state.begin(), state.end(), 0);
         for (std::size_t j = 0; j < evs[b].size(); ++j) {
-          const ResourceEventEx& e = evs[b][j];
+          const ResourceEvent& e = evs[b][j];
           const std::size_t k = keys.at({e.row, e.recv});
           if (!active[k]) continue;
           if (e.acquire) {
@@ -194,32 +191,15 @@ class ResourcePairing final : public Rule {
         const std::string recv = ki.recv;
         const std::string acq_call =
             "'" + recv + "." + std::string(pe.acquire) + "()'";
-        std::string how = acq_call;
-        if (sites[s].callee_def >= 0) {
-          how = acq_call + " (acquired inside '" +
-                callee_name(*ctx.prog, sites[s].callee_def) + "')";
-        }
         Finding fd{ctx.file.rel(), sites[s].line, std::string(name()),
-                   how + " can reach function exit without '" + recv + "." +
-                       std::string(pe.release) +
+                   acq_call + " can reach function exit without '" + recv +
+                       "." + std::string(pe.release) +
                        "()' on some path (early return/continue?); release "
                        "on every path or split the handoff into its own "
                        "function",
                    {}};
         const auto path = df.live_path(cfg.exit, s);
-        if (sites[s].callee_def >= 0) {
-          fd.path.push_back({sites[s].line,
-                             "call into '" +
-                                 callee_name(*ctx.prog, sites[s].callee_def) +
-                                 "' acquires " + acq_call});
-          fd.path.push_back({sites[s].callee_line,
-                             "acquired here inside '" +
-                                 callee_name(*ctx.prog, sites[s].callee_def) +
-                                 "'",
-                             callee_file(*ctx.prog, sites[s].callee_def)});
-        } else {
-          fd.path.push_back({sites[s].line, acq_call + " acquired here"});
-        }
+        fd.path.push_back({sites[s].line, acq_call + " acquired here"});
         append_interior(cfg, path,
                         "path continues without '" + recv + "." +
                             std::string(pe.release) + "()'",
@@ -425,9 +405,9 @@ class UseAfterMove final : public Rule {
 //   * a bare `co_await f(...);` statement whose callee returns a value;
 //   * a local bound to such a result (`T x = co_await f(...)`, or a later
 //     `x = co_await f(...)`) that some path to function exit never reads.
-// The status travels by return value, visibly at the call site, so the
-// check needs no summaries. `(void)co_await f(...)` is the explicit
-// discard. Callee typing comes from the cross-file ResultTable.
+// The status travels by return value, visibly at the call site.
+// `(void)co_await f(...)` is the explicit discard. Callee typing comes
+// from the cross-file ResultTable.
 
 /// The call a `co_await` at `i` awaits: `a.b->name(args)` or `name(args)`
 /// with `recv` the identifier right before the callee (empty when the
@@ -595,154 +575,6 @@ class UncheckedStatusPath final : public Rule {
   }
 };
 
-// ---------------------------------------------------------------------------
-// summary-leak
-
-class SummaryLeak final : public Rule {
- public:
-  std::string_view name() const override { return "summary-leak"; }
-  std::string_view description() const override {
-    return "coroutine acquires a resource through a callee, then can "
-           "suspend at a point from which it never returns with the "
-           "resource still held";
-  }
-
-  void run(const RuleContext& ctx, std::vector<Finding>* out) const override {
-    // Interprocedural by definition: without summaries there are no
-    // callee-acquired resources to track, so the rule is silent (the
-    // direct-acquire variant is resource-pairing's business).
-    if (ctx.prog == nullptr) return;
-    for (std::size_t fi = 0; fi < ctx.scopes.funcs.size(); ++fi) {
-      const FuncScope& f = ctx.scopes.funcs[fi];
-      if (!f.is_coroutine || f.body_end <= f.body_begin ||
-          f.suspends.empty()) {
-        continue;
-      }
-      const Cfg& cfg = ctx.cfgs.get(static_cast<int>(fi));
-      const auto evs = resource_events(ctx.prog, ctx.file_index, ctx.file,
-                                       ctx.scopes, cfg, static_cast<int>(fi));
-
-      // Same pairing gate as resource-pairing: the coroutine must both
-      // acquire and release the key somewhere, otherwise it is one half
-      // of a deliberate cross-coroutine handoff.
-      std::map<std::pair<std::size_t, std::string>, std::size_t> keys;
-      struct KeyInfo {
-        std::size_t policy_row;
-        std::string recv;
-        int acquires = 0;
-        int releases = 0;
-      };
-      std::vector<KeyInfo> key_info;
-      for (const auto& block_evs : evs) {
-        for (const ResourceEventEx& e : block_evs) {
-          const auto [it, fresh] =
-              keys.try_emplace({e.row, e.recv}, key_info.size());
-          if (fresh) key_info.push_back({e.row, e.recv});
-          KeyInfo& ki = key_info[it->second];
-          (e.acquire ? ki.acquires : ki.releases)++;
-        }
-      }
-      std::vector<bool> active(key_info.size());
-      bool any = false;
-      for (std::size_t k = 0; k < key_info.size(); ++k) {
-        active[k] = key_info[k].acquires > 0 && key_info[k].releases > 0;
-        any = any || active[k];
-      }
-      if (!any) continue;
-
-      // Facts: acquires substituted from a callee summary (callee_def set).
-      struct Site {
-        std::size_t key;
-        std::uint32_t line;
-        int callee_def;
-        std::uint32_t callee_line;
-      };
-      std::vector<Site> sites;
-      std::vector<std::vector<std::size_t>> fact_of(evs.size());
-      for (std::size_t b = 0; b < evs.size(); ++b) {
-        fact_of[b].assign(evs[b].size(), SIZE_MAX);
-        for (std::size_t j = 0; j < evs[b].size(); ++j) {
-          const ResourceEventEx& e = evs[b][j];
-          const std::size_t k = keys.at({e.row, e.recv});
-          if (e.acquire && e.callee_def >= 0 && active[k]) {
-            fact_of[b][j] = sites.size();
-            sites.push_back({k, e.line, e.callee_def, e.callee_line});
-          }
-        }
-      }
-      if (sites.empty()) continue;
-
-      ForwardMay df(cfg, sites.size());
-      std::vector<int> state(sites.size());
-      for (std::size_t b = 0; b < evs.size(); ++b) {
-        if (evs[b].empty()) continue;
-        std::fill(state.begin(), state.end(), 0);
-        for (std::size_t j = 0; j < evs[b].size(); ++j) {
-          const ResourceEventEx& e = evs[b][j];
-          const std::size_t k = keys.at({e.row, e.recv});
-          if (!active[k]) continue;
-          if (e.acquire) {
-            if (fact_of[b][j] != SIZE_MAX) state[fact_of[b][j]] = 1;
-          } else {
-            for (std::size_t s = 0; s < sites.size(); ++s) {
-              if (sites[s].key == k) state[s] = -1;
-            }
-          }
-        }
-        for (std::size_t s = 0; s < sites.size(); ++s) {
-          if (state[s] == 1) df.add_gen(static_cast<int>(b), s);
-          if (state[s] == -1) df.add_kill(static_cast<int>(b), s);
-        }
-      }
-      df.solve();
-
-      // Report an acquire still live *after* a suspension in a block from
-      // which function exit is unreachable: the coroutine parks forever
-      // and the paired release below the loop is dead code.
-      const std::vector<bool> reach = blocks_reaching_exit(cfg);
-      std::vector<bool> done(sites.size(), false);
-      for (std::size_t b = 0; b < cfg.blocks.size(); ++b) {
-        if (!cfg.blocks[b].suspends || reach[b]) continue;
-        for (std::size_t s = 0; s < sites.size(); ++s) {
-          if (done[s] || !df.out(static_cast<int>(b), s)) continue;
-          done[s] = true;
-          const KeyInfo& ki = key_info[sites[s].key];
-          const ResourcePairEntry& pe =
-              resource_pair_policy()[ki.policy_row];
-          const std::string recv = ki.recv;
-          const std::string helper =
-              callee_name(*ctx.prog, sites[s].callee_def);
-          const std::uint32_t susp_ln = cfg.blocks[b].line;
-          Finding fd{
-              ctx.file.rel(), sites[s].line, std::string(name()),
-              "'" + recv + "." + std::string(pe.acquire) +
-                  "()' acquired via '" + helper +
-                  "' is still held at a suspension point this coroutine "
-                  "can never return from; release before parking or "
-                  "restructure the handoff",
-              {}};
-          fd.path.push_back({sites[s].line, "call into '" + helper +
-                                                "' acquires '" + recv + "." +
-                                                std::string(pe.acquire) +
-                                                "()'"});
-          fd.path.push_back({sites[s].callee_line,
-                             "acquired here inside '" + helper + "'",
-                             callee_file(*ctx.prog, sites[s].callee_def)});
-          const auto path = df.live_path(static_cast<int>(b), s);
-          append_interior(cfg, path,
-                          "path continues without '" + recv + "." +
-                              std::string(pe.release) + "()'",
-                          &fd.path);
-          fd.path.push_back(
-              {susp_ln == 0 ? sites[s].line : susp_ln,
-               "suspends here with no path back to function exit"});
-          out->push_back(std::move(fd));
-        }
-      }
-    }
-  }
-};
-
 }  // namespace
 
 const std::vector<ResourcePairEntry>& resource_pair_policy() {
@@ -760,6 +592,27 @@ const std::vector<ResourcePairEntry>& resource_pair_policy() {
   return kPolicy;
 }
 
+bool glob_match(std::string_view glob, std::string_view s) {
+  std::size_t g = 0, i = 0;
+  std::size_t star = std::string_view::npos, mark = 0;
+  while (i < s.size()) {
+    if (g < glob.size() && glob[g] == '*') {
+      star = g++;
+      mark = i;
+    } else if (g < glob.size() && glob[g] == s[i]) {
+      ++g;
+      ++i;
+    } else if (star != std::string_view::npos) {
+      g = star + 1;
+      i = ++mark;
+    } else {
+      return false;
+    }
+  }
+  while (g < glob.size() && glob[g] == '*') ++g;
+  return g == glob.size();
+}
+
 std::unique_ptr<Rule> make_resource_pairing() {
   return std::make_unique<ResourcePairing>();
 }
@@ -768,9 +621,6 @@ std::unique_ptr<Rule> make_use_after_move() {
 }
 std::unique_ptr<Rule> make_unchecked_status_path() {
   return std::make_unique<UncheckedStatusPath>();
-}
-std::unique_ptr<Rule> make_summary_leak() {
-  return std::make_unique<SummaryLeak>();
 }
 
 }  // namespace lint

@@ -98,12 +98,10 @@ std::string to_sarif(const std::vector<Finding>& findings,
              "            { \"threadFlows\": [ { \"locations\": [\n";
       for (std::size_t s = 0; s < f.path.size(); ++s) {
         const PathStep& step = f.path[s];
-        // Interprocedural steps carry their own file (a callee body); a
-        // step with no file lives in the finding's file.
         out << "              { \"location\": {\n"
             << "                \"physicalLocation\": {\n"
             << "                  \"artifactLocation\": { \"uri\": \""
-            << esc(step.file.empty() ? f.file : step.file) << "\" },\n"
+            << esc(f.file) << "\" },\n"
             << "                  \"region\": { \"startLine\": "
             << (step.line == 0 ? 1 : step.line) << " }\n"
             << "                },\n"
@@ -118,14 +116,13 @@ std::string to_sarif(const std::vector<Finding>& findings,
     out << "\n        }" << (i + 1 < findings.size() ? "," : "") << "\n";
   }
   out << "      ]";
-  // Per-phase and per-rule wall-time plus whole-program counters, so a CI
-  // artifact records where the 30-second budget went.
+  // Per-phase and per-rule wall-time, so a CI artifact records where the
+  // 30-second budget went.
   if (stats != nullptr) {
     out << ",\n      \"properties\": {\n"
         << "        \"phaseWallMs\": {\n"
         << "          \"load\": " << stats->load_ms << ",\n"
         << "          \"scope\": " << stats->scope_ms << ",\n"
-        << "          \"summaries\": " << stats->summary_ms << ",\n"
         << "          \"rules\": " << stats->rules_ms << ",\n"
         << "          \"post\": " << stats->post_ms << "\n"
         << "        },\n"
@@ -135,14 +132,7 @@ std::string to_sarif(const std::vector<Finding>& findings,
           << "\": " << stats->rule_ms[i].second
           << (i + 1 < stats->rule_ms.size() ? "," : "") << "\n";
     }
-    out << "        },\n"
-        << "        \"program\": {\n"
-        << "          \"summaries\": " << (stats->summaries ? "true" : "false")
-        << ",\n"
-        << "          \"defs\": " << stats->defs << ",\n"
-        << "          \"callSites\": " << stats->call_sites << ",\n"
-        << "          \"resolvedCalls\": " << stats->resolved_calls << "\n"
-        << "        }\n"
+    out << "        }\n"
         << "      }";
   }
   out << "\n    }\n"

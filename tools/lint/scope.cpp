@@ -91,21 +91,6 @@ bool ResultTable::returns_value(const ScopeInfo& file, std::string_view recv,
   return votes > 0 && all_value;
 }
 
-int ScopeInfo::enclosing(std::size_t i) const {
-  int best = -1;
-  std::size_t best_span = SIZE_MAX;
-  for (std::size_t f = 0; f < funcs.size(); ++f) {
-    if (funcs[f].body_begin < i && i < funcs[f].body_end) {
-      const std::size_t span = funcs[f].body_end - funcs[f].body_begin;
-      if (span < best_span) {
-        best_span = span;
-        best = static_cast<int>(f);
-      }
-    }
-  }
-  return best;
-}
-
 namespace {
 
 class Analyzer {
@@ -179,7 +164,6 @@ class Analyzer {
     FuncScope f;
     f.is_lambda = true;
     f.header_line = toks_[i].line;
-    f.name_tok = i;  // the '[' introducer: feeds lambda name-binding lookup
     if (!parse_captures(i + 1, close, &f.captures)) return 0;
 
     std::size_t j = close + 1;
@@ -302,30 +286,16 @@ class Analyzer {
       for (std::size_t j = i; j < name_end; ++j) {
         if (toks_[j].is("&&")) p.is_rvalue_ref = true;
         else if (toks_[j].is("&")) p.is_lvalue_ref = true;
-        else if (toks_[j].is("*")) p.is_pointer = true;
       }
-      std::size_t name_idx = SIZE_MAX;
       for (std::size_t j = name_end; j-- > i;) {
         if (toks_[j].kind == Tok::kIdent && !toks_[j].ident("const") &&
             !toks_[j].ident("volatile")) {
           // Skip over a closing angle bracket's type name: the name must be
           // the final identifier, directly before `=`, `,` or the end.
           p.name = toks_[j].text;
-          name_idx = j;
           break;
         }
         if (!toks_[j].is("]") && !toks_[j].is(")")) break;
-      }
-      // The type is the last identifier of the declarator before the name
-      // (`sim::Task t` -> Task, `PutStatus* st` -> PutStatus).
-      if (name_idx != SIZE_MAX) {
-        for (std::size_t j = name_idx; j-- > i;) {
-          if (toks_[j].kind == Tok::kIdent && !toks_[j].ident("const") &&
-              !toks_[j].ident("volatile")) {
-            p.type_name = toks_[j].text;
-            break;
-          }
-        }
       }
       if (!p.name.empty()) out->push_back(p);
       i = stop + 1;
@@ -436,16 +406,8 @@ class Analyzer {
                      std::size_t param_close, std::size_t body) {
     FuncScope f;
     f.is_lambda = false;
-    f.name = toks_[name_idx].text;
-    f.name_tok = name_idx;
     f.param_open = param_open;
     f.param_close = param_close;
-    // `Cls::name(...)` out-of-class definition: the class feeds receiver-
-    // type disambiguation in the call graph.
-    if (name_idx >= 2 && toks_[name_idx - 1].is("::") &&
-        toks_[name_idx - 2].kind == Tok::kIdent) {
-      f.cls = toks_[name_idx - 2].text;
-    }
     f.header_line = toks_[name_idx].line;
     parse_params(param_open + 1, param_close, &f.params);
     push_func(std::move(f), body);

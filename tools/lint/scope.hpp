@@ -36,24 +36,14 @@ struct Capture {
 
 struct Param {
   std::string_view name;
-  /// Last identifier of the declared type (`PutStatus* st` -> "PutStatus",
-  /// `const std::string& k` -> "string"); empty when unrecoverable. The
-  /// call-graph layer uses this for receiver/out-param typing only, so an
-  /// imprecise value degrades to "unresolved", never to a wrong edge.
-  std::string_view type_name;
   bool is_lvalue_ref = false;
   bool is_rvalue_ref = false;
-  bool is_pointer = false;
 };
 
 struct FuncScope {
   bool is_lambda = false;
   bool is_coroutine = false;
   std::uint32_t header_line = 0;  // line of the introducer ([ or the name)
-  std::string_view name;          // empty for lambdas
-  std::string_view cls;           // "Cls" from a `Cls::name(...)` definition
-  std::size_t name_tok = SIZE_MAX;    // token index of the name (lambdas:
-                                      // the '[' introducer token)
   std::size_t param_open = SIZE_MAX;  // '(' of the parameter list, if any
   std::size_t param_close = SIZE_MAX;
   std::size_t body_begin = 0;     // token index of '{'
@@ -82,12 +72,9 @@ struct ScopeInfo {
   /// (variable, declared class) pairs from `Cls x`, `Cls* x`, `Cls& x` and
   /// `Tmpl<Cls> x` declarations: members, locals and parameters.
   std::vector<std::pair<std::string_view, std::string_view>> var_types;
-
-  /// Innermost FuncScope whose body contains token index `i`, or -1.
-  int enclosing(std::size_t i) const;
 };
 
-/// Whole-program view of the ScopeInfo declaration harvest: answers "does
+/// Cross-file view of the ScopeInfo declaration harvest: answers "does
 /// awaiting `recv.name(...)` yield a value?" for unchecked-status-path.
 struct ResultTable {
   std::set<std::string, std::less<>> result, other;

@@ -15,16 +15,10 @@ namespace lint {
 /// (acquire -> branch -> exit, move -> read, ...). Rendered as a SARIF
 /// threadFlow location so code scanning walks the reviewer through it.
 struct PathStep {
-  std::uint32_t line = 0;
+  std::uint32_t line = 0;  // in the finding's file
   std::string note;
-  /// Scan-root-relative path of the file this step lives in; empty means
-  /// the finding's own file. Interprocedural rules set it when a step
-  /// points into a callee (wrapper body, helper's acquire site, ...).
-  std::string file{};
 
-  friend bool operator==(const PathStep& a, const PathStep& b) {
-    return a.line == b.line && a.note == b.note && a.file == b.file;
-  }
+  friend bool operator==(const PathStep& a, const PathStep& b) = default;
 };
 
 struct Finding {

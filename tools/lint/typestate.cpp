@@ -10,23 +10,13 @@
 // *and* gives every node a BFS tree parent for witness-path
 // reconstruction. Errors fire on an event observed in a reachable error
 // state; obligations fire on an obligation state reachable at the CFG
-// exit. Both carry the event chain from function entry as PathSteps
-// (cross-file steps when an event was spliced in from a callee's protocol
-// effect).
-//
-// Interprocedural lift and `--no-summaries` degradation live in
-// summary.cpp (typestate_events / ProtocolEffect): with summaries off the
-// engine sees direct events only, so a finding whose witness spans a call
-// disappears -- strictly less precise, never differently wrong.
+// exit. Both carry the event chain from function entry as PathSteps.
 #include "lint/typestate.hpp"
 
 #include <algorithm>
-#include <map>
 #include <set>
 #include <string>
 #include <utility>
-
-#include "lint/summary.hpp"
 
 namespace lint {
 
@@ -36,15 +26,89 @@ bool path_starts_with(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.compare(0, prefix.size(), prefix) == 0;
 }
 
-std::string callee_name(const ProgramInfo& prog, int def) {
-  const std::string_view n =
-      prog.graph.defs()[static_cast<std::size_t>(def)].name;
-  return n.empty() ? std::string("<lambda>") : std::string(n);
+/// One `recv.verb()` protocol event in a CFG block.
+struct TsEvent {
+  int event = 0;  ///< index into TsProtocol::events
+  std::string recv;
+  std::uint32_t line = 0;
+};
+
+/// Collects identifiers declared in [lo, hi) with one of the protocol's
+/// type names: `TypeName [<...>] [&|&&|*]* name` followed by a declarator
+/// terminator. Handles both parameter lists (`sim::Mailbox<int>& mb,`) and
+/// body-local declarations (`KvStore store(dev);`).
+void collect_typed_objects(const std::vector<Token>& toks, std::size_t lo,
+                           std::size_t hi, const TsProtocol& p,
+                           std::set<std::string_view>* out) {
+  hi = std::min(hi, toks.size());
+  for (std::size_t i = lo; i < hi; ++i) {
+    if (toks[i].kind != Tok::kIdent) continue;
+    bool is_type = false;
+    for (const std::string_view t : p.type_names) is_type |= toks[i].text == t;
+    if (!is_type) continue;
+    std::size_t j = i + 1;
+    if (j < hi && toks[j].is("<")) {
+      int depth = 1;
+      ++j;
+      while (j < hi && depth > 0) {
+        if (toks[j].is("<")) ++depth;
+        else if (toks[j].is(">")) --depth;
+        else if (toks[j].is(">>")) depth -= 2;
+        else if (toks[j].is(";")) break;  // comparison, not a template
+        ++j;
+      }
+      if (depth > 0) continue;
+    }
+    while (j < hi && (toks[j].is("&") || toks[j].is("&&") || toks[j].is("*")))
+      ++j;
+    if (j >= hi || toks[j].kind != Tok::kIdent) continue;
+    if (j + 1 < toks.size() &&
+        (toks[j + 1].is(";") || toks[j + 1].is("=") || toks[j + 1].is("{") ||
+         toks[j + 1].is("(") || toks[j + 1].is(",") || toks[j + 1].is(")"))) {
+      out->insert(toks[j].text);
+    }
+  }
 }
 
-const std::string& callee_file(const ProgramInfo& prog, int def) {
-  return prog.file_rels[static_cast<std::size_t>(
-      prog.graph.defs()[static_cast<std::size_t>(def)].file)];
+/// Per-CFG-block protocol events of `scopes.funcs[func_idx]`, in token
+/// order. A receiver is tracked when its declared type matches (parameter
+/// list or body-local declaration) or a receiver glob matches.
+std::vector<std::vector<TsEvent>> typestate_events(
+    const std::vector<Token>& toks, const ScopeInfo& scopes, int func_idx,
+    const Cfg& cfg, const TsProtocol& p) {
+  const FuncScope& f = scopes.funcs[static_cast<std::size_t>(func_idx)];
+  const TokenRanges nested = child_ranges(scopes, func_idx);
+  std::set<std::string_view> typed;
+  if (f.param_open != SIZE_MAX && f.param_close != SIZE_MAX) {
+    collect_typed_objects(toks, f.param_open + 1, f.param_close + 1, p,
+                          &typed);
+  }
+  collect_typed_objects(toks, f.body_begin + 1, f.body_end, p, &typed);
+  const auto tracked = [&](std::string_view recv) {
+    if (typed.count(recv) != 0) return true;
+    for (const std::string_view g : p.recv_globs) {
+      if (glob_match(g, recv)) return true;
+    }
+    return false;
+  };
+  std::vector<std::vector<TsEvent>> evs(cfg.blocks.size());
+  for (std::size_t b = 0; b < cfg.blocks.size(); ++b) {
+    const CfgBlock& blk = cfg.blocks[b];
+    const std::size_t hi = std::min(blk.end, toks.size());
+    for (std::size_t i = blk.begin; i + 3 < toks.size() && i < hi; ++i) {
+      if (in_ranges(nested, i)) continue;
+      if (toks[i].kind != Tok::kIdent) continue;
+      if (!toks[i + 1].is(".") && !toks[i + 1].is("->")) continue;
+      if (toks[i + 2].kind != Tok::kIdent || !toks[i + 3].is("(")) continue;
+      int ev = -1;
+      for (std::size_t e = 0; e < p.events.size(); ++e) {
+        if (toks[i + 2].text == p.events[e]) ev = static_cast<int>(e);
+      }
+      if (ev < 0 || !tracked(toks[i].text)) continue;
+      evs[b].push_back({ev, std::string(toks[i].text), toks[i].line});
+    }
+  }
+  return evs;
 }
 
 /// Deterministic next state for `event` in `state`: the transition row if
@@ -87,12 +151,11 @@ class TypestateRule final : public Rule {
       const FuncScope& f = ctx.scopes.funcs[fi];
       if (f.body_end <= f.body_begin) continue;
       const Cfg& cfg = ctx.cfgs.get(static_cast<int>(fi));
-      const auto evs =
-          typestate_events(ctx.prog, ctx.file_index, ctx.file, ctx.scopes,
-                           cfg, static_cast<int>(fi), proto_);
+      const auto evs = typestate_events(ctx.file.tokens(), ctx.scopes,
+                                        static_cast<int>(fi), cfg, p);
       std::set<std::string> objects;
       for (const auto& v : evs) {
-        for (const TsEventRef& e : v) objects.insert(e.recv);
+        for (const TsEvent& e : v) objects.insert(e.recv);
       }
       for (const std::string& obj : objects) {
         check_object(ctx, p, cfg, evs, obj, out);
@@ -102,10 +165,10 @@ class TypestateRule final : public Rule {
 
  private:
   /// The per-object chain of one block, in execution order.
-  static std::vector<const TsEventRef*> chain_of(
-      const std::vector<TsEventRef>& block_evs, const std::string& obj) {
-    std::vector<const TsEventRef*> chain;
-    for (const TsEventRef& e : block_evs) {
+  static std::vector<const TsEvent*> chain_of(
+      const std::vector<TsEvent>& block_evs, const std::string& obj) {
+    std::vector<const TsEvent*> chain;
+    for (const TsEvent& e : block_evs) {
       if (e.recv == obj) chain.push_back(&e);
     }
     return chain;
@@ -113,16 +176,16 @@ class TypestateRule final : public Rule {
 
   void check_object(const RuleContext& ctx, const TsProtocol& p,
                     const Cfg& cfg,
-                    const std::vector<std::vector<TsEventRef>>& evs,
+                    const std::vector<std::vector<TsEvent>>& evs,
                     const std::string& obj,
                     std::vector<Finding>* out) const {
     const std::size_t nb = cfg.blocks.size();
     const std::size_t ns = p.states.size();
-    std::vector<std::vector<const TsEventRef*>> chains(nb);
+    std::vector<std::vector<const TsEvent*>> chains(nb);
     std::vector<bool> has_event(p.events.size(), false);
     for (std::size_t b = 0; b < nb; ++b) {
       chains[b] = chain_of(evs[b], obj);
-      for (const TsEventRef* e : chains[b]) {
+      for (const TsEvent* e : chains[b]) {
         has_event[static_cast<std::size_t>(e->event)] = true;
       }
     }
@@ -145,7 +208,7 @@ class TypestateRule final : public Rule {
       const std::size_t node = queue[qi];
       const int b = static_cast<int>(node / ns);
       int s = static_cast<int>(node % ns);
-      for (const TsEventRef* e : chains[static_cast<std::size_t>(b)]) {
+      for (const TsEvent* e : chains[static_cast<std::size_t>(b)]) {
         s = step(p, s, e->event);
       }
       for (const int succ : cfg.block(b).succ) {
@@ -158,9 +221,8 @@ class TypestateRule final : public Rule {
     }
 
     // Witness trace to (and through) `node`: the event chain from function
-    // entry, one PathStep per event (plus a cross-file step for spliced
-    // callee events), stopping after `upto` events of the final block
-    // (SIZE_MAX: all of them).
+    // entry, one PathStep per event, stopping after `upto` events of the
+    // final block (SIZE_MAX: all of them).
     const auto trace = [&](std::size_t node,
                            std::size_t upto) -> std::vector<PathStep> {
       std::vector<std::size_t> nodes;
@@ -176,17 +238,10 @@ class TypestateRule final : public Rule {
         const std::size_t stop =
             (k + 1 == nodes.size() && upto != SIZE_MAX) ? upto : chain.size();
         for (std::size_t e = 0; e < stop && e < chain.size(); ++e) {
-          const TsEventRef& ev = *chain[e];
+          const TsEvent& ev = *chain[e];
           const int to = step(p, s, ev.event);
-          const std::string call =
+          std::string note =
               "'" + obj + "." + std::string(p.events[ev.event]) + "()'";
-          std::string note;
-          if (ev.callee_def >= 0) {
-            note = "call into '" + callee_name(*ctx.prog, ev.callee_def) +
-                   "' performs " + call;
-          } else {
-            note = call;
-          }
           if (to != s) {
             note += ": '" + obj + "' " + std::string(p.states[s]) + " -> " +
                     std::string(p.states[to]);
@@ -194,12 +249,6 @@ class TypestateRule final : public Rule {
             note += " ('" + obj + "' stays " + std::string(p.states[s]) + ")";
           }
           steps.push_back({ev.line, std::move(note)});
-          if (ev.callee_def >= 0 && ev.callee_line != 0) {
-            steps.push_back({ev.callee_line,
-                             "performed here inside '" +
-                                 callee_name(*ctx.prog, ev.callee_def) + "'",
-                             callee_file(*ctx.prog, ev.callee_def)});
-          }
           s = to;
         }
       }
@@ -217,7 +266,7 @@ class TypestateRule final : public Rule {
         if (!seen[node]) continue;
         int s = static_cast<int>(s0);
         for (std::size_t e = 0; e < chains[b].size(); ++e) {
-          const TsEventRef& ev = *chains[b][e];
+          const TsEvent& ev = *chains[b][e];
           const TsError* row = error_row(p, s, ev.event);
           if (row != nullptr && armed(row->gate_event) &&
               reported.emplace(ev.line, row).second) {
@@ -228,13 +277,10 @@ class TypestateRule final : public Rule {
                            std::string(row->message),
                        {}};
             fd.path = trace(node, e);
-            std::string last = "'" + obj + "." +
-                               std::string(p.events[ev.event]) +
-                               "()' in state " + std::string(p.states[s]);
-            if (ev.callee_def >= 0) {
-              last += " (via '" + callee_name(*ctx.prog, ev.callee_def) + "')";
-            }
-            fd.path.push_back({ev.line, std::move(last)});
+            fd.path.push_back({ev.line, "'" + obj + "." +
+                                            std::string(p.events[ev.event]) +
+                                            "()' in state " +
+                                            std::string(p.states[s])});
             out->push_back(std::move(fd));
           }
           s = step(p, s, ev.event);
@@ -250,15 +296,10 @@ class TypestateRule final : public Rule {
       const std::size_t node = id(cfg.exit, ob.state);
       if (ob.state == 0 || !seen[node]) continue;
       std::vector<PathStep> steps = trace(node, SIZE_MAX);
-      // Find the offending event: the last step is the state's most recent
-      // cause because trace emits events in execution order.
-      std::uint32_t at = steps.empty() ? f_line(cfg) : steps.back().line;
-      for (auto it = steps.rbegin(); it != steps.rend(); ++it) {
-        if (it->file.empty()) {
-          at = it->line;
-          break;
-        }
-      }
+      // The offending event: the last step is the state's most recent cause
+      // because trace emits events in execution order.
+      const std::uint32_t at =
+          steps.empty() ? f_line(cfg) : steps.back().line;
       Finding fd{ctx.file.rel(), at, std::string(p.rule_name),
                  "'" + obj + "' can reach function exit still " +
                      std::string(p.states[ob.state]) + ": " +

@@ -18,17 +18,15 @@
 //     state unchanged (stay), including after an error fires -- so
 //     `close(); push(); push();` reports both pushes;
 //   * error rows and obligations may carry a gate event: they are armed
-//     only when the function (with callee effects substituted) performs the
-//     gate event on the same object somewhere. This is the exact pairing
-//     gate the resource rules use -- one half of a deliberate
-//     cross-coroutine handoff stays silent.
+//     only when the function performs the gate event on the same object
+//     somewhere. This is the exact pairing gate the resource rules use --
+//     one half of a deliberate cross-coroutine handoff stays silent.
 //
 // Objects are tracked by declared type (a parameter or local whose type
 // names the protocol's type, template arguments and ref/pointer decorations
-// skipped) or by receiver-identifier glob, plus -- interprocedurally --
-// any receiver a resolved callee's protocol effect substitutes in (the
-// callee typed it, so the caller trusts it). See "Protocol authoring
-// guide" in docs/STATIC_ANALYSIS.md.
+// skipped) or by receiver-identifier glob. Events are the function's own
+// `recv.verb()` calls: a call into a helper is opaque. See "Protocol
+// authoring guide" in docs/STATIC_ANALYSIS.md.
 #pragma once
 
 #include <memory>
@@ -85,9 +83,8 @@ struct TsProtocol {
   std::vector<std::string_view> path_prefixes;
 };
 
-/// The production protocol tables, in rule-catalog order. Indices into this
-/// vector are the `protocol` ids used by ProtocolEffect / TsEventRef.
-/// Exposed for the docs drift test.
+/// The production protocol tables, in rule-catalog order. Exposed for the
+/// docs drift test.
 const std::vector<TsProtocol>& typestate_protocols();
 
 /// One checker Rule per protocol table, in the same order.
