@@ -1,6 +1,9 @@
 #include "pcie/fabric.hpp"
 
 #include <cassert>
+#include <cinttypes>
+#include <cstdio>
+#include <cstdlib>
 #include <utility>
 
 namespace snacc::pcie {
@@ -25,13 +28,7 @@ const char* fault_kind_name(FaultKind kind) {
 }
 
 PortId Fabric::add_port(std::string name, double link_gb_s) {
-  auto port = std::make_unique<Port>(Port{
-      std::move(name),
-      sim::RateServer(sim_, link_gb_s),
-      sim::RateServer(sim_, link_gb_s),
-      link_gb_s,
-  });
-  ports_.push_back(std::move(port));
+  ports_.push_back(std::make_unique<Port>(sim_, std::move(name), link_gb_s));
   port_faults_.emplace_back();
   return PortId{static_cast<std::uint16_t>(ports_.size() - 1)};
 }
@@ -78,12 +75,28 @@ sim::Task Fabric::restore_link(PortId p, TimePs at) {
 void Fabric::map(Addr base, Bytes size, Target* target, PortId owner,
                  MemKind kind) {
   assert(target != nullptr);
-  // Reject overlapping windows: they would make routing ambiguous.
-  auto next = windows_.upper_bound(base);
-  if (next != windows_.end()) assert(base + size <= next->second.base);
-  if (next != windows_.begin()) {
-    auto prev = std::prev(next);
-    assert(prev->second.base + prev->second.size <= base);
+  // An overlapping window would make routing ambiguous and a repeated base
+  // would keep the old window: either is a wiring bug, fatal in every build.
+  auto next = windows_.lower_bound(base);
+  const Window* clash = nullptr;
+  if (next != windows_.end() &&
+      (next->second.base == base || next->second.base < base + size)) {
+    clash = &next->second;
+  } else if (next != windows_.begin()) {
+    const Window& prev = std::prev(next)->second;
+    if (base < prev.base + prev.size) clash = &prev;
+  }
+  if (clash != nullptr) {
+    std::fprintf(stderr,
+                 "snacc::pcie: window [%#" PRIx64 ", %#" PRIx64
+                 ") of port %s overlaps window [%#" PRIx64 ", %#" PRIx64
+                 ") of port %s; aborting\n",
+                 // snacc-lint: allow(value-escape): printed as bus addresses
+                 base.value(), (base + size).value(), port_name(owner).c_str(),
+                 // snacc-lint: allow(value-escape): printed as bus addresses
+                 clash->base.value(), (clash->base + clash->size).value(),
+                 port_name(clash->owner).c_str());
+    std::abort();
   }
   windows_.emplace(base, Window{base, size, target, owner, kind});
 }

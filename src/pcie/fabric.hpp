@@ -17,6 +17,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <optional>
@@ -171,10 +172,15 @@ class Fabric {
 
  private:
   struct Port {
+    Port(sim::Simulator& sim, std::string port_name, double link_gb_s)
+        : name(std::move(port_name)),
+          tx(sim, link_gb_s),
+          rx(sim, link_gb_s),
+          base_gb_s(link_gb_s) {}
     std::string name;
     sim::RateServer tx;
     sim::RateServer rx;
-    double base_gb_s = 0.0;  // nominal rate, restored after degradation
+    double base_gb_s;  // nominal rate, restored after degradation
   };
   struct Window {
     Addr base;

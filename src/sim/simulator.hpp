@@ -16,8 +16,10 @@
 // The queue is *intrusive and allocation-free*: every suspension primitive
 // (delay, channel hand-off, cross-process completion, rate server, spawn)
 // embeds an EventNode in its awaiter or promise object -- which lives in the
-// suspended coroutine's frame -- and links that node into the scheduler
-// directly. The heap itself stores (time, seq, node*) entries by value in a
+// suspended coroutine's frame. Most link that node into the scheduler
+// directly; a rate server's waiters queue behind the oldest one, and only
+// that one is in the heap, under the key each reserved when it suspended.
+// The heap itself stores (time, seq, node*) entries by value in a
 // flat vector, so scheduling N simultaneous events costs zero heap
 // allocations in steady state and comparisons never chase pointers. A
 // call/return (a PCIe transaction, a memory access) is a plain awaited task
@@ -135,7 +137,16 @@ class Domain {
   /// keeps ownership; `n` must outlive the firing. Equal-timestamp events
   /// fire in schedule-call order (a per-simulator sequence number breaks
   /// ties), which is the determinism guarantee every model relies on.
-  void schedule(EventNode& n, TimePs t) {
+  void schedule(EventNode& n, TimePs t) { schedule(n, t, seq_++); }
+
+  /// Takes the tie-break number the next schedule() call would use, without
+  /// linking anything. A waiter that suspends now but enters the heap later
+  /// (a rate-server waiter queued behind its head) keeps its place among
+  /// equal-time events by linking under this number.
+  std::uint64_t reserve_seq() { return seq_++; }
+
+  /// Links `n` at `(t, seq)`, a key whose `seq` came from reserve_seq().
+  void schedule(EventNode& n, TimePs t, std::uint64_t seq) {
     assert(t >= now_);
     assert(!n.linked);
 #ifndef NDEBUG
@@ -145,7 +156,7 @@ class Domain {
     n.debug_owner = this;
 #endif
     n.linked = true;
-    heap_push(HeapEntry{t, seq_++, &n});
+    heap_push(HeapEntry{t, seq, &n});
   }
 
   /// Links `n` to resume coroutine `h` at absolute time `t`.

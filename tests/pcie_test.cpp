@@ -235,5 +235,41 @@ TEST_F(Fixture, UnmapRemovesWindow) {
   EXPECT_TRUE(not_ok);
 }
 
+TEST_F(Fixture, WindowsMayTouchButNotOverlap) {
+  const Addr dev_base{0x1000'0000};
+  fabric.map(dev_base - Bytes{4 * KiB}, Bytes{4 * KiB}, &dev_mem, peer,
+             MemKind::kDevice);
+  fabric.map(dev_base + Bytes{16 * MiB}, Bytes{4 * KiB}, &dev_mem, peer,
+             MemKind::kDevice);
+  EXPECT_EQ(fabric.owner_at(dev_base - Bytes{1}), peer);
+  EXPECT_EQ(fabric.owner_at(dev_base), dev);
+  EXPECT_EQ(fabric.owner_at(dev_base + Bytes{16 * MiB - 1}), dev);
+  EXPECT_EQ(fabric.owner_at(dev_base + Bytes{16 * MiB}), peer);
+}
+
+// A clash is a wiring bug, so map() aborts in release builds too instead of
+// leaving an address to whichever window routing happens to find.
+using FabricDeathTest = Fixture;
+
+TEST_F(FabricDeathTest, OverlappingWindowFailsFast) {
+  // Starts inside dev's window, like a second device's BAR placed inside
+  // the first device's URAM window.
+  EXPECT_DEATH(fabric.map(Addr{0x1080'0000}, Bytes{16 * MiB}, &dev_mem, peer,
+                          MemKind::kFpgaUram),
+               "window \\[0x10800000, 0x11800000\\) of port peer overlaps "
+               "window \\[0x10000000, 0x11000000\\) of port dev");
+  // Ends inside dev's window.
+  EXPECT_DEATH(fabric.map(Addr{0x0f80'0000}, Bytes{16 * MiB}, &dev_mem, peer,
+                          MemKind::kFpgaUram),
+               "overlaps window \\[0x10000000, 0x11000000\\) of port dev");
+}
+
+TEST_F(FabricDeathTest, RepeatedBaseFailsFast) {
+  EXPECT_DEATH(fabric.map(Addr{0x1000'0000}, Bytes{4 * KiB}, &dev_mem, peer,
+                          MemKind::kDevice),
+               "window \\[0x10000000, 0x10001000\\) of port peer overlaps "
+               "window \\[0x10000000, 0x11000000\\) of port dev");
+}
+
 }  // namespace
 }  // namespace snacc::pcie

@@ -5,6 +5,8 @@
 
 #include <memory>
 #include <optional>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "apps/kv_store.hpp"
@@ -276,7 +278,9 @@ TEST(Channel, SharedOwnershipSurvivesBackpressuredPush) {
     while (auto msg = co_await ch.pop()) {
       co_await sim.delay(us(1));
       EXPECT_TRUE(msg->p != nullptr);
-      if (msg->p) EXPECT_EQ(*msg->p, received);
+      if (msg->p) {
+        EXPECT_EQ(*msg->p, received);
+      }
       ++received;
     }
   };
@@ -655,6 +659,72 @@ TEST(RateServer, BusyTimeAndUtilizationAccounting) {
   // busy_time is charged eagerly at acquire(), so utilization over a window
   // shorter than the committed occupation clamps at 1.
   EXPECT_EQ(server.utilization(ns(1)), 1.0);
+}
+
+// Queued waiters point at their server.
+static_assert(!std::is_copy_constructible_v<RateServer> &&
+              !std::is_move_constructible_v<RateServer>);
+
+// A queued waiter enters the heap only when its predecessor resumes, but
+// under the sequence number it reserved when it suspended: it must still
+// fire before an equal-time timer that suspended after it.
+TEST(RateServer, QueuedCompletionKeepsItsPlaceAmongEqualTimeEvents) {
+  Simulator sim;
+  RateServer server(sim, 1.0);  // 1 GB/s => 1 byte/ns
+  std::vector<char> order;
+  auto transfer = [&](char id) -> Task {
+    co_await server.acquire(1000);
+    order.push_back(id);
+  };
+  sim.spawn(transfer('A'));  // [0, 1000 ns)
+  sim.spawn(transfer('B'));  // queued behind A: [1000, 2000 ns)
+  sim.spawn(run_at(&sim, ns(2000), [&] { order.push_back('T'); }));
+  sim.run();
+  EXPECT_EQ(order, (std::vector<char>{'A', 'B', 'T'}));
+  EXPECT_EQ(sim.now(), ns(2000));
+}
+
+TEST(RateServer, EqualTimeTimerSuspendedBeforeQueuedWaiterFiresFirst) {
+  Simulator sim;
+  RateServer server(sim, 1.0);
+  std::vector<char> order;
+  auto transfer = [&](char id) -> Task {
+    co_await server.acquire(1000);
+    order.push_back(id);
+  };
+  sim.spawn(transfer('A'));
+  sim.spawn(run_at(&sim, ns(2000), [&] { order.push_back('T'); }));
+  sim.spawn(transfer('B'));
+  sim.run();
+  EXPECT_EQ(order, (std::vector<char>{'A', 'T', 'B'}));
+}
+
+TEST(RateServer, QueuedWaitersFinishInFifoOrderAtOneEventEach) {
+  Simulator sim;
+  RateServer server(sim, 1.0);
+  constexpr int kN = 6;
+  // The two zero-cost waiters finish together with the one before them.
+  const std::uint64_t bytes[kN] = {100, 200, 300, 400, 0, 0};
+  std::vector<std::pair<int, TimePs>> done;
+  auto waiter = [&](int i) -> Task {
+    co_await server.acquire(bytes[i]);
+    done.emplace_back(i, sim.now());
+    if (i == 3) {
+      // Waiters 4 and 5 are still queued, but both are due now, so a
+      // zero-cost grant completes at once, without suspending.
+      co_await server.acquire(0);
+      done.emplace_back(-1, sim.now());
+    }
+  };
+  for (int i = 0; i < kN; ++i) sim.spawn(waiter(i));
+  sim.run();
+  const std::vector<std::pair<int, TimePs>> want = {
+      {0, ns(100)},  {1, ns(300)},  {2, ns(600)}, {3, ns(1000)},
+      {-1, ns(1000)}, {4, ns(1000)}, {5, ns(1000)}};
+  EXPECT_EQ(done, want);
+  // One start and one timer per waiter; the inline grant costs no event.
+  EXPECT_EQ(sim.events_processed(), 2u * kN);
+  EXPECT_EQ(server.total_ops(), kN + 1u);
 }
 
 // -- Intrusive scheduling API (EventNode) -----------------------------------

@@ -199,6 +199,10 @@ TEST_P(StreamerFixture, SequentialWriteBandwidthMatchesVariant) {
     case Variant::kOnboardDram:
       EXPECT_NEAR(gbs, 4.80, 0.45);
       break;
+    case Variant::kHbm:
+      // Not instantiated here; extensions_test covers HBM bandwidth.
+      ADD_FAILURE() << "no Fig. 4a target for HBM";
+      break;
   }
 }
 
@@ -445,6 +449,8 @@ INSTANTIATE_TEST_SUITE_P(AllVariants, StreamerFixture,
                                return "OnboardDram";
                              case Variant::kHostDram:
                                return "HostDram";
+                             case Variant::kHbm:
+                               return "Hbm";
                            }
                            return "Unknown";
                          });
