@@ -3,14 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <vector>
 
 namespace snacc::mem {
-
-SparseMemory::Page& SparseMemory::page_for(std::uint64_t page_index) {
-  auto [it, inserted] = pages_.try_emplace(page_index);
-  if (inserted) it->second.assign(kPageSize, std::byte{0});
-  return it->second;
-}
 
 void SparseMemory::write(std::uint64_t addr, const Payload& p) {
   assert(addr + p.size() <= size_ && "write out of memory bounds");
@@ -26,18 +21,41 @@ void SparseMemory::write(std::uint64_t addr, const Payload& p) {
     }
     return;
   }
-  auto bytes = p.view();
   std::uint64_t off = 0;
-  while (off < bytes.size()) {
+  while (off < p.size()) {
     const std::uint64_t a = addr + off;
     const std::uint64_t pg = a / kPageSize;
     const std::uint64_t in_page = a % kPageSize;
     const std::uint64_t n =
-        std::min<std::uint64_t>(kPageSize - in_page, bytes.size() - off);
-    Page& page = page_for(pg);
-    std::memcpy(page.data() + in_page, bytes.data() + off, n);
+        std::min<std::uint64_t>(kPageSize - in_page, p.size() - off);
+    if (n == kPageSize) {
+      pages_.insert_or_assign(pg, Page{p.slice(off, n), false});
+    } else {
+      write_part(pg, in_page, p.view().subspan(off, n));
+    }
     off += n;
   }
+}
+
+void SparseMemory::write_part(std::uint64_t index, std::uint64_t in_page,
+                              std::span<const std::byte> src) {
+  auto [it, inserted] = pages_.try_emplace(index);
+  Page& page = it->second;
+  if (page.owned && page.bytes.use_count() == 1) {
+    // This memory allocated these bytes and no Payload can see them.
+    std::memcpy(const_cast<std::byte*>(page.bytes.view().data()) + in_page,
+                src.data(), src.size());
+    return;
+  }
+  page.bytes = Payload::build(kPageSize, [&](std::span<std::byte> out) {
+    if (inserted) {
+      std::memset(out.data(), 0, out.size());
+    } else {
+      std::memcpy(out.data(), page.bytes.view().data(), out.size());
+    }
+    std::memcpy(out.data() + in_page, src.data(), src.size());
+  });
+  page.owned = true;
 }
 
 Payload SparseMemory::read(std::uint64_t addr, std::uint64_t len) const {
@@ -46,21 +64,24 @@ Payload SparseMemory::read(std::uint64_t addr, std::uint64_t len) const {
   if (len == 0) return Payload{};
   const std::uint64_t first = addr / kPageSize;
   const std::uint64_t last = (addr + len - 1) / kPageSize;
-  for (std::uint64_t pg = first; pg <= last; ++pg) {
-    if (!pages_.contains(pg)) return Payload::phantom(len);
+  const std::uint64_t in_first = addr % kPageSize;
+  if (first == last) {
+    auto it = pages_.find(first);
+    if (it == pages_.end()) return Payload::phantom(len);
+    return it->second.bytes.slice(in_first, len);
   }
-  std::vector<std::byte> out(len);
+  std::vector<Payload> parts;
+  parts.reserve(last - first + 1);
   std::uint64_t off = 0;
-  while (off < len) {
-    const std::uint64_t a = addr + off;
-    const std::uint64_t pg = a / kPageSize;
-    const std::uint64_t in_page = a % kPageSize;
+  for (std::uint64_t pg = first; pg <= last; ++pg) {
+    auto it = pages_.find(pg);
+    if (it == pages_.end()) return Payload::phantom(len);
+    const std::uint64_t in_page = pg == first ? in_first : 0;
     const std::uint64_t n = std::min<std::uint64_t>(kPageSize - in_page, len - off);
-    const Page& page = pages_.at(pg);
-    std::memcpy(out.data() + off, page.data() + in_page, n);
+    parts.push_back(it->second.bytes.slice(in_page, n));
     off += n;
   }
-  return Payload::bytes(std::move(out));
+  return Payload::gather(parts);
 }
 
 void SparseMemory::fill(std::uint64_t addr, std::uint64_t len, std::uint8_t value) {

@@ -5,11 +5,18 @@
 // as phantom-touched. Reads return real bytes when every covered page is
 // materialized, otherwise a phantom payload of the right size -- so integrity
 // tests see exact data while bandwidth runs never allocate.
+//
+// A resident page is a 4 kB Payload view. A real write that covers a whole
+// page keeps a view of the writer's bytes instead of copying them; a read
+// inside one page, or across pages that are adjacent views of one buffer,
+// returns a view. A write that covers part of a page changes it in place only
+// when this memory allocated the page and holds its only reference; otherwise
+// the page is copied first. So no byte any Payload can see ever changes.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <unordered_map>
-#include <vector>
 
 #include "common/payload.hpp"
 #include "common/units.hpp"
@@ -39,8 +46,15 @@ class SparseMemory {
   std::uint64_t bytes_read() const { return bytes_read_; }
 
  private:
-  using Page = std::vector<std::byte>;
-  Page& page_for(std::uint64_t page_index);
+  struct Page {
+    Payload bytes;       // kPageSize real bytes
+    bool owned = false;  // allocated by this memory, not a writer's view
+  };
+
+  /// Writes `src` at `in_page` within page `index`, copying the page first
+  /// unless this memory owns it alone.
+  void write_part(std::uint64_t index, std::uint64_t in_page,
+                  std::span<const std::byte> src);
 
   std::uint64_t size_;
   // Accessed by page index only (never iterated), so unordered iteration

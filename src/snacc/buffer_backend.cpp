@@ -33,17 +33,16 @@ sim::TaskOf<Payload> OnboardDramBackend::drain(Bytes off, Bytes len) {
   const std::uint32_t req = fpga_.readout_req_bytes / 2;  // 256 B DRAM reads
   if (!is_bulk(len)) {
     // Latency-bound small drain: sequential requests, one round trip each.
-    Payload acc;
+    std::vector<Payload> parts;
     std::uint64_t done = 0;
     while (done < len.value()) {
       const std::uint64_t n = std::min<std::uint64_t>(req, len.value() - done);
-      Payload part =
-          co_await dram_.read((region_base_ + off).value() + done, n);
+      parts.push_back(
+          co_await dram_.read((region_base_ + off).value() + done, n));
       co_await sim_.delay(kAxiReadoutRoundTrip);
-      acc = done == 0 ? std::move(part) : Payload::concat(acc, part);
       done += n;
     }
-    co_return acc;
+    co_return Payload::gather(parts);
   }
   // Bulk drain: the mover ramps its request window; model as one pipelined
   // burst read plus a single ramp-up round trip.
@@ -71,11 +70,12 @@ sim::TaskOf<Payload> HbmBackend::drain(Bytes off, Bytes len) {
 sim::Task HostDramBackend::fill(Bytes off, Payload data) {
   // PCIe writes to pinned host memory; split at chunk boundaries since the
   // pinned chunks need not be contiguous in the global address space.
+  const std::uint64_t chunk = xlat_.chunk_size().value();
   std::uint64_t done = 0;
   const std::uint64_t len = data.size();
   while (done < len) {
     const Bytes logical = off + Bytes{done};
-    const std::uint64_t chunk_rem = (4 * MiB) - (logical.value() % (4 * MiB));
+    const std::uint64_t chunk_rem = chunk - (logical.value() % chunk);
     const std::uint64_t n = std::min(len - done, chunk_rem);
     co_await fabric_.write(fpga_port_, xlat_.translate(logical),
                            data.slice(done, n));
@@ -88,16 +88,16 @@ sim::TaskOf<Payload> HostDramBackend::drain(Bytes off, Bytes len) {
   if (!is_bulk(len)) {
     // Depth-1 small drain: each 512 B read pays the host round trip --
     // the +9 us delta of Fig. 4c for a 4 kB command.
-    Payload acc;
+    std::vector<Payload> parts;
     std::uint64_t done = 0;
     while (done < len.value()) {
       const std::uint64_t n = std::min<std::uint64_t>(req, len.value() - done);
       auto rr = co_await fabric_.read(
           fpga_port_, xlat_.translate(off + Bytes{done}), Bytes{n});
-      acc = done == 0 ? std::move(rr.data) : Payload::concat(acc, rr.data);
+      parts.push_back(std::move(rr.data));
       done += n;
     }
-    co_return acc;
+    co_return Payload::gather(parts);
   }
   // Bulk drain: the mover raises its read-request size to a full page (the
   // completions still arrive as max-payload TLPs and are charged on the

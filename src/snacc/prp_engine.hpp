@@ -59,6 +59,8 @@ class ChunkedTranslator final : public AddressTranslator {
     return chunks_.at(off / chunk_size_) + off % chunk_size_;
   }
   Bytes capacity() const override { return chunk_size_ * chunks_.size(); }
+  /// Size of each pinned chunk; a transfer must not cross a chunk boundary.
+  Bytes chunk_size() const { return chunk_size_; }
 
  private:
   std::vector<pcie::Addr> chunks_;

@@ -267,7 +267,7 @@ sim::TaskOf<Driver::Attempt> Driver::resubmit_one(IoDesc io,
 
 sim::TaskOf<ReadCompletion> Driver::read(Lba lba, Bytes bytes) {
   nvme::Status final_status = nvme::Status::kSuccess;
-  Payload assembled;
+  std::vector<Payload> parts;
   Bytes done_bytes;
   while (done_bytes < bytes) {
     const Bytes n = std::min(bytes - done_bytes, max_transfer_);
@@ -301,13 +301,11 @@ sim::TaskOf<ReadCompletion> Driver::read(Lba lba, Bytes bytes) {
     // Completion-path software cost (poll pickup, buffer handoff). This is
     // the calibrated host-stack term of Fig. 4c.
     co_await sim_.delay(host_.spdk_read_stack);
-    Payload part =
-        host_mem_.store().read(local(buffer_off(slot)).value(), n.value());
-    assembled = assembled.empty() ? std::move(part)
-                                  : Payload::concat(assembled, part);
+    parts.push_back(
+        host_mem_.store().read(local(buffer_off(slot)).value(), n.value()));
     done_bytes += n;
   }
-  co_return ReadCompletion{std::move(assembled), final_status};
+  co_return ReadCompletion{Payload::gather(parts), final_status};
 }
 
 sim::TaskOf<nvme::Status> Driver::write(Lba lba, Payload data) {

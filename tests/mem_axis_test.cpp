@@ -1,16 +1,133 @@
-// Memory-model and AXI-Stream unit tests: sparse store semantics (phantom
-// interplay), URAM/DRAM timing (dual-port vs shared-bus turnaround),
-// stream serialization and chunked transfer framing, round-robin
-// packet-level arbitration.
+// Memory-model and AXI-Stream unit tests: payload views and sharing, sparse
+// store semantics (phantom interplay, page sharing, copy-on-write), an
+// end-to-end check that no read-back payload changes under a later write,
+// URAM/DRAM timing (dual-port vs shared-bus turnaround), stream
+// serialization and chunked transfer framing, round-robin packet-level
+// arbitration.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "axis/stream.hpp"
 #include "common/calibration.hpp"
+#include "common/rng.hpp"
+#include "host/snacc_device.hpp"
+#include "host/system.hpp"
 #include "mem/dram.hpp"
 #include "mem/sparse_memory.hpp"
+#include "snacc/pe_client.hpp"
+#include "spdk/driver.hpp"
 
 namespace snacc {
 namespace {
+
+/// `size` pseudo-random real bytes; the same seed always gives the same
+/// bytes, so a test can compare a payload against a fresh regeneration
+/// instead of an object that might share its buffer.
+Payload seeded(std::uint64_t size, std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  std::vector<std::byte> v(size);
+  for (auto& b : v) b = static_cast<std::byte>(rng.next() & 0xFF);
+  return Payload::bytes(std::move(v));
+}
+
+// ---------------------------------------------------------------------------
+// Payload views
+
+TEST(Payload, SliceIsAViewOfTheSameBuffer) {
+  const Payload p = seeded(8192, 1);
+  const Payload s = p.slice(100, 1000);
+  EXPECT_EQ(p.use_count(), 2);
+  EXPECT_EQ(s.view().data(), p.view().data() + 100);
+  EXPECT_TRUE(s.content_equals(seeded(8192, 1).slice(100, 1000)));
+}
+
+TEST(Payload, AdjacentConcatAndGatherShareTheBuffer) {
+  const Payload p = seeded(12288, 2);
+  const Payload a = p.slice(0, 4096);
+  const Payload b = p.slice(4096, 4096);
+  const Payload c = p.slice(8192, 4096);
+  const Payload ab = Payload::concat(a, b);
+  EXPECT_EQ(ab.view().data(), p.view().data());
+  EXPECT_EQ(ab.size(), 8192u);
+  // p, a, b, c, ab.
+  EXPECT_EQ(p.use_count(), 5);
+  // Empty parts, real or phantom, do not break adjacency.
+  const Payload all =
+      Payload::gather({a, Payload{}, b, p.slice(8192, 0), c});
+  EXPECT_EQ(all.view().data(), p.view().data());
+  EXPECT_EQ(all.size(), p.size());
+  EXPECT_EQ(p.use_count(), 6);
+  EXPECT_TRUE(all.content_equals(seeded(12288, 2)));
+}
+
+TEST(Payload, NonAdjacentPartsAreCopied) {
+  const Payload p = seeded(8192, 3);
+  const Payload q = seeded(4096, 4);
+  // Out of order within one buffer, a gap, and two buffers: each result is
+  // one new buffer that nothing else shares.
+  const Payload swapped = Payload::concat(p.slice(4096, 4096), p.slice(0, 4096));
+  const Payload gapped = Payload::gather({p.slice(0, 100), p.slice(200, 100)});
+  const Payload mixed = Payload::gather({p.slice(0, 4096), q});
+  for (const Payload* r : {&swapped, &gapped, &mixed}) {
+    EXPECT_EQ(r->use_count(), 1);
+    EXPECT_NE(r->view().data(), p.view().data());
+  }
+  EXPECT_EQ(p.use_count(), 1);
+  EXPECT_EQ(q.use_count(), 1);
+  // Expected bytes, spelled out from fresh regenerations.
+  const Payload p_again = seeded(8192, 3);
+  const Payload q_again = seeded(4096, 4);
+  const auto pv = p_again.view();
+  const auto qv = q_again.view();
+  std::vector<std::byte> want(pv.begin() + 4096, pv.end());
+  want.insert(want.end(), pv.begin(), pv.begin() + 4096);
+  EXPECT_TRUE(std::ranges::equal(swapped.view(), want));
+  want.assign(pv.begin(), pv.begin() + 100);
+  want.insert(want.end(), pv.begin() + 200, pv.begin() + 300);
+  EXPECT_TRUE(std::ranges::equal(gapped.view(), want));
+  want.assign(pv.begin(), pv.begin() + 4096);
+  want.insert(want.end(), qv.begin(), qv.end());
+  EXPECT_TRUE(std::ranges::equal(mixed.view(), want));
+}
+
+TEST(Payload, PhantomPartMakesResultPhantom) {
+  const Payload p = seeded(8192, 5);
+  const Payload c = Payload::concat(p.slice(0, 4096), Payload::phantom(10));
+  EXPECT_FALSE(c.has_data());
+  EXPECT_EQ(c.size(), 4106u);
+  // Even a part adjacent on both sides: the gap's bytes are unknown.
+  const Payload g = Payload::gather(
+      {p.slice(0, 4096), Payload::phantom(16), p.slice(4096, 4096)});
+  EXPECT_FALSE(g.has_data());
+  EXPECT_EQ(g.size(), 8208u);
+  // concat treats an empty phantom as phantom; gather skips it.
+  EXPECT_FALSE(Payload::concat(Payload{}, p).has_data());
+  EXPECT_TRUE(Payload::gather({Payload{}, p}).has_data());
+}
+
+TEST(Payload, EmptyRealPayloadStillHasData) {
+  EXPECT_TRUE(Payload::bytes({}).has_data());
+  EXPECT_TRUE(Payload::filled(0, 0x11).has_data());
+  EXPECT_TRUE(Payload::gather({}).has_data());
+  const Payload p = seeded(64, 6);
+  EXPECT_TRUE(p.slice(64, 0).has_data());
+  EXPECT_TRUE(Payload::concat(Payload::bytes({}), Payload::bytes({})).has_data());
+  EXPECT_FALSE(Payload{}.has_data());
+  EXPECT_TRUE(Payload::bytes({}).content_equals(p.slice(10, 0)));
+}
+
+TEST(Payload, ContentEqualsComparesBytes) {
+  const Payload p = seeded(4096, 7);
+  EXPECT_TRUE(p.content_equals(seeded(4096, 7)));
+  EXPECT_FALSE(p.content_equals(seeded(4096, 8)));
+  EXPECT_FALSE(p.content_equals(p.slice(0, 4095)));
+  const auto v = p.view();
+  std::vector<std::byte> last_differs(v.begin(), v.end());
+  last_differs.back() ^= std::byte{1};
+  EXPECT_FALSE(p.content_equals(Payload::bytes(std::move(last_differs))));
+  EXPECT_TRUE(p.content_equals(Payload::phantom(4096)));  // phantom matches
+}
 
 // ---------------------------------------------------------------------------
 // SparseMemory
@@ -54,6 +171,180 @@ TEST(SparseMemory, PartialPageOverwrite) {
   EXPECT_EQ(static_cast<std::uint8_t>(v[100]), 0xBB);
   EXPECT_EQ(static_cast<std::uint8_t>(v[149]), 0xBB);
   EXPECT_EQ(static_cast<std::uint8_t>(v[150]), 0xAA);
+}
+
+TEST(SparseMemory, WholePageWriteSharesTheWritersBuffer) {
+  mem::SparseMemory m(1 * MiB);
+  const Payload data = seeded(8192, 10);
+  m.write(4096, data);
+  EXPECT_EQ(data.use_count(), 3);  // the writer and two pages
+  const Payload got = m.read(4096, 4096);
+  EXPECT_EQ(got.view().data(), data.view().data());
+  // Overwriting both pages releases the writer's buffer.
+  m.write(4096, Payload::filled(8192, 0x77));
+  EXPECT_EQ(data.use_count(), 2);  // the writer and `got`
+}
+
+TEST(SparseMemory, PartialWriteLeavesEarlierPayloadsUnchanged) {
+  mem::SparseMemory m(1 * MiB);
+  const Payload data = seeded(4096, 11);
+  m.write(0, data);
+  const Payload before = m.read(0, 4096);
+  m.write(100, Payload::filled(50, 0xBB));
+  const Payload original = seeded(4096, 11);
+  EXPECT_TRUE(before.content_equals(original));
+  EXPECT_TRUE(data.content_equals(original));
+  const Payload after = m.read(0, 4096);
+  EXPECT_NE(after.view().data(), data.view().data());
+  EXPECT_TRUE(after.slice(0, 100).content_equals(original.slice(0, 100)));
+  EXPECT_TRUE(after.slice(100, 50).content_equals(Payload::filled(50, 0xBB)));
+  EXPECT_TRUE(after.slice(150, 3946).content_equals(original.slice(150, 3946)));
+}
+
+TEST(SparseMemory, PageOwnedAloneIsUpdatedInPlace) {
+  mem::SparseMemory m(1 * MiB);
+  m.write(100, Payload::filled(50, 0xBB));  // the memory allocates page 0
+  const std::byte* page = m.read(0, 4096).view().data();
+  m.write(200, Payload::filled(10, 0xCC));  // no read is alive: in place
+  EXPECT_EQ(m.read(0, 4096).view().data(), page);
+  // A live read forces a copy, and keeps seeing the old bytes.
+  const Payload held = m.read(0, 4096);
+  m.write(300, Payload::filled(10, 0xDD));
+  const Payload now = m.read(0, 4096);
+  EXPECT_NE(now.view().data(), held.view().data());
+  EXPECT_EQ(static_cast<std::uint8_t>(held.view()[300]), 0x00);
+  EXPECT_EQ(static_cast<std::uint8_t>(now.view()[300]), 0xDD);
+  EXPECT_EQ(static_cast<std::uint8_t>(now.view()[200]), 0xCC);
+}
+
+TEST(SparseMemory, MultiPageReadOfOneBufferIsOneView) {
+  mem::SparseMemory m(1 * MiB);
+  const Payload data = seeded(16384, 12);
+  m.write(0, data);
+  const Payload got = m.read(100, 12000);
+  EXPECT_EQ(got.view().data(), data.view().data() + 100);
+  EXPECT_EQ(data.use_count(), 6);  // the writer, four pages, `got`
+  // Pages from two writers are copied into one new buffer.
+  m.write(16384, seeded(4096, 13));
+  const Payload across = m.read(12288, 8192);
+  EXPECT_EQ(across.use_count(), 1);
+  EXPECT_TRUE(across.content_equals(
+      Payload::concat(seeded(16384, 12).slice(12288, 4096), seeded(4096, 13))));
+}
+
+TEST(SparseMemory, PhantomWriteStillDropsPages) {
+  mem::SparseMemory m(1 * MiB);
+  const Payload data = seeded(8192, 14);
+  m.write(0, data);
+  m.write(100, Payload::phantom(10));
+  EXPECT_EQ(m.resident_pages(), 1u);
+  EXPECT_EQ(data.use_count(), 2);  // page 0's view is gone
+  EXPECT_FALSE(m.read(0, 4096).has_data());
+  EXPECT_TRUE(m.read(4096, 4096).content_equals(seeded(8192, 14).slice(4096, 4096)));
+}
+
+// ---------------------------------------------------------------------------
+// No aliasing end to end: a payload read back from the device keeps its
+// bytes after the same blocks are overwritten. Both reads are checked
+// against bytes regenerated from their seeds, never against the written
+// payload objects, so a buffer shared and changed in place fails here.
+
+constexpr std::uint64_t kAliasBytes = 64 * KiB;
+
+class NoAliasing : public ::testing::TestWithParam<core::Variant> {};
+
+TEST_P(NoAliasing, EarlierReadSurvivesOverwrite) {
+  host::System sys;
+  host::SnaccDeviceConfig cfg;
+  cfg.streamer.variant = GetParam();
+  host::SnaccDevice dev(sys, cfg);
+  bool booted = false;
+  auto boot = [&]() -> sim::Task {
+    co_await dev.init();
+    booted = true;
+  };
+  sys.sim().spawn(boot());
+  sys.sim().run_until(sys.sim().now() + seconds(1));
+  ASSERT_TRUE(booted);
+  core::PeClient client(dev.streamer());
+  // A small (one-page, latency-bound drain) and a bulk command.
+  for (const std::uint64_t len : {std::uint64_t{4096}, kAliasBytes}) {
+    const Bytes at{2 * MiB};
+    bool done = false;
+    Payload first;
+    Payload second;
+    auto io = [&]() -> sim::Task {
+      co_await client.write(at, seeded(len, 21));
+      first = (co_await client.read(at, Bytes{len})).data;
+      co_await client.write(at, seeded(len, 22));
+      second = (co_await client.read(at, Bytes{len})).data;
+      done = true;
+    };
+    sys.sim().spawn(io());
+    sys.sim().run_until(sys.sim().now() + seconds(1));
+    ASSERT_TRUE(done) << len;
+    ASSERT_TRUE(first.has_data() && second.has_data()) << len;
+    EXPECT_TRUE(first.content_equals(seeded(len, 21))) << len;
+    EXPECT_TRUE(second.content_equals(seeded(len, 22))) << len;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllVariants, NoAliasing,
+                         ::testing::Values(core::Variant::kUram,
+                                           core::Variant::kOnboardDram,
+                                           core::Variant::kHostDram),
+                         [](const auto& info) {
+                           switch (info.param) {
+                             case core::Variant::kUram:
+                               return "Uram";
+                             case core::Variant::kOnboardDram:
+                               return "OnboardDram";
+                             case core::Variant::kHostDram:
+                               return "HostDram";
+                             case core::Variant::kHbm:
+                               return "Hbm";
+                           }
+                           return "Unknown";
+                         });
+
+TEST(NoAliasingSpdk, EarlierReadSurvivesOverwrite) {
+  host::System sys;
+  spdk::Driver driver(sys.sim(), sys.fabric(), sys.host_mem(),
+                      host::addr_map::kHostDramBase, sys.ssd(),
+                      sys.config().profile.host);
+  bool booted = false;
+  auto boot = [&]() -> sim::Task {
+    co_await driver.init();
+    booted = true;
+  };
+  sys.sim().spawn(boot());
+  sys.sim().run_until(sys.sim().now() + seconds(1));
+  ASSERT_TRUE(booted);
+  // One page, and a transfer larger than the device MDTS (two commands).
+  for (const std::uint64_t len : {std::uint64_t{4096}, std::uint64_t{1 * MiB + 8 * KiB}}) {
+    bool done = false;
+    spdk::ReadCompletion first;
+    spdk::ReadCompletion second;
+    nvme::Status wrote_first{};
+    nvme::Status wrote_second{};
+    auto io = [&]() -> sim::Task {
+      wrote_first = co_await driver.write(Lba{800}, seeded(len, 31));
+      first = co_await driver.read(Lba{800}, Bytes{len});
+      wrote_second = co_await driver.write(Lba{800}, seeded(len, 32));
+      second = co_await driver.read(Lba{800}, Bytes{len});
+      done = true;
+    };
+    sys.sim().spawn(io());
+    sys.sim().run_until(sys.sim().now() + seconds(1));
+    ASSERT_TRUE(done) << len;
+    EXPECT_EQ(wrote_first, nvme::Status::kSuccess);
+    EXPECT_EQ(wrote_second, nvme::Status::kSuccess);
+    EXPECT_EQ(first.status, nvme::Status::kSuccess);
+    EXPECT_EQ(second.status, nvme::Status::kSuccess);
+    ASSERT_TRUE(first.data.has_data() && second.data.has_data()) << len;
+    EXPECT_TRUE(first.data.content_equals(seeded(len, 31))) << len;
+    EXPECT_TRUE(second.data.content_equals(seeded(len, 32))) << len;
+  }
 }
 
 // ---------------------------------------------------------------------------

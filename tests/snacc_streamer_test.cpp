@@ -17,6 +17,13 @@ using host::SnaccDevice;
 using host::SnaccDeviceConfig;
 using host::System;
 
+Payload random_payload(std::uint64_t size, std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  std::vector<std::byte> v(size);
+  for (auto& b : v) b = static_cast<std::byte>(rng.next() & 0xFF);
+  return Payload::bytes(std::move(v));
+}
+
 class StreamerFixture : public ::testing::TestWithParam<Variant> {
  protected:
   void build(bool out_of_order = false) {
@@ -51,13 +58,6 @@ class StreamerFixture : public ::testing::TestWithParam<Variant> {
   }
 
   void run_for(TimePs d) { sys_.sim().run_until(sys_.sim().now() + d); }
-
-  Payload random_payload(std::uint64_t size, std::uint64_t seed) {
-    Xoshiro256 rng(seed);
-    std::vector<std::byte> v(size);
-    for (auto& b : v) b = static_cast<std::byte>(rng.next() & 0xFF);
-    return Payload::bytes(std::move(v));
-  }
 
   System sys_;
   std::unique_ptr<SnaccDevice> dev_;
@@ -435,6 +435,48 @@ TEST_P(StreamerFixture, OutOfOrderRecoveryKeepsPipelinedReadsInOrder) {
     EXPECT_TRUE(results[i].content_equals(data.slice(i * 32 * KiB, 32 * KiB)))
         << "read " << i;
   }
+}
+
+// The host-DRAM variant splits buffer fills at the pinned-chunk size it was
+// built with. With 1 MiB chunks, the 1 MB write below is placed right after
+// the 4 kB one in the write ring, so it straddles a chunk boundary; a fill
+// split at any larger size runs past the end of its chunk and the tail
+// reads back as phantom.
+TEST(HostDramChunks, MegabyteWriteAcrossOneMibChunkBoundaryRoundTrips) {
+  host::SystemConfig sys_cfg;
+  sys_cfg.profile.host.dma_chunk = 1 * MiB;
+  System sys(sys_cfg);
+  SnaccDeviceConfig cfg;
+  cfg.streamer.variant = Variant::kHostDram;
+  SnaccDevice dev(sys, cfg);
+  bool booted = false;
+  auto boot = [&]() -> sim::Task {
+    co_await dev.init();
+    booted = true;
+  };
+  sys.sim().spawn(boot());
+  sys.sim().run_until(sys.sim().now() + seconds(1));
+  ASSERT_TRUE(booted);
+  PeClient client(dev.streamer());
+  const Payload small = random_payload(4 * KiB, 41);
+  const Payload big = random_payload(1 * MiB, 42);
+  bool done = false;
+  Payload got_small;
+  Payload got_big;
+  auto io = [&]() -> sim::Task {
+    co_await client.write(Bytes{0}, small);
+    co_await client.write(Bytes{4 * MiB}, big);
+    got_small = (co_await client.read(Bytes{0}, Bytes{4 * KiB})).data;
+    got_big = (co_await client.read(Bytes{4 * MiB}, Bytes{1 * MiB})).data;
+    done = true;
+  };
+  sys.sim().spawn(io());
+  sys.sim().run_until(sys.sim().now() + seconds(2));
+  ASSERT_TRUE(done);
+  ASSERT_TRUE(got_small.has_data());
+  ASSERT_TRUE(got_big.has_data());
+  EXPECT_TRUE(got_small.content_equals(random_payload(4 * KiB, 41)));
+  EXPECT_TRUE(got_big.content_equals(random_payload(1 * MiB, 42)));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllVariants, StreamerFixture,
