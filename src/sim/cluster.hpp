@@ -14,28 +14,40 @@
 // (computed by relaxation at every barrier -- latencies are positive, so
 // the relaxation terminates and the bound is exact, not just safe).
 //
-// Execution alternates two phases separated by barriers:
+// Execution runs in windows, and each window is one barrier round:
 //
-//   merge   each domain drains its inbound mailboxes and schedules the
-//           timestamped records into its own heap, sorted by the fixed
-//           (t, peer_domain_id, mailbox_index, seq) tie-break -- the
-//           "seeded-merge" rule that makes a run bit-identical for a given
-//           topology + seed REGARDLESS of worker thread count;
-//   window  each domain runs events strictly before its window bound.
+//   window  each worker runs its domains' events strictly before their
+//           window bounds, staging outbound mailbox records;
+//   merge   the last worker to arrive runs the round's completion step (as
+//           std::barrier's CompletionFunction does): it drains every
+//           domain's inbound mailboxes, in domain order, into the receiving
+//           heap sorted by the fixed (t, peer_domain_id, mailbox_index, seq)
+//           tie-break -- the "seeded-merge" rule that makes a run
+//           bit-identical for a given topology + seed REGARDLESS of worker
+//           thread count -- then plans every domain's next window bound.
 //
-// During `window`, a mailbox's outbound staging vectors are written only by
-// the producing domain's thread; during `merge` they are read only by the
-// receiving domain's thread. The barrier between the phases provides the
-// happens-before edge, so the hot path needs no locks and no atomics -- and
-// a single-threaded cluster executes the exact same schedule, which is the
-// determinism story (and what the TSan CI job checks the parallel one
-// against).
+// During a window, a mailbox's outbound staging vectors are written only by
+// the producing domain's worker; the merge reads them while every other
+// worker waits at the barrier. The barrier's atomic arrive and release
+// provide the happens-before edges, so the window phase needs no locks --
+// and a single-worker cluster runs the very same loop inline, with a
+// barrier of one and no thread, which is the determinism story (and what
+// the TSan CI job checks the parallel one against).
+//
+// A window can be as thin as one mailbox hop, so the wait is built for
+// short rounds: a waiting worker yields its CPU for a bounded time, long
+// enough to cover a busy window, and parks on a futex only after that. The
+// default pool is usable_cpus() workers, each started on its own CPU.
 #pragma once
 
+#include <sched.h>
+
 #include <algorithm>
-#include <barrier>
+#include <atomic>
 #include <cassert>
+#include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -44,6 +56,42 @@
 #include "sim/simulator.hpp"
 
 namespace snacc::sim {
+
+/// CPUs this process can run on at once: the affinity mask, capped by a
+/// cgroup CPU quota (v2 `cpu.max`, else v1 `cpu.cfs_quota_us`) rounded up
+/// when one is set. At least 1. Unlike hardware_concurrency() (the online
+/// CPUs) it says how many domains can really run concurrently.
+inline unsigned usable_cpus() {
+  unsigned cpus = 1;
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    cpus = static_cast<unsigned>(std::max(1, CPU_COUNT(&set)));
+  }
+  // Reads up to two integers; v2's unlimited "max <period>" reads none.
+  auto scan = [](const char* path, long long* a, long long* b) {
+    std::FILE* f = std::fopen(path, "r");
+    if (f == nullptr) return 0;
+    const int got = b != nullptr ? std::fscanf(f, "%lld %lld", a, b)
+                                 : std::fscanf(f, "%lld", a);
+    std::fclose(f);
+    return got;
+  };
+  long long quota = -1;
+  long long period = 0;
+  if (scan("/sys/fs/cgroup/cpu.max", &quota, &period) != 2) {
+    quota = -1;
+    if (scan("/sys/fs/cgroup/cpu/cpu.cfs_quota_us", &quota, nullptr) != 1 ||
+        scan("/sys/fs/cgroup/cpu/cpu.cfs_period_us", &period, nullptr) != 1) {
+      quota = -1;
+    }
+  }
+  if (quota > 0 && period > 0) {
+    const auto granted = static_cast<unsigned>((quota + period - 1) / period);
+    cpus = std::min(cpus, granted);
+  }
+  return cpus;
+}
 
 class SimCluster;
 
@@ -89,12 +137,12 @@ class MailboxBase {
     return a.seq < b.seq;
   }
 
-  // Consumer-thread half of a merge: enumerate undelivered inbound records,
+  // Consumer half of a merge: enumerate undelivered inbound records,
   // schedule each (in cluster-sorted order), then discard the drained batch.
   virtual void stage_inbound(std::vector<StagedRef>* out) = 0;
   virtual void deliver_staged(std::uint32_t idx) = 0;
   virtual void finish_inbound() = 0;
-  // Producer-thread half: credit / consumer-close feedback records.
+  // Producer half: credit / consumer-close feedback records.
   virtual void stage_feedback(std::vector<StagedRef>* out) = 0;
   virtual void apply_feedback_staged(std::uint32_t idx) = 0;
   virtual void finish_feedback() = 0;
@@ -108,12 +156,12 @@ class MailboxBase {
 
 class SimCluster {
  public:
-  /// `domain_count` >= 1. `threads` caps the worker pool (0 = hardware
-  /// concurrency); the effective pool is additionally capped at the domain
-  /// count, and a pool of 1 runs everything inline on the calling thread.
-  /// Results are identical for every thread count by construction.
+  /// `domain_count` >= 1. `threads` caps the worker pool (0 = usable_cpus());
+  /// the effective pool is additionally capped at the domain count, and a
+  /// pool of 1 runs everything inline on the calling thread. Results are
+  /// identical for every thread count by construction.
   explicit SimCluster(std::uint32_t domain_count, unsigned threads = 0)
-      : threads_(threads) {
+      : threads_(threads == 0 ? usable_cpus() : threads) {
     assert(domain_count >= 1);
     domains_.reserve(domain_count);
     for (std::uint32_t i = 0; i < domain_count; ++i) {
@@ -133,9 +181,7 @@ class SimCluster {
 
   /// Worker threads a run will actually use.
   unsigned effective_threads() const {
-    unsigned t = threads_ == 0 ? std::thread::hardware_concurrency() : threads_;
-    if (t == 0) t = 1;
-    return std::min<unsigned>(t, size());
+    return std::min<unsigned>(threads_, size());
   }
 
   /// Runs until every domain drains and no cross-domain record is in
@@ -190,9 +236,9 @@ class SimCluster {
     mailboxes_.erase(std::find(mailboxes_.begin(), mailboxes_.end(), mb));
   }
 
-  /// Barrier merge for domain `d` (runs on the thread that owns `d`):
-  /// drain inbound mailboxes sorted by the fixed tie-break, then outbound
-  /// feedback the same way.
+  /// Barrier merge for domain `d` (the completion step, while every other
+  /// worker waits): drain inbound mailboxes sorted by the fixed tie-break,
+  /// then outbound feedback the same way.
   void merge_domain(std::uint32_t d,
                     std::vector<MailboxBase::StagedRef>* scratch) {
     scratch->clear();
@@ -218,8 +264,8 @@ class SimCluster {
 
   /// Computes every domain's next window bound from post-merge state.
   /// Returns false when the cluster is quiescent (or past the horizon) and
-  /// the run should stop. Single-writer: only the planning thread calls
-  /// this, between barriers.
+  /// the run should stop. Called from the completion step, after the
+  /// merge.
   bool plan_windows(TimePs horizon, bool bounded) {
     const std::uint32_t n = size();
     ea_.resize(n);
@@ -272,48 +318,106 @@ class SimCluster {
     return true;
   }
 
+  /// One barrier round per window. The last worker to arrive runs the
+  /// round's completion step before it releases the others; a waiting
+  /// worker yields its CPU for up to kYieldFor, then parks on the
+  /// generation counter. A window of the parallel_scaling timer storm is
+  /// about 0.25 ms of work per domain on a 4-vCPU x86 guest, so workers park
+  /// only when the cluster idles or a peer stalls for longer. A bound in
+  /// yields holds neither way: 1,024 yields (about 0.33 ms there) still
+  /// parked workers up to 336 times per 4-domain run, and under competing
+  /// load one yield can last a whole time slice. Spinning on `pause`
+  /// instead starves whatever else shares the CPUs.
+  class WindowBarrier {
+   public:
+    explicit WindowBarrier(unsigned parties)
+        : parties_(parties), left_(parties) {}
+
+    template <class Complete>
+    void arrive_and_wait(Complete& complete) {
+      if (parties_ == 1) {
+        complete();
+        return;
+      }
+      // The generation cannot move on before this worker arrives.
+      const std::uint32_t gen = gen_.load();
+      if (left_.fetch_sub(1) == 1) {
+        complete();
+        left_.store(parties_);
+        gen_.store(gen + 1);
+        gen_.notify_all();
+        return;
+      }
+      const auto park_at = WaitClock::now() + kYieldFor;
+      while (gen_.load() == gen) {
+        if (WaitClock::now() >= park_at) {
+          gen_.wait(gen);
+          return;
+        }
+        std::this_thread::yield();
+      }
+    }
+
+   private:
+    // snacc-lint: allow(nondeterminism): times a worker's wait, not the model
+    using WaitClock = std::chrono::steady_clock;
+    static constexpr std::chrono::microseconds kYieldFor{2000};
+    const unsigned parties_;
+    std::atomic<unsigned> left_;
+    std::atomic<std::uint32_t> gen_{0};
+  };
+
   void run_loop(TimePs horizon, bool bounded) {
     const std::uint32_t n = size();
     const unsigned workers = effective_threads();
-    if (workers <= 1) {
-      std::vector<MailboxBase::StagedRef> scratch;
+    std::vector<MailboxBase::StagedRef> scratch;
+    bool stop = false;  // written by the completion step only
+    auto complete = [&] {
+      for (std::uint32_t d = 0; d < n; ++d) merge_domain(d, &scratch);
+      stop = !plan_windows(horizon, bounded);
+    };
+    WindowBarrier bar(workers);
+    // Worker `w` owns domains w, w + workers, ...; the first round only
+    // merges and plans.
+    auto work = [&](unsigned w) {
       for (;;) {
-        for (std::uint32_t d = 0; d < n; ++d) merge_domain(d, &scratch);
-        if (!plan_windows(horizon, bounded)) break;
-        for (std::uint32_t d = 0; d < n; ++d) {
+        bar.arrive_and_wait(complete);
+        if (stop) return;
+        for (std::uint32_t d = w; d < n; d += workers) {
           domains_[d]->run_window(window_[d]);
         }
       }
-    } else {
-      // Same loop, strided over a worker pool. Three barriers per window:
-      // after merge, after planning (worker 0 plans alone), after the
-      // window itself. std::barrier::arrive_and_wait provides the
-      // happens-before edges that make the phase-partitioned mailbox
-      // accesses race-free.
-      std::barrier<> bar(workers);
-      bool stop = false;  // written by worker 0 between barriers only
-      auto work = [&](unsigned w) {
-        std::vector<MailboxBase::StagedRef> scratch;
-        for (;;) {
-          for (std::uint32_t d = w; d < n; d += workers) {
-            merge_domain(d, &scratch);
-          }
-          bar.arrive_and_wait();
-          if (w == 0) stop = !plan_windows(horizon, bounded);
-          bar.arrive_and_wait();
-          if (stop) break;
-          for (std::uint32_t d = w; d < n; d += workers) {
-            domains_[d]->run_window(window_[d]);
-          }
-          bar.arrive_and_wait();
-        }
-      };
-      std::vector<std::thread> pool;
-      pool.reserve(workers - 1);
-      for (unsigned w = 1; w < workers; ++w) pool.emplace_back(work, w);
-      work(0);
-      for (std::thread& t : pool) t.join();
+    };
+    // A new thread starts on its creator's CPU, and once the other CPUs
+    // have idled a while the scheduler may leave it there: on a 4-vCPU
+    // Linux 6.18 guest all four workers shared one vCPU for up to 1.3 s, so
+    // a short run went serial. Each pool worker therefore moves itself to
+    // an allowed CPU other than the caller's and then takes the whole mask
+    // back -- a start position, not a pin.
+    cpu_set_t mask;
+    CPU_ZERO(&mask);
+    std::vector<int> spread;
+    if (workers > 1 && sched_getaffinity(0, sizeof(mask), &mask) == 0) {
+      const int home = sched_getcpu();
+      for (int c = 0; c < CPU_SETSIZE; ++c) {
+        if (c != home && CPU_ISSET(c, &mask)) spread.push_back(c);
+      }
     }
+    auto start = [&](unsigned w) {
+      if (!spread.empty()) {
+        cpu_set_t own;
+        CPU_ZERO(&own);
+        CPU_SET(spread[(w - 1) % spread.size()], &own);
+        sched_setaffinity(0, sizeof(own), &own);
+        sched_setaffinity(0, sizeof(mask), &mask);
+      }
+      work(w);
+    };
+    std::vector<std::thread> pool;
+    pool.reserve(workers - 1);
+    for (unsigned w = 1; w < workers; ++w) pool.emplace_back(start, w);
+    work(0);
+    for (std::thread& t : pool) t.join();
     if (bounded) {
       for (auto& d : domains_) d->advance_clock_to(horizon);
     }

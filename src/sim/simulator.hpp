@@ -261,8 +261,12 @@ class Domain {
   /// Runs every event strictly before `before` and stops -- one conservative
   /// window. Unlike run_until, the clock is left at the last processed
   /// event, not advanced to the window edge (the next window's lower bound
-  /// is computed from next_event_time, which must stay exact).
-  void run_window(TimePs before) {
+  /// is computed from next_event_time, which must stay exact). Kept out of
+  /// line so that every cluster runs one compiled copy of this loop:
+  /// inlined into the cluster's worker loop, a 1-domain cluster ran
+  /// sim_kernel_bench's timer storm at 9 M events/s instead of 15 M (GCC 12
+  /// -O2, 4-vCPU x86 guest).
+  [[gnu::noinline]] void run_window(TimePs before) {
     while (!heap_.empty() && heap_.front().t < before) step();
   }
 
