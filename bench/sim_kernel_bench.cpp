@@ -102,9 +102,14 @@ double bench_events_domains(std::uint32_t domains, std::uint64_t* out_events) {
   constexpr int kRounds = 20000;
   constexpr int kLaps = 2000;
   sim::SimCluster cluster(domains);
-  for (int t = 0; t < kTasks; ++t) {
-    sim::Domain& d = cluster.domain(static_cast<std::uint32_t>(t) % domains);
-    d.spawn(timer_task(&d, static_cast<std::uint64_t>(t) + 1, kRounds));
+  // Task t runs on domain t % domains with seed t + 1. Frames come from
+  // this thread's heap, so each domain's tasks are spawned together.
+  for (std::uint32_t i = 0; i < domains; ++i) {
+    sim::Domain& d = cluster.domain(i);
+    for (std::uint32_t t = i; t < static_cast<std::uint32_t>(kTasks);
+         t += domains) {
+      d.spawn(timer_task(&d, std::uint64_t{t} + 1, kRounds));
+    }
   }
   std::vector<std::unique_ptr<sim::Mailbox<int>>> ring;
   if (domains > 1) {

@@ -16,7 +16,7 @@ class SnaccDevice::SqTarget final : public pcie::Target {
     co_return dev_.streamer_->serve_sq_read(local, len);
   }
   sim::Task mem_write(Bytes, Payload) override {
-    co_return;  // writes to the SQ window are ignored
+    return {};  // writes to the SQ window are ignored
   }
 
  private:
@@ -32,7 +32,7 @@ class SnaccDevice::CqTarget final : public pcie::Target {
   }
   sim::Task mem_write(Bytes local, Payload data) override {
     dev_.streamer_->on_cqe_write(local, data);
-    co_return;
+    return {};
   }
 
  private:
@@ -46,7 +46,7 @@ class SnaccDevice::PrpTarget final : public pcie::Target {
   sim::TaskOf<Payload> mem_read(Bytes local, Bytes len) override {
     co_return dev_.streamer_->serve_prp_read(local, len);
   }
-  sim::Task mem_write(Bytes, Payload) override { co_return; }
+  sim::Task mem_write(Bytes, Payload) override { return {}; }
 
  private:
   SnaccDevice& dev_;
@@ -58,10 +58,8 @@ class SnaccDevice::UramWindowTarget final : public pcie::Target {
  public:
   explicit UramWindowTarget(SnaccDevice& dev) : dev_(dev) {}
   sim::TaskOf<Payload> mem_read(Bytes local, Bytes len) override {
-    if (dev_.uram_prp_->is_prp_read(local)) {
-      co_return dev_.streamer_->serve_prp_read(local, len);
-    }
-    co_return co_await dev_.uram_->read(local.value(), len.value());
+    if (dev_.uram_prp_->is_prp_read(local)) return serve_prp(local, len);
+    return dev_.uram_->read(local.value(), len.value());
   }
   sim::Task mem_write(Bytes local, Payload data) override {
     assert(!dev_.uram_prp_->is_prp_read(local));
@@ -69,6 +67,10 @@ class SnaccDevice::UramWindowTarget final : public pcie::Target {
   }
 
  private:
+  sim::TaskOf<Payload> serve_prp(Bytes local, Bytes len) {
+    co_return dev_.streamer_->serve_prp_read(local, len);
+  }
+
   SnaccDevice& dev_;
 };
 

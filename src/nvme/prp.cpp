@@ -1,5 +1,7 @@
 #include "nvme/prp.hpp"
 
+#include <cstring>
+
 namespace snacc::nvme {
 
 std::vector<std::vector<std::uint64_t>> build_prp_lists(
@@ -31,8 +33,21 @@ std::vector<std::vector<std::uint64_t>> build_prp_lists(
   return lists;
 }
 
+namespace {
+
+/// Entry `slot` of a fetched list page (zero where the page has no bytes).
+std::uint64_t list_entry(const Payload& page, std::uint64_t slot) {
+  std::uint64_t v = 0;
+  if (page.has_data() && page.size() >= (slot + 1) * 8) {
+    std::memcpy(&v, page.view().data() + slot * 8, 8);
+  }
+  return v;
+}
+
+}  // namespace
+
 sim::TaskOf<std::vector<BusAddr>> PrpWalker::walk(BusAddr prp1, BusAddr prp2,
-                                                  Bytes len) {
+                                                  Bytes len) const {
   const std::uint64_t pages = prp_page_count(len);
   std::vector<BusAddr> out;
   out.reserve(pages);
@@ -45,24 +60,20 @@ sim::TaskOf<std::vector<BusAddr>> PrpWalker::walk(BusAddr prp1, BusAddr prp2,
     co_return out;
   }
 
-  // PRP2 points to a list page. Fetch entries one by one (the controller
-  // actually bursts these; the burst is modeled by the reader's rate
-  // charging, see Ssd::read_prp_entry).
-  BusAddr list_base = prp2;
-  std::uint64_t index_in_list = 0;
+  // PRP2 points into a list page. The controller bursts each list page in
+  // one read and takes the entries from it.
+  BusAddr list = prp2;
   while (out.size() < pages) {
-    const BusAddr entry_addr = list_base + Bytes{index_in_list * 8};
-    const std::uint64_t entry = co_await reader_(entry_addr);
-    const bool last_slot = index_in_list == kPrpEntriesPerList - 1;
-    const bool more_needed = out.size() < pages;
-    if (last_slot && more_needed && out.size() + 1 < pages) {
-      // Chain pointer to the next list page.
-      list_base = BusAddr{entry};
-      index_in_list = 0;
-      continue;
+    const ReadResult page = co_await reader_(page_base(list));
+    for (std::uint64_t slot = page_offset(list).value() / 8;; ++slot) {
+      const BusAddr entry{list_entry(page.data, slot)};
+      if (slot == kPrpEntriesPerList - 1 && out.size() + 1 < pages) {
+        list = entry;  // chain pointer to the next list page
+        break;
+      }
+      out.push_back(entry);
+      if (out.size() == pages) break;
     }
-    out.push_back(BusAddr{entry});
-    ++index_in_list;
   }
   co_return out;
 }

@@ -8,10 +8,10 @@
 //                                8-byte entries; if the transfer needs more
 //                                entries than one list page holds, the last
 //                                entry chains to the next list page.
-// List pages are fetched through a caller-supplied reader -- in the live
-// system that is a PCIe read, which is exactly how the SNAcc streamer's
-// on-the-fly PRP computation gets exercised (the controller "reads" a list
-// that the FPGA synthesizes from the address, Sec. 4.4).
+// List pages are fetched whole through a caller-supplied reader -- in the
+// live system that is a PCIe read, which is exactly how the SNAcc
+// streamer's on-the-fly PRP computation gets exercised (the controller
+// "reads" a list that the FPGA synthesizes from the address, Sec. 4.4).
 #pragma once
 
 #include <cstdint>
@@ -20,7 +20,6 @@
 
 #include "common/payload.hpp"
 #include "common/units.hpp"
-#include "sim/simulator.hpp"
 #include "sim/task.hpp"
 
 namespace snacc::nvme {
@@ -43,27 +42,26 @@ std::vector<std::vector<std::uint64_t>> build_prp_lists(BusAddr buffer_base,
                                                         Bytes len,
                                                         BusAddr list_page_base);
 
-/// Asynchronous reader for one 8-byte PRP entry at a physical address. The
-/// wire value is a raw little-endian word; the walker re-types it.
-using PrpEntryReader =
-    std::function<sim::TaskOf<std::uint64_t>(BusAddr entry_addr)>;
+/// Asynchronous reader of one whole PRP-list page: 4 kB at a page-aligned
+/// physical address. A phantom or short payload reads as zero entries.
+using PrpListReader = std::function<sim::TaskOf<ReadResult>(BusAddr page)>;
 
 /// Walks the PRP structure of one command and produces the page addresses in
-/// transfer order. List entries are fetched via `reader` (PCIe in the real
-/// system). The walk fetches list pages lazily and in order.
+/// transfer order. Each list page costs one `reader` call (a PCIe read in
+/// the real system), made lazily and in order; the walker indexes the
+/// page's entries itself. PRP2 may point at a qword offset inside its list
+/// page: the list then runs to the end of that page, whose last slot chains
+/// to the next list page when more entries remain.
 class PrpWalker {
  public:
-  PrpWalker(sim::Simulator& sim, PrpEntryReader reader)
-      : sim_(&sim), reader_(std::move(reader)) {}
+  explicit PrpWalker(PrpListReader reader) : reader_(std::move(reader)) {}
 
-  /// Resolves all page addresses for a transfer. co_awaits entry fetches.
-  /// On malformed PRPs (unaligned mid-list entries) the result is truncated.
+  /// Resolves all page addresses for a transfer.
   sim::TaskOf<std::vector<BusAddr>> walk(BusAddr prp1, BusAddr prp2,
-                                         Bytes len);
+                                         Bytes len) const;
 
  private:
-  sim::Simulator* sim_;
-  PrpEntryReader reader_;
+  PrpListReader reader_;
 };
 
 }  // namespace snacc::nvme

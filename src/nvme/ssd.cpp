@@ -80,9 +80,10 @@ sim::TaskOf<Payload> Ssd::mem_read(Bytes local, Bytes len) {
 
 sim::Task Ssd::mem_write(Bytes local, Payload data) {
   // Register/doorbell writes take effect in controller order but complete
-  // immediately from the fabric's point of view (posted).
+  // immediately from the fabric's point of view (posted): the write is
+  // accepted in the call, and the returned task is already done.
   sim_.spawn(handle_register_write(local, std::move(data)));
-  co_return;
+  return {};
 }
 
 sim::Task Ssd::handle_register_write(Bytes local, Payload data) {
@@ -507,39 +508,6 @@ sim::Task Ssd::post_cqe(IoQueue& q, Cid cid, Status status,
   if (status != Status::kSuccess) ++error_cqes_;
   sim_.trace(sim::TraceCat::kNvmeComplete, "cqe-posted", cid.value(),
              static_cast<std::uint64_t>(status));
-}
-
-// ---------------------------------------------------------------------------
-// PRP resolution
-
-sim::TaskOf<std::vector<BusAddr>> Ssd::resolve_prps(
-    const SubmissionEntry& sqe) {
-  // List pages are fetched whole and cached per command: controllers read
-  // PRP lists in bursts, not entry-by-entry. The cache is lookup-only
-  // (never iterated), so unordered iteration order cannot leak into
-  // simulated behaviour.
-  PrpCache cache;
-  PrpWalker walker(sim_, [this, &cache](BusAddr entry_addr) {
-    return read_prp_entry(&cache, entry_addr);
-  });
-  co_return co_await walker.walk(sqe.prp1, sqe.prp2, sqe.data_bytes());
-}
-
-sim::TaskOf<std::uint64_t> Ssd::read_prp_entry(PrpCache* cache,
-                                               BusAddr entry_addr) {
-  const BusAddr page_addr = page_base(entry_addr);
-  const std::uint64_t index = page_offset(entry_addr).value() / 8;
-  auto it = cache->find(page_addr);
-  if (it == cache->end()) {
-    auto rr = co_await fabric_.read(port_, page_addr, Bytes{kPageSize},
-                                    /*control=*/true);
-    std::vector<std::uint64_t> entries(kPrpEntriesPerList, 0);
-    if (rr.data.has_data()) {
-      std::memcpy(entries.data(), rr.data.view().data(), kPageSize);
-    }
-    it = cache->emplace(page_addr, std::move(entries)).first;
-  }
-  co_return it->second[index];
 }
 
 FetchPath Ssd::classify_source(pcie::Addr addr) const {

@@ -155,13 +155,10 @@ class Ssd final : public pcie::Target {
   void destage_oldest();
   void flush_cache();
 
-  /// One command's PRP-list pages, fetched whole and keyed by page address.
-  using PrpCache = std::unordered_map<BusAddr, std::vector<std::uint64_t>>;
-  sim::TaskOf<std::vector<BusAddr>> resolve_prps(const SubmissionEntry& sqe);
-  /// The PrpWalker's reader: one list entry, served from `cache` or by a
-  /// burst read of its whole list page over PCIe.
-  sim::TaskOf<std::uint64_t> read_prp_entry(PrpCache* cache,
-                                            BusAddr entry_addr);
+  /// A command's page addresses, from PRP1/PRP2 and its PRP-list pages.
+  sim::TaskOf<std::vector<BusAddr>> resolve_prps(const SubmissionEntry& sqe) {
+    return prp_walker_.walk(sqe.prp1, sqe.prp2, sqe.data_bytes());
+  }
   FetchPath classify_source(pcie::Addr addr) const;
 
   sim::Simulator& sim_;
@@ -171,6 +168,10 @@ class Ssd final : public pcie::Target {
   NandBackend nand_;
   pcie::PortId port_ = pcie::kInvalidPort;
   pcie::Addr bar_base_;
+  // Controllers burst PRP lists: each list page is one control read.
+  PrpWalker prp_walker_{[this](BusAddr page) {
+    return fabric_.read(port_, page, Bytes{kPageSize}, /*control=*/true);
+  }};
 
   // Registers.
   std::uint32_t cc_ = 0;

@@ -169,23 +169,30 @@ constexpr Bytes kInterleaveBypassBytes{512};
 
 sim::TaskOf<ReadResult> Fabric::read(PortId src, Addr addr, Bytes len,
                                      bool control) {
+  // Every queued 4 kB DMA page holds one of these frames, and GCC 12 gives
+  // each co_await expression a frame slot of its own: so the three fault
+  // paths share one delay, and the success path reuses one delay awaiter
+  // and one rate-server grant (docs/MODEL.md, "Coroutine frames").
+  sim::Simulator::DelayAwaiter wait;
   const Window* w = route(addr, len);
+  TimePs fault_wait = profile_.host_read_rtt;
+  bool faulted = true;
   if (w == nullptr) {
     ++unmapped_errors_;
     record_fault(FaultKind::kUnmappedRead, src, addr, len);
-    co_await sim_.delay(profile_.host_read_rtt);
-    co_return ReadResult{Payload::phantom(len), false};
-  }
-  if (src != root_ && !iommu_.check(src, addr, len, /*write=*/false)) {
+  } else if (src != root_ && !iommu_.check(src, addr, len, /*write=*/false)) {
     record_fault(FaultKind::kIommuRead, src, addr, len);
-    co_await sim_.delay(profile_.host_read_rtt);
-    co_return ReadResult{Payload::phantom(len), false};
-  }
-  if (read_loss_.armed() && read_loss_.fire()) {
+  } else if (read_loss_.armed() && read_loss_.fire()) {
     // Lost non-posted TLP: no completion ever arrives; the initiator's
     // completion timer expires and the transaction fails like a UR/CA.
     record_fault(FaultKind::kCompletionTimeout, src, addr, len);
-    co_await sim_.delay(profile_.completion_timeout);
+    fault_wait = profile_.completion_timeout;
+  } else {
+    faulted = false;
+  }
+  if (faulted) {
+    wait = sim_.delay(fault_wait);
+    co_await wait;
     co_return ReadResult{Payload::phantom(len), false};
   }
 
@@ -194,22 +201,28 @@ sim::TaskOf<ReadResult> Fabric::read(PortId src, Addr addr, Bytes len,
   const TimePs rtt = read_rtt(src, w->owner);
 
   // Request TLP: header-only, interleaves with bulk traffic.
-  co_await sim_.delay(transfer_time(profile_.tlp_header_bytes, sp.tx.rate()));
-  co_await sim_.delay(rtt / 2);
+  wait = sim_.delay(transfer_time(profile_.tlp_header_bytes, sp.tx.rate()));
+  co_await wait;
+  wait = sim_.delay(rtt / 2);
+  co_await wait;
 
   Payload data = co_await w->target->mem_read(addr - w->base, len);
 
   // Completion(s) with data serialize on the target's TX link, then travel
   // back. (A same-port read -- e.g. SSD reading its own BAR -- never happens.)
   if (control || len <= kInterleaveBypassBytes) {
-    co_await sim_.delay(transfer_time(wire_bytes(len), dp.tx.rate()));
+    wait = sim_.delay(transfer_time(wire_bytes(len), dp.tx.rate()));
+    co_await wait;
   } else {
-    co_await dp.tx.acquire(wire_bytes(len));
+    sim::RateServer::Waiter grant = dp.tx.acquire(wire_bytes(len));
+    co_await grant;
     // The completion also lands on the initiator's RX lane -- this is what
     // caps aggregate inbound bandwidth when one port reads many sources.
-    co_await sp.rx.acquire(wire_bytes(len));
+    grant = sp.rx.acquire(wire_bytes(len));
+    co_await grant;
   }
-  co_await sim_.delay(rtt / 2);
+  wait = sim_.delay(rtt / 2);
+  co_await wait;
 
   PathStats& ps = path_mut(src, w->owner);
   // snacc-lint: allow(value-escape): aggregate traffic counters are raw totals
@@ -238,14 +251,23 @@ sim::Task Fabric::write(PortId src, Addr addr, Payload data) {
   Port& sp = *ports_.at(static_cast<std::size_t>(src));
   Port& dp = *ports_.at(static_cast<std::size_t>(w->owner));
 
-  if (len <= kInterleaveBypassBytes) {
-    // Doorbells and small control writes interleave with bulk traffic.
-    co_await sim_.delay(transfer_time(wire_bytes(len), sp.tx.rate()));
-    co_await sim_.delay(profile_.posted_write_latency);
+  // One delay awaiter and one grant, reused: see read(). Doorbells and
+  // small control writes interleave with bulk traffic.
+  const bool bulk = len > kInterleaveBypassBytes;
+  sim::Simulator::DelayAwaiter wait;
+  sim::RateServer::Waiter grant;
+  if (bulk) {
+    grant = sp.tx.acquire(wire_bytes(len));
+    co_await grant;
   } else {
-    co_await sp.tx.acquire(wire_bytes(len));
-    co_await sim_.delay(profile_.posted_write_latency);
-    co_await dp.rx.acquire(wire_bytes(len));
+    wait = sim_.delay(transfer_time(wire_bytes(len), sp.tx.rate()));
+    co_await wait;
+  }
+  wait = sim_.delay(profile_.posted_write_latency);
+  co_await wait;
+  if (bulk) {
+    grant = dp.rx.acquire(wire_bytes(len));
+    co_await grant;
   }
 
   PathStats& ps = path_mut(src, w->owner);

@@ -35,7 +35,9 @@ namespace snacc::pcie {
 /// A device-side handler for memory transactions hitting one of its windows.
 /// Addresses passed in are *local* to the window base. Implementations model
 /// their own internal service time; the fabric awaits both calls directly,
-/// so a target that needs no time simply `co_return`s.
+/// at once. A target that forwards to a memory model returns that model's
+/// task, and a write that needs no time is done in the call and returns an
+/// empty `sim::Task{}`: neither costs a coroutine frame.
 class Target {
  public:
   virtual ~Target() = default;

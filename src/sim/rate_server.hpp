@@ -21,6 +21,7 @@
 #include <cassert>
 #include <coroutine>
 #include <cstdint>
+#include <type_traits>
 
 #include "common/units.hpp"
 #include "sim/simulator.hpp"
@@ -43,7 +44,7 @@ class RateServer {
   /// that is due at once completes without suspending, takes no sequence
   /// number and never touches the queue; its node's handle stays null.
   struct Waiter {
-    RateServer* server;
+    RateServer* server = nullptr;
     TimePs wake;
     std::uint64_t seq = 0;
     Waiter* next = nullptr;
@@ -120,5 +121,6 @@ class RateServer {
 // those are live at once, so its size shows in peak RSS: four words on top of
 // the node.
 static_assert(sizeof(RateServer::Waiter) == 32 + sizeof(EventNode));
+static_assert(std::is_trivially_copyable_v<RateServer::Waiter>);
 
 }  // namespace snacc::sim

@@ -14,9 +14,10 @@
 // traffic only through sim::Mailbox (sim/mailbox.hpp) boundaries.
 //
 // The queue is *intrusive and allocation-free*: every suspension primitive
-// (delay, channel hand-off, cross-process completion, rate server, spawn)
-// embeds an EventNode in its awaiter or promise object -- which lives in the
-// suspended coroutine's frame. Most link that node into the scheduler
+// (delay, channel hand-off, cross-process completion, rate server) embeds an
+// EventNode in its awaiter -- which lives in the suspended coroutine's frame
+// -- and a spawn's start event lives in the spawn record that the domain's
+// pool supplies. Most link that node into the scheduler
 // directly; a rate server's waiters queue behind the oldest one, and only
 // that one is in the heap, under the key each reserved when it suspended.
 // The heap itself stores (time, seq, node*) entries by value in a
@@ -35,6 +36,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <new>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -88,15 +91,19 @@ struct EventNode {
 
 class Domain {
  public:
-  /// Intrusive registry node for detached (spawned) coroutine frames; lives
-  /// inside the frame's promise. A task that runs to completion unlinks
-  /// itself in Task's FinalAwaiter; anything still linked when the Simulator
-  /// dies is a suspended process (server loop blocked on a channel, worker
-  /// parked on a semaphore) whose frame would otherwise leak.
-  struct DetachedNode {
-    DetachedNode* prev = nullptr;
-    DetachedNode* next = nullptr;
+  /// What a spawned (detached) frame needs beyond an awaited one: its start
+  /// event and its link in the domain's registry of frames in flight. It
+  /// comes from the spawning domain's pool, so an awaited frame's promise
+  /// carries none of it. A task that runs to completion unlinks and frees
+  /// its record in Task's FinalAwaiter; anything still linked when the
+  /// domain dies is a suspended process (server loop blocked on a channel,
+  /// worker parked on a semaphore) whose frame would otherwise leak.
+  struct SpawnRecord {
+    SpawnRecord* prev = nullptr;
+    SpawnRecord* next = nullptr;
     std::coroutine_handle<> frame;
+    Domain* domain = nullptr;
+    EventNode start;
   };
 
   Domain() { heap_.reserve(1024); }
@@ -116,17 +123,15 @@ class Domain {
     // after its owner died).
     for (const HeapEntry& e : heap_) e.node->linked = false;
     heap_.clear();
-    // Destroy still-suspended spawned frames, newest first. Unlink before
-    // destroy: the node lives inside the frame being freed.
-    while (detached_) {
-      DetachedNode* n = detached_;
-      detached_ = n->next;
-      if (detached_) detached_->prev = nullptr;
-      n->frame.destroy();
+    // Destroy still-suspended spawned frames, newest first. Their records
+    // stay in the pool, whose slabs release with the members; anything a
+    // frame destructor returned to the pool here only touched slab memory,
+    // which is freed last.
+    while (spawned_) {
+      SpawnRecord* r = spawned_;
+      spawned_ = r->next;
+      r->frame.destroy();
     }
-    // Pool slabs release with the members; anything a frame destructor
-    // returned to the pool above only touched slab memory, which is freed
-    // last.
   }
 
   TimePs now() const { return now_; }
@@ -177,16 +182,25 @@ class Domain {
   /// a result to. Defined in task.hpp (needs the full Task type).
   void spawn(Task task);
 
-  void adopt_detached(DetachedNode* n) {
-    n->prev = nullptr;
-    n->next = detached_;
-    if (detached_) detached_->prev = n;
-    detached_ = n;
+  /// Registers a spawned frame: its record comes from this domain's pool and
+  /// is linked into the registry, and its start event runs the frame at the
+  /// current time, so spawn() never reenters model code.
+  SpawnRecord* adopt_spawned(std::coroutine_handle<> frame) {
+    auto* r = ::new (pool_alloc(sizeof(SpawnRecord))) SpawnRecord{};
+    r->next = spawned_;
+    r->frame = frame;
+    r->domain = this;
+    if (spawned_) spawned_->prev = r;
+    spawned_ = r;
+    schedule_resume(r->start, frame, now_);
+    return r;
   }
-  void drop_detached(DetachedNode* n) {
-    if (n->prev) n->prev->next = n->next;
-    else detached_ = n->next;
-    if (n->next) n->next->prev = n->prev;
+  /// Unlinks and frees the record of a spawned frame that ran to completion.
+  void retire_spawned(SpawnRecord* r) {
+    if (r->prev) r->prev->next = r->next;
+    else spawned_ = r->next;
+    if (r->next) r->next->prev = r->prev;
+    pool_free(r, sizeof(SpawnRecord));
   }
 
   /// Runs a single event. Returns false when the queue is empty.
@@ -302,18 +316,36 @@ class Domain {
     trace(cat, label, raw_trace_arg(a), raw_trace_arg(b));
   }
 
-  /// Awaitable: suspends the current coroutine for `delay`. The timer node
-  /// lives in the awaiter itself -- no allocation, no type erasure.
-  auto delay(TimePs d) { return DelayAwaiter{this, now_ + d}; }
+  /// The awaiter of delay()/delay_until(). The timer node lives in the
+  /// awaiter itself -- no allocation, no type erasure. It is trivially
+  /// copyable, so a frame that waits many times can keep one named awaiter
+  /// and assign each new wait to it (docs/MODEL.md, "Coroutine frames").
+  struct DelayAwaiter {
+    Domain* sim = nullptr;
+    TimePs wake;
+    EventNode node{};
+    bool await_ready() const noexcept { return wake <= sim->now_; }
+    void await_suspend(std::coroutine_handle<> h) {
+      sim->schedule_resume(node, h, wake);
+    }
+    void await_resume() const noexcept {}
+  };
+
+  /// Awaitable: suspends the current coroutine for `delay`.
+  DelayAwaiter delay(TimePs d) { return DelayAwaiter{this, now_ + d}; }
   /// Awaitable: suspends until absolute time `t` (no-op if in the past).
-  auto delay_until(TimePs t) { return DelayAwaiter{this, std::max(t, now_)}; }
+  DelayAwaiter delay_until(TimePs t) {
+    return DelayAwaiter{this, std::max(t, now_)};
+  }
 
   // -- Micro-object pool ---------------------------------------------------
 
   /// Size-class recycling allocator for simulation-lifetime micro-objects
-  /// (Promise/Future states). Freed blocks go on a per-class freelist and
-  /// are reused by the next allocation; memory returns to the OS only at
-  /// ~Simulator. Blocks above the largest class fall back to operator new.
+  /// (spawn records, Promise/Future states). Freed blocks go on a per-class
+  /// freelist and are reused by the next allocation; memory returns to the
+  /// OS only at ~Simulator. Blocks above the largest class fall back to
+  /// operator new. Slabs are not zeroed: a page of a slab costs resident
+  /// memory only once a block on it is used.
   void* pool_alloc(std::size_t bytes) {
     const std::size_t cls = (bytes + kPoolStep - 1) / kPoolStep;
     if (cls == 0 || cls > kPoolClasses) return ::operator new(bytes);
@@ -325,7 +357,7 @@ class Domain {
     }
     const std::size_t sz = cls * kPoolStep;
     if (slabs_.empty() || slab_used_ + sz > kSlabBytes) {
-      slabs_.push_back(std::make_unique<std::byte[]>(kSlabBytes));
+      slabs_.push_back(std::make_unique_for_overwrite<std::byte[]>(kSlabBytes));
       slab_used_ = 0;
     }
     void* p = slabs_.back().get() + slab_used_;
@@ -430,17 +462,6 @@ class Domain {
     heap_[i] = last;
   }
 
-  struct DelayAwaiter {
-    Domain* sim;
-    TimePs wake;
-    EventNode node{};
-    bool await_ready() const noexcept { return wake <= sim->now_; }
-    void await_suspend(std::coroutine_handle<> h) {
-      sim->schedule_resume(node, h, wake);
-    }
-    void await_resume() const noexcept {}
-  };
-
   static constexpr std::size_t kPoolStep = 16;
   static constexpr std::size_t kPoolClasses = 32;  // up to 512-byte blocks
   static constexpr std::size_t kSlabBytes = 64 * 1024;
@@ -452,7 +473,7 @@ class Domain {
   void advance_clock_to(TimePs t) { now_ = std::max(now_, t); }
 
   std::vector<HeapEntry> heap_;
-  DetachedNode* detached_ = nullptr;  // spawned frames still in flight
+  SpawnRecord* spawned_ = nullptr;  // spawned frames still in flight
   Tracer tracer_;
   TimePs now_;
   std::uint64_t seq_ = 0;
@@ -463,6 +484,9 @@ class Domain {
   std::vector<std::unique_ptr<std::byte[]>> slabs_;
   std::size_t slab_used_ = 0;
 };
+
+// Awaiters live in the awaiting frame; a plain copy must be a whole copy.
+static_assert(std::is_trivially_copyable_v<Domain::DelayAwaiter>);
 
 /// The historical name: a standalone Domain is exactly the old
 /// single-threaded Simulator, and every single-domain code path is

@@ -9,7 +9,10 @@
 //   * `sim.spawn(some_task())`   -- detached (`Task` only): the frame frees
 //                                   itself when the coroutine runs to
 //                                   completion.
-// Tasks are lazy: nothing runs until awaited or spawned. Both types are
+// Tasks are lazy: nothing runs until awaited or spawned. A default-built
+// `Task{}` is already done: awaiting it does not suspend, so a `Task`
+// function that never waits can do its work in the call and return one,
+// with no coroutine frame (pcie::Target's no-time writes). Both types are
 // [[nodiscard]], and the build turns a dropped one into an error
 // (-Werror=unused-result). Exceptions escaping a model process are
 // programming errors and terminate the simulation.
@@ -63,10 +66,10 @@ class [[nodiscard]] TaskOf {
         promise_type& p = h.promise();
         std::coroutine_handle<> next =
             p.continuation ? p.continuation : std::noop_coroutine();
-        if (p.detached) {
+        if (Domain::SpawnRecord* r = p.spawned) {
           // Frame owns itself in detached mode; deregister from the
-          // simulator's end-of-life registry before freeing.
-          p.sim->drop_detached(&p.node);
+          // domain's end-of-life registry before freeing.
+          r->domain->retire_spawned(r);
           h.destroy();
         }
         return next;
@@ -80,11 +83,10 @@ class [[nodiscard]] TaskOf {
       std::terminate();
     }
 
+    // An awaited frame carries two words here; spawn() keeps the rest of a
+    // detached frame's bookkeeping in a record from its domain's pool.
     std::coroutine_handle<> continuation;
-    Simulator* sim = nullptr;          // set by spawn(), with node
-    Simulator::DetachedNode node;
-    EventNode start_ev;                // schedules the detached start
-    bool detached = false;
+    Domain::SpawnRecord* spawned = nullptr;  // set by spawn()
   };
 
   TaskOf() = default;
@@ -134,14 +136,7 @@ class [[nodiscard]] TaskOf {
 inline void Simulator::spawn(Task task) {
   auto h = task.release();
   if (!h) return;
-  auto& p = h.promise();
-  p.detached = true;
-  p.sim = this;
-  p.node.frame = h;
-  adopt_detached(&p.node);
-  // Start through the event queue so spawn() never reenters model code. The
-  // start event's node lives in the promise -- no allocation.
-  schedule_resume(p.start_ev, h, now());
+  h.promise().spawned = adopt_spawned(h);
 }
 
 }  // namespace snacc::sim

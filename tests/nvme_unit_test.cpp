@@ -4,6 +4,9 @@
 // against protocol errors (bad opcode, CQ backpressure, queue deletion).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+
 #include "common/rng.hpp"
 #include "fault/fault.hpp"
 #include "host/system.hpp"
@@ -111,14 +114,24 @@ TEST(Prp, PageCountMath) {
   EXPECT_EQ(prp_page_count(Bytes{1 * MiB}), 256u);
 }
 
-/// A PRP-entry read served without simulated time (a fake list in memory).
-sim::TaskOf<std::uint64_t> entry_now(std::uint64_t entry) { co_return entry; }
+/// One PRP-list page holding `entries` from slot 0 (the rest zero).
+Payload list_page(const std::vector<std::uint64_t>& entries) {
+  std::vector<std::byte> raw(kPageSize, std::byte{0});
+  std::memcpy(raw.data(), entries.data(),
+              std::min<std::size_t>(entries.size() * 8, kPageSize));
+  return Payload::bytes(std::move(raw));
+}
+
+/// A list-page read served without simulated time (a fake list in memory).
+sim::TaskOf<ReadResult> page_now(Payload page) {
+  co_return ReadResult{std::move(page), true};
+}
 
 TEST(Prp, WalkerDirectEntries) {
   sim::Simulator sim;
-  PrpWalker walker(sim, [](BusAddr) {
+  PrpWalker walker([](BusAddr) {
     ADD_FAILURE() << "direct PRPs must not fetch a list";
-    return entry_now(0);
+    return page_now(Payload{});
   });
   std::vector<BusAddr> pages;
   // walk with one page
@@ -142,7 +155,7 @@ TEST(Prp, WalkerDirectEntries) {
 
 TEST(Prp, WalkerFollowsChainedLists) {
   sim::Simulator sim;
-  // Build reference lists for a 600-page transfer and serve entry reads
+  // Build reference lists for a 600-page transfer and serve list-page reads
   // from them.
   const std::uint64_t pages_total = 600;
   const BusAddr buf{0x10'0000};
@@ -151,12 +164,10 @@ TEST(Prp, WalkerFollowsChainedLists) {
       build_prp_lists(buf, Bytes{pages_total * kPageSize}, list_base);
   ASSERT_EQ(lists.size(), 2u);
 
-  std::uint64_t fetches = 0;
-  PrpWalker walker(sim, [&](BusAddr addr) {
-    ++fetches;
-    const std::uint64_t page = (addr - list_base).value() / kPageSize;
-    const std::uint64_t idx = addr.value() % kPageSize / 8;
-    return entry_now(lists.at(page).at(idx));
+  std::vector<BusAddr> reads;
+  PrpWalker walker([&](BusAddr page) {
+    reads.push_back(page);
+    return page_now(list_page(lists.at((page - list_base).value() / kPageSize)));
   });
   std::vector<BusAddr> pages;
   auto t = [&]() -> sim::Task {
@@ -169,7 +180,57 @@ TEST(Prp, WalkerFollowsChainedLists) {
   for (std::uint64_t i = 0; i < pages_total; ++i) {
     EXPECT_EQ(pages[i].value(), (buf + Bytes{i * kPageSize}).value()) << i;
   }
-  EXPECT_EQ(fetches, 599u + 1u);  // 599 entries + the chain pointer slot
+  // One read per list page: the first page and the one its last slot chains
+  // to.
+  ASSERT_EQ(reads.size(), 2u);
+  EXPECT_EQ(reads[0].value(), list_base.value());
+  EXPECT_EQ(reads[1].value(), (list_base + Bytes{kPageSize}).value());
+}
+
+TEST(Prp, WalkerStartsAtListOffsetAndChainsFromLastSlot) {
+  sim::Simulator sim;
+  // PRP2 points at qword 400 of its list page: that page's list is slots
+  // 400..511, and slot 511 chains to a list page elsewhere in memory.
+  const std::uint64_t pages_total = 300;
+  const std::uint64_t first_slot = 400;
+  const BusAddr buf{0x10'0000};
+  const BusAddr first_page{0x90'0000};
+  const BusAddr chained_page{0x70'0000};
+  // Slots the list does not use hold a marker no page address has.
+  constexpr std::uint64_t kUnused = 0xDEAD'0000;
+  std::vector<std::uint64_t> first(kPrpEntriesPerList, kUnused);
+  std::vector<std::uint64_t> chained(kPrpEntriesPerList, kUnused);
+  std::uint64_t next = 1;  // page 0 is PRP1
+  for (std::uint64_t slot = first_slot; slot + 1 < kPrpEntriesPerList; ++slot) {
+    first[slot] = (buf + Bytes{next++ * kPageSize}).value();
+  }
+  first.back() = chained_page.value();
+  for (std::uint64_t slot = 0; next < pages_total; ++slot) {
+    chained[slot] = (buf + Bytes{next++ * kPageSize}).value();
+  }
+
+  std::vector<BusAddr> reads;
+  PrpWalker walker([&](BusAddr page) {
+    reads.push_back(page);
+    if (page == first_page) return page_now(list_page(first));
+    if (page == chained_page) return page_now(list_page(chained));
+    ADD_FAILURE() << "read of a page that holds no list: " << page.value();
+    return page_now(Payload{});
+  });
+  std::vector<BusAddr> pages;
+  auto t = [&]() -> sim::Task {
+    pages = co_await walker.walk(buf, first_page + Bytes{first_slot * 8},
+                                 Bytes{pages_total * kPageSize});
+  };
+  sim.spawn(t());
+  sim.run();
+  ASSERT_EQ(pages.size(), pages_total);
+  for (std::uint64_t i = 0; i < pages_total; ++i) {
+    EXPECT_EQ(pages[i].value(), (buf + Bytes{i * kPageSize}).value()) << i;
+  }
+  ASSERT_EQ(reads.size(), 2u);
+  EXPECT_EQ(reads[0].value(), first_page.value());
+  EXPECT_EQ(reads[1].value(), chained_page.value());
 }
 
 class PrpWalkerProperty : public ::testing::TestWithParam<std::uint64_t> {};
@@ -183,10 +244,9 @@ TEST_P(PrpWalkerProperty, MatchesReferenceForRandomSizes) {
     const BusAddr list_base{0x4000'0000};
     auto lists =
         build_prp_lists(buf, Bytes{pages_total * kPageSize}, list_base);
-    PrpWalker walker(sim, [&](BusAddr addr) {
-      const std::uint64_t page = (addr - list_base).value() / kPageSize;
-      const std::uint64_t idx = addr.value() % kPageSize / 8;
-      return entry_now(lists.at(page).at(idx));
+    PrpWalker walker([&](BusAddr page) {
+      return page_now(
+          list_page(lists.at((page - list_base).value() / kPageSize)));
     });
     std::vector<BusAddr> pages;
     const BusAddr prp2 = pages_total == 1   ? BusAddr{}

@@ -101,6 +101,33 @@ TEST(Task, AwaitedChildRunsToCompletionFirst) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
 }
 
+TEST(Task, ReusedAwaitersAndEmptyTasksCostOnlyTheirWaits) {
+  // A frame may keep one named awaiter per kind and assign each wait to it
+  // (pcie::Fabric does), and a default-built Task is already done.
+  Simulator sim;
+  RateServer link(sim, 1.0);  // 1 GB/s: 1000 bytes take 1 us
+  std::vector<TimePs> woke;
+  auto proc = [&]() -> Task {
+    Simulator::DelayAwaiter wait = sim.delay(us(5));
+    co_await wait;
+    woke.push_back(sim.now());
+    wait = sim.delay(us(3));
+    co_await wait;
+    woke.push_back(sim.now());
+    RateServer::Waiter grant = link.acquire(1000);
+    co_await grant;
+    grant = link.acquire(1000);
+    co_await grant;
+    woke.push_back(sim.now());
+    co_await Task{};
+    woke.push_back(sim.now());
+  };
+  sim.spawn(proc());
+  sim.run();
+  EXPECT_EQ(woke, (std::vector<TimePs>{us(5), us(8), us(10), us(10)}));
+  EXPECT_EQ(sim.events_processed(), 5u);  // the start and four waits
+}
+
 TEST(Task, ManyConcurrentTasksInterleaveDeterministically) {
   Simulator sim;
   std::vector<int> order;
