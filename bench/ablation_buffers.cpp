@@ -23,9 +23,7 @@ SeqResult run(core::Variant variant, std::uint64_t uram_bytes = 4 * MiB) {
   TimePs t0;
   TimePs tw;
   TimePs tr;
-  bool done = false;
-  auto io = [](SnaccBed* bed, TimePs* a, TimePs* b, TimePs* c,
-               bool* flag) -> sim::Task {
+  auto io = [](SnaccBed* bed, TimePs* a, TimePs* b, TimePs* c) -> sim::Task {
     *a = bed->sys->sim().now();
     expect_ok(co_await bed->pe->write(Bytes{0}, Payload::phantom(kTotal)),
               "SNAcc write");
@@ -33,10 +31,8 @@ SeqResult run(core::Variant variant, std::uint64_t uram_bytes = 4 * MiB) {
     expect_ok((co_await bed->pe->read(Bytes{0}, Bytes{kTotal})).ok,
               "SNAcc read");
     *c = bed->sys->sim().now();
-    *flag = true;
   };
-  bed.run(io(&bed, &t0, &tw, &tr, &done), 30);
-  if (!done) return {0, 0};
+  bed.run(io(&bed, &t0, &tw, &tr), 30);
   return {gb_per_s(kTotal, tw - t0), gb_per_s(kTotal, tr - tw)};
 }
 

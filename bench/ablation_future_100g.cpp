@@ -42,7 +42,7 @@ double multi_ssd_gen5_write(std::uint32_t n) {
     sys->sim().spawn(boot(dev.get(), &ready));
   }
   sys->sim().run_until(seconds(1));
-  if (ready != static_cast<int>(n)) return 0;
+  expect_ok(ready == static_cast<int>(n), "SNAcc init");
 
   std::vector<core::NvmeStreamer*> streamers;
   for (auto& dev : devices) streamers.push_back(&dev->streamer());
@@ -50,18 +50,16 @@ double multi_ssd_gen5_write(std::uint32_t n) {
   const std::uint64_t total = 512 * MiB;
   TimePs t0;
   TimePs t1;
-  bool done = false;
   auto io = [](host::System* sys, core::StripedClient* striped, TimePs* a,
-               TimePs* b, bool* flag) -> sim::Task {
+               TimePs* b) -> sim::Task {
     *a = sys->sim().now();
     expect_ok(co_await striped->write(Bytes{}, Payload::phantom(total)),
               "striped write");
     *b = sys->sim().now();
-    *flag = true;
   };
-  sys->sim().spawn(io(sys.get(), &striped, &t0, &t1, &done));
-  sys->sim().run_until(sys->sim().now() + seconds(60));
-  return done ? gb_per_s(total, t1 - t0) : 0.0;
+  run_to_completion(sys->sim(), io(sys.get(), &striped, &t0, &t1), 60,
+                    "striped run");
+  return gb_per_s(total, t1 - t0);
 }
 
 }  // namespace

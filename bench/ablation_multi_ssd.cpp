@@ -41,7 +41,7 @@ Result run(std::uint32_t n) {
     sys->sim().spawn(boot(dev.get(), &ready));
   }
   sys->sim().run_until(seconds(1));
-  if (ready != static_cast<int>(n)) return {0, 0};
+  expect_ok(ready == static_cast<int>(n), "SNAcc init");
 
   std::vector<core::NvmeStreamer*> streamers;
   for (auto& dev : devices) streamers.push_back(&dev->streamer());
@@ -51,9 +51,8 @@ Result run(std::uint32_t n) {
   TimePs t0;
   TimePs tw;
   TimePs tr;
-  bool done = false;
   auto io = [](host::System* sys, core::StripedClient* striped, TimePs* a,
-               TimePs* b, TimePs* c, bool* flag) -> sim::Task {
+               TimePs* b, TimePs* c) -> sim::Task {
     *a = sys->sim().now();
     expect_ok(co_await striped->write(Bytes{}, Payload::phantom(total)),
               "striped write");
@@ -61,11 +60,9 @@ Result run(std::uint32_t n) {
     expect_ok((co_await striped->read(Bytes{}, Bytes{total})).ok,
               "striped read");
     *c = sys->sim().now();
-    *flag = true;
   };
-  sys->sim().spawn(io(sys.get(), &striped, &t0, &tw, &tr, &done));
-  sys->sim().run_until(sys->sim().now() + seconds(60));
-  if (!done) return {0, 0};
+  run_to_completion(sys->sim(), io(sys.get(), &striped, &t0, &tw, &tr), 60,
+                    "striped run");
   return {gb_per_s(total, tw - t0), gb_per_s(total, tr - tw)};
 }
 

@@ -108,6 +108,25 @@ inline void expect_ok(bool ok, const char* what) {
   std::abort();
 }
 
+/// Runs `task` for at most `budget_s` simulated seconds and aborts unless it
+/// finished: a run that overran its budget would print numbers computed
+/// from timestamps it never set. Awaiting the task inside the wrapper is a
+/// plain call, so the run schedules exactly the events of spawning it.
+inline void run_to_completion(sim::Simulator& sim, sim::Task task,
+                              std::uint64_t budget_s, const char* what) {
+  bool finished = false;
+  auto wrapper = [](sim::Task t, bool* flag) -> sim::Task {
+    co_await t;
+    *flag = true;
+  };
+  sim.spawn(wrapper(std::move(task), &finished));
+  sim.run_until(sim.now() + seconds(budget_s));
+  if (finished) return;
+  std::fprintf(stderr, "%s did not finish within %llu simulated s\n", what,
+               static_cast<unsigned long long>(budget_s));
+  std::abort();
+}
+
 /// A testbed with one SNAcc variant attached and initialized.
 struct SnaccBed {
   std::unique_ptr<host::System> sys;
@@ -120,25 +139,14 @@ struct SnaccBed {
     bed.sys = std::make_unique<host::System>(sys_cfg);
     cfg.streamer.variant = variant;
     bed.dev = std::make_unique<host::SnaccDevice>(*bed.sys, cfg);
-    bool done = false;
-    auto boot = [](host::SnaccDevice* dev, bool* flag) -> sim::Task {
-      co_await dev->init();
-      *flag = true;
-    };
-    bed.sys->sim().spawn(boot(bed.dev.get(), &done));
-    bed.sys->sim().run_until(seconds(1));
-    if (!done) {
-      std::fprintf(stderr, "SNAcc init failed\n");
-      std::abort();
-    }
+    run_to_completion(bed.sys->sim(), bed.dev->init(), 1, "SNAcc init");
     bed.pe = std::make_unique<core::PeClient>(bed.dev->streamer());
     return bed;
   }
 
-  /// Runs a task to completion (bounded by `budget` simulated seconds).
+  /// Runs a task to completion (bounded by `budget_s` simulated seconds).
   void run(sim::Task task, std::uint64_t budget_s = 60) {
-    sys->sim().spawn(std::move(task));
-    sys->sim().run_until(sys->sim().now() + seconds(budget_s));
+    run_to_completion(sys->sim(), std::move(task), budget_s, "SNAcc run");
   }
 };
 
@@ -155,23 +163,12 @@ struct SpdkBed {
         bed.sys->sim(), bed.sys->fabric(), bed.sys->host_mem(),
         host::addr_map::kHostDramBase, bed.sys->ssd(),
         bed.sys->config().profile.host, cfg);
-    bool done = false;
-    auto boot = [](spdk::Driver* d, bool* flag) -> sim::Task {
-      co_await d->init();
-      *flag = true;
-    };
-    bed.sys->sim().spawn(boot(bed.driver.get(), &done));
-    bed.sys->sim().run_until(seconds(1));
-    if (!done) {
-      std::fprintf(stderr, "SPDK init failed\n");
-      std::abort();
-    }
+    run_to_completion(bed.sys->sim(), bed.driver->init(), 1, "SPDK init");
     return bed;
   }
 
   void run(sim::Task task, std::uint64_t budget_s = 60) {
-    sys->sim().spawn(std::move(task));
-    sys->sim().run_until(sys->sim().now() + seconds(budget_s));
+    run_to_completion(sys->sim(), std::move(task), budget_s, "SPDK run");
   }
 };
 

@@ -1,5 +1,5 @@
 // Microbenchmark for the discrete-event kernel itself: raw event
-// throughput, channel hand-off rate, and future completion rate.
+// throughput, domain scaling and channel hand-off rate.
 //
 // Unlike the paper-figure benches (which report *simulated* time), this one
 // deliberately measures *wall-clock* throughput of the simulator -- it
@@ -29,7 +29,6 @@
 #include "common/units.hpp"
 #include "sim/channel.hpp"
 #include "sim/cluster.hpp"
-#include "sim/future.hpp"
 #include "sim/mailbox.hpp"
 #include "sim/simulator.hpp"
 #include "sim/task.hpp"
@@ -163,42 +162,6 @@ double bench_channel(std::uint64_t* out_handoffs) {
   return static_cast<double>(kItems) / dt;
 }
 
-// --------------------------------------------------------------------------
-// Futures: RPC-style one-shot promise/future pairs, single awaiter each
-// (the dominant pattern: every PCIe read, NVMe completion, DRAM access).
-
-sim::Task rpc_setter(sim::Simulator* sim, sim::Promise<std::uint64_t> p,
-                     std::uint64_t v) {
-  co_await sim->delay(ps(10));
-  p.set(v);
-}
-
-sim::Task rpc_loop(sim::Simulator* sim, std::uint64_t n, std::uint64_t* sink) {
-  for (std::uint64_t i = 0; i < n; ++i) {
-    sim::Promise<std::uint64_t> p(*sim);
-    sim::Future<std::uint64_t> f = p.future();
-    sim->spawn(rpc_setter(sim, std::move(p), i));
-    *sink += co_await f;
-  }
-}
-
-double bench_futures(std::uint64_t* out_futures) {
-  constexpr std::uint64_t kCalls = 400000;
-  sim::Simulator sim;
-  std::uint64_t sink = 0;
-  sim.spawn(rpc_loop(&sim, kCalls, &sink));
-  // snacc-lint: allow(nondeterminism): wall-clock is the measurement here
-  const auto t0 = std::chrono::steady_clock::now();
-  sim.run();
-  const double dt = seconds_since(t0);
-  if (sink != kCalls * (kCalls - 1) / 2) {
-    std::fprintf(stderr, "future bench checksum mismatch\n");
-    std::exit(1);
-  }
-  *out_futures = kCalls;
-  return static_cast<double>(kCalls) / dt;
-}
-
 }  // namespace
 }  // namespace snacc::bench
 
@@ -215,15 +178,14 @@ int main(int argc, char** argv) {
 
   // Best-of-3: each workload is deterministic, so runs differ only by OS
   // noise and the fastest run is the least-perturbed estimate.
-  std::uint64_t events = 0, handoffs = 0, futures = 0;
-  double eps = 0.0, hps = 0.0, fps = 0.0;
+  std::uint64_t events = 0, handoffs = 0;
+  double eps = 0.0, hps = 0.0;
   const std::uint32_t kDomainSweep[] = {1, 2, 4};
   std::uint64_t dom_events[3] = {};
   double dom_eps[3] = {};
   for (int rep = 0; rep < 3; ++rep) {
     eps = std::max(eps, bench_events(&events));
     hps = std::max(hps, bench_channel(&handoffs));
-    fps = std::max(fps, bench_futures(&futures));
     for (int i = 0; i < 3; ++i) {
       dom_eps[i] = std::max(
           dom_eps[i], bench_events_domains(kDomainSweep[i], &dom_events[i]));
@@ -233,8 +195,6 @@ int main(int argc, char** argv) {
   std::printf("  events        %12" PRIu64 "   %12.0f events/s\n", events, eps);
   std::printf("  chan handoffs %12" PRIu64 "   %12.0f handoffs/s\n", handoffs,
               hps);
-  std::printf("  futures       %12" PRIu64 "   %12.0f futures/s\n", futures,
-              fps);
   for (int i = 0; i < 3; ++i) {
     std::printf("  events (%u dom)%12" PRIu64 "   %12.0f events/s\n",
                 kDomainSweep[i], dom_events[i], dom_eps[i]);
@@ -245,7 +205,6 @@ int main(int argc, char** argv) {
   rep.field("domains", 4);
   rep.metric("events_per_sec", eps);
   rep.metric("channel_handoffs_per_sec", hps);
-  rep.metric("futures_per_sec", fps);
   for (int i = 0; i < 3; ++i) {
     rep.metric("events_per_sec_domains_" + std::to_string(kDomainSweep[i]),
                dom_eps[i]);

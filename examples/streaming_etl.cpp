@@ -14,7 +14,7 @@
 #include "eth/mac.hpp"
 #include "host/snacc_device.hpp"
 #include "host/system.hpp"
-#include "sim/future.hpp"
+#include "sim/sync.hpp"
 #include "snacc/pe_client.hpp"
 
 using namespace snacc;

@@ -16,10 +16,10 @@
 #include "common/calibration.hpp"
 #include "eth/frame.hpp"
 #include "sim/channel.hpp"
-#include "sim/future.hpp"
 #include "sim/mailbox.hpp"
 #include "sim/rate_server.hpp"
 #include "sim/simulator.hpp"
+#include "sim/sync.hpp"
 #include "sim/task.hpp"
 
 namespace snacc::eth {

@@ -2,7 +2,7 @@
 
 #include <utility>
 
-#include "sim/future.hpp"
+#include "sim/sync.hpp"
 
 namespace snacc::mem {
 

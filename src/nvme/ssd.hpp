@@ -26,8 +26,8 @@
 #include "nvme/queues.hpp"
 #include "nvme/spec.hpp"
 #include "pcie/fabric.hpp"
-#include "sim/future.hpp"
 #include "sim/simulator.hpp"
+#include "sim/sync.hpp"
 #include "sim/task.hpp"
 
 namespace snacc::nvme {

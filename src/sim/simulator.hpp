@@ -6,7 +6,7 @@
 // (stable sequence numbers), which makes runs fully deterministic.
 //
 // A Domain is the unit of parallelism: it has its own clock, its own event
-// heap, and its own slab pools, so distinct domains share no mutable state
+// heap, and its own spawn records, so distinct domains share no mutable state
 // and can run on different threads. A standalone Domain (the historical
 // `Simulator` -- that name remains as an alias) is the whole simulation;
 // several domains grouped under a sim::SimCluster (sim/cluster.hpp) run
@@ -17,7 +17,7 @@
 // (delay, channel hand-off, cross-process completion, rate server) embeds an
 // EventNode in its awaiter -- which lives in the suspended coroutine's frame
 // -- and a spawn's start event lives in the spawn record that the domain's
-// pool supplies. Most link that node into the scheduler
+// freelist supplies. Most link that node into the scheduler
 // directly; a rate server's waiters queue behind the oldest one, and only
 // that one is in the heap, under the key each reserved when it suspended.
 // The heap itself stores (time, seq, node*) entries by value in a
@@ -29,7 +29,6 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <cassert>
 #include <concepts>
 #include <coroutine>
@@ -83,8 +82,8 @@ struct EventNode {
 #ifndef NDEBUG
   /// Debug builds pin each node to the first domain that schedules it: a
   /// node (and therefore the coroutine frame embedding it) resumed on a
-  /// different domain would race that domain's heap and slab pools, so it
-  /// fails fast here instead of corrupting a pool.
+  /// different domain would race that domain's heap and spawn records, so
+  /// it fails fast here instead of corrupting them.
   class Domain* debug_owner = nullptr;
 #endif
 };
@@ -93,9 +92,9 @@ class Domain {
  public:
   /// What a spawned (detached) frame needs beyond an awaited one: its start
   /// event and its link in the domain's registry of frames in flight. It
-  /// comes from the spawning domain's pool, so an awaited frame's promise
-  /// carries none of it. A task that runs to completion unlinks and frees
-  /// its record in Task's FinalAwaiter; anything still linked when the
+  /// comes from the spawning domain's freelist, so an awaited frame's
+  /// promise carries none of it. A task that runs to completion unlinks and
+  /// frees its record in Task's FinalAwaiter; anything still linked when the
   /// domain dies is a suspended process (server loop blocked on a channel,
   /// worker parked on a semaphore) whose frame would otherwise leak.
   struct SpawnRecord {
@@ -124,9 +123,9 @@ class Domain {
     for (const HeapEntry& e : heap_) e.node->linked = false;
     heap_.clear();
     // Destroy still-suspended spawned frames, newest first. Their records
-    // stay in the pool, whose slabs release with the members; anything a
-    // frame destructor returned to the pool here only touched slab memory,
-    // which is freed last.
+    // stay on the slabs, which release with the members; a record that a
+    // frame destructor retires here only touches slab memory, which is
+    // freed last.
     while (spawned_) {
       SpawnRecord* r = spawned_;
       spawned_ = r->next;
@@ -182,11 +181,11 @@ class Domain {
   /// a result to. Defined in task.hpp (needs the full Task type).
   void spawn(Task task);
 
-  /// Registers a spawned frame: its record comes from this domain's pool and
-  /// is linked into the registry, and its start event runs the frame at the
-  /// current time, so spawn() never reenters model code.
+  /// Registers a spawned frame: its record comes from this domain's
+  /// freelist and is linked into the registry, and its start event runs the
+  /// frame at the current time, so spawn() never reenters model code.
   SpawnRecord* adopt_spawned(std::coroutine_handle<> frame) {
-    auto* r = ::new (pool_alloc(sizeof(SpawnRecord))) SpawnRecord{};
+    auto* r = ::new (alloc_record()) SpawnRecord{};
     r->next = spawned_;
     r->frame = frame;
     r->domain = this;
@@ -195,12 +194,14 @@ class Domain {
     schedule_resume(r->start, frame, now_);
     return r;
   }
-  /// Unlinks and frees the record of a spawned frame that ran to completion.
+  /// Unlinks a spawned frame that ran to completion and puts its record on
+  /// the freelist, chained through `next`.
   void retire_spawned(SpawnRecord* r) {
     if (r->prev) r->prev->next = r->next;
     else spawned_ = r->next;
     if (r->next) r->next->prev = r->prev;
-    pool_free(r, sizeof(SpawnRecord));
+    r->next = free_records_;
+    free_records_ = r;
   }
 
   /// Runs a single event. Returns false when the queue is empty.
@@ -338,42 +339,6 @@ class Domain {
     return DelayAwaiter{this, std::max(t, now_)};
   }
 
-  // -- Micro-object pool ---------------------------------------------------
-
-  /// Size-class recycling allocator for simulation-lifetime micro-objects
-  /// (spawn records, Promise/Future states). Freed blocks go on a per-class
-  /// freelist and are reused by the next allocation; memory returns to the
-  /// OS only at ~Simulator. Blocks above the largest class fall back to
-  /// operator new. Slabs are not zeroed: a page of a slab costs resident
-  /// memory only once a block on it is used.
-  void* pool_alloc(std::size_t bytes) {
-    const std::size_t cls = (bytes + kPoolStep - 1) / kPoolStep;
-    if (cls == 0 || cls > kPoolClasses) return ::operator new(bytes);
-    void*& head = pool_free_[cls - 1];
-    if (head != nullptr) {
-      void* p = head;
-      head = *static_cast<void**>(p);
-      return p;
-    }
-    const std::size_t sz = cls * kPoolStep;
-    if (slabs_.empty() || slab_used_ + sz > kSlabBytes) {
-      slabs_.push_back(std::make_unique_for_overwrite<std::byte[]>(kSlabBytes));
-      slab_used_ = 0;
-    }
-    void* p = slabs_.back().get() + slab_used_;
-    slab_used_ += sz;
-    return p;
-  }
-  void pool_free(void* p, std::size_t bytes) noexcept {
-    const std::size_t cls = (bytes + kPoolStep - 1) / kPoolStep;
-    if (cls == 0 || cls > kPoolClasses) {
-      ::operator delete(p);
-      return;
-    }
-    *static_cast<void**>(p) = pool_free_[cls - 1];
-    pool_free_[cls - 1] = p;
-  }
-
  private:
   // Heap entries carry the ordering key by value: sift operations compare
   // and move 24-byte PODs and never dereference the node, so a cold frame
@@ -462,9 +427,25 @@ class Domain {
     heap_[i] = last;
   }
 
-  static constexpr std::size_t kPoolStep = 16;
-  static constexpr std::size_t kPoolClasses = 32;  // up to 512-byte blocks
-  static constexpr std::size_t kSlabBytes = 64 * 1024;
+  /// A record for the next spawn: the last one retired, else carved from a
+  /// slab. Slabs are not zeroed, so a slab page costs resident memory only
+  /// once a record on it is used; memory returns to the OS only when the
+  /// domain dies.
+  void* alloc_record() {
+    if (SpawnRecord* r = free_records_) {
+      free_records_ = r->next;
+      return r;
+    }
+    if (slabs_.empty() || slab_used_ == kRecordsPerSlab) {
+      slabs_.push_back(std::make_unique_for_overwrite<std::byte[]>(
+          kRecordsPerSlab * sizeof(SpawnRecord)));
+      slab_used_ = 0;
+    }
+    return slabs_.back().get() + sizeof(SpawnRecord) * slab_used_++;
+  }
+
+  static constexpr std::size_t kRecordsPerSlab =
+      64 * 1024 / sizeof(SpawnRecord);
 
   friend class SimCluster;
 
@@ -480,9 +461,9 @@ class Domain {
   std::uint64_t events_processed_ = 0;
   SimCluster* cluster_ = nullptr;  // set once by SimCluster
   std::uint32_t id_ = 0;
-  std::array<void*, kPoolClasses> pool_free_{};
+  SpawnRecord* free_records_ = nullptr;
   std::vector<std::unique_ptr<std::byte[]>> slabs_;
-  std::size_t slab_used_ = 0;
+  std::size_t slab_used_ = 0;  // records carved from the newest slab
 };
 
 // Awaiters live in the awaiting frame; a plain copy must be a whole copy.

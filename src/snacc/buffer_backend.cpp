@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "sim/future.hpp"
+#include "sim/sync.hpp"
 
 namespace snacc::core {
 

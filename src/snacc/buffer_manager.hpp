@@ -15,8 +15,8 @@
 #include <deque>
 
 #include "common/units.hpp"
-#include "sim/future.hpp"
 #include "sim/simulator.hpp"
+#include "sim/sync.hpp"
 #include "sim/task.hpp"
 
 namespace snacc::core {

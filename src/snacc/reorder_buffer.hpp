@@ -18,8 +18,8 @@
 #include <vector>
 
 #include "nvme/spec.hpp"
-#include "sim/future.hpp"
 #include "sim/simulator.hpp"
+#include "sim/sync.hpp"
 #include "sim/task.hpp"
 #include "snacc/splitter.hpp"
 
@@ -33,6 +33,7 @@ struct RobEntry {
   bool completed = false;
   bool fetch_started = false;  // read-out prefetch issued
   bool fetched = false;        // read-out prefetch done (read commands)
+  bool filled = false;         // write data buffered (write commands)
   Payload data;                // prefetched read data awaiting stream-out
   nvme::Status status = nvme::Status::kSuccess;
   std::uint8_t retries = 0;    // resubmissions of this slot (recovery path)

@@ -3,7 +3,7 @@
 #include <cassert>
 
 #include "nvme/spec.hpp"
-#include "sim/future.hpp"
+#include "sim/sync.hpp"
 
 namespace snacc::core {
 

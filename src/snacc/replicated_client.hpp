@@ -16,8 +16,8 @@
 #include <vector>
 
 #include "common/calibration.hpp"
-#include "sim/future.hpp"
 #include "sim/simulator.hpp"
+#include "sim/sync.hpp"
 #include "snacc/storage_client.hpp"
 
 namespace snacc::core {

@@ -96,7 +96,8 @@ NvmeStreamer::NvmeStreamer(sim::Simulator& sim, pcie::Fabric& fabric,
       rob_(sim, cfg.out_of_order
                     ? static_cast<std::uint16_t>(cfg.queue_depth * 4)
                     : cfg.queue_depth),
-      fetch_progress_(sim, false) {
+      fetch_progress_(sim, false),
+      fill_progress_(sim, false) {
   submit_queue_ = std::make_unique<sim::Channel<PendingSubmit>>(
       sim_, cfg.queue_depth);
   issue_credits_ = std::make_unique<sim::Semaphore>(sim_, cfg.queue_depth);
@@ -264,14 +265,11 @@ sim::Task NvmeStreamer::write_cmd_loop() {
       entry.is_write = true;
       entry.sub = sub;
       entry.user_tag = next_user_tag_++;
+      entry.filled = true;  // nothing to buffer
       const SlotIdx slot = co_await rob_.alloc(std::move(entry));
       alloc_mutex_->release();
       co_await sim_.delay(clock_cycles(fpga_.write_submit_cycles));
-      sim::Promise<sim::Done> fill_done(sim_);
-      auto fill_fut = fill_done.future();
-      fill_done.set(sim::Done{});  // nothing to buffer
-      co_await submit_queue_->push(
-          PendingSubmit(sub, slot, Bytes{}, std::move(fill_fut)));
+      co_await submit_queue_->push(PendingSubmit(sub, slot, Bytes{}));
       continue;
     }
     const Bytes addr = raw_addr;
@@ -348,12 +346,9 @@ sim::Task NvmeStreamer::write_cmd_loop() {
       // data from the user PE has been received and buffered" (Sec. 4.2).
       // The buffer fill overlaps with accepting the next command; the
       // committer submits strictly in order once the fill lands.
-      sim::Promise<sim::Done> fill_done(sim_);
-      auto fill_fut = fill_done.future();
-      sim_.spawn(run_fill(res_.write_backend, off, Payload::gather(parts),
-                          std::move(fill_done)));
-      co_await submit_queue_->push(PendingSubmit(
-          sub, slot, res_.write_region_base + off, std::move(fill_fut)));
+      sim_.spawn(run_fill(slot, off, Payload::gather(parts)));
+      co_await submit_queue_->push(
+          PendingSubmit(sub, slot, res_.write_region_base + off));
 
       bytes_written_ += acc;
       dev_cursor += Bytes{padded};
@@ -361,17 +356,21 @@ sim::Task NvmeStreamer::write_cmd_loop() {
   }
 }
 
-sim::Task NvmeStreamer::run_fill(BufferBackend* backend, Bytes off,
-                                 Payload data, sim::Promise<sim::Done> done) {
-  co_await backend->fill(off, std::move(data));
-  done.set(sim::Done{});
+sim::Task NvmeStreamer::run_fill(SlotIdx slot, Bytes off, Payload data) {
+  co_await res_.write_backend->fill(off, std::move(data));
+  rob_.at(slot).filled = true;
+  fill_progress_.open();
 }
 
 sim::Task NvmeStreamer::submit_committer() {
   while (true) {
     auto pending = co_await submit_queue_->pop();
     if (!pending) co_return;
-    co_await pending->fill_done;
+    // Fills land in any order; a later slot's fill wakes this loop early.
+    while (!rob_.at(pending->slot).filled) {
+      fill_progress_.close();
+      co_await fill_progress_.opened();
+    }
     co_await submit(pending->sub, /*is_write=*/true, pending->slot,
                     pending->absolute_offset);
   }

@@ -150,19 +150,17 @@ class NvmeStreamer {
   std::uint64_t stale_completions() const { return rob_.stale_completions(); }
 
  private:
-  /// A write sub-command whose buffer fill is in flight; the committer
-  /// submits strictly in this order once the fill completes, so a doorbell
-  /// never exposes an SQE whose payload is not yet buffered.
+  /// A write sub-command whose buffer fill may still be in flight; the
+  /// committer submits strictly in this order once its slot is `filled`, so
+  /// a doorbell never exposes an SQE whose payload is not yet buffered.
   struct PendingSubmit {
     SubCommand sub;
     SlotIdx slot;
     Bytes absolute_offset;
-    sim::Future<sim::Done> fill_done;
 
     PendingSubmit() = default;
-    PendingSubmit(SubCommand s, SlotIdx sl, Bytes off,
-                  sim::Future<sim::Done> f)
-        : sub(s), slot(sl), absolute_offset(off), fill_done(std::move(f)) {}
+    PendingSubmit(SubCommand s, SlotIdx sl, Bytes off)
+        : sub(s), slot(sl), absolute_offset(off) {}
     PendingSubmit(PendingSubmit&&) noexcept = default;
     PendingSubmit& operator=(PendingSubmit&&) noexcept = default;
   };
@@ -170,8 +168,8 @@ class NvmeStreamer {
   sim::Task read_cmd_loop();
   sim::Task write_cmd_loop();
   sim::Task submit_committer();
-  sim::Task run_fill(BufferBackend* backend, Bytes off, Payload data,
-                     sim::Promise<sim::Done> done);
+  /// Buffers a write's data, then marks its slot filled for the committer.
+  sim::Task run_fill(SlotIdx slot, Bytes off, Payload data);
   sim::Task retire_loop();
   sim::Task prefetch_loop();
   sim::Task fetch_entry(RobEntry* entry);
@@ -210,7 +208,8 @@ class NvmeStreamer {
   std::unique_ptr<sim::Semaphore> issue_credits_;
   std::unique_ptr<sim::Semaphore> alloc_mutex_;  // keeps ring/ROB orders equal
   std::unique_ptr<sim::Gate> prefetch_kick_;
-  sim::Gate fetch_progress_;
+  sim::Gate fetch_progress_;  // opened whenever a read-out lands
+  sim::Gate fill_progress_;   // opened whenever a write's buffer fill lands
   std::uint64_t next_user_tag_ = 1;
 
   std::uint64_t bytes_read_ = 0;

@@ -160,7 +160,7 @@ sim::TaskOf<nvme::Status> Driver::admin_cmd(nvme::SubmissionEntry sqe) {
 // I/O path
 
 sim::Task Driver::submit_io(const IoDesc& io, std::uint16_t slot,
-                            sim::Promise<nvme::Status>* completion) {
+                            Completion* completion) {
   assert(initialized_);
   assert(io.bytes <= max_transfer_);
   assert(!io_sq_.full());
@@ -168,7 +168,6 @@ sim::Task Driver::submit_io(const IoDesc& io, std::uint16_t slot,
   Slot& s = slots_[slot];
   s.in_use = true;
   s.completion = completion;
-  s.submitted_at = sim_.now();
 
   const pcie::Addr buf = global(buffer_off(slot));
   nvme::SubmissionEntry sqe;
@@ -229,11 +228,8 @@ sim::Task Driver::poller() {
         s.in_use = false;
         --pending_;
         cpu_.charge(ns(80));  // per-completion bookkeeping
-        if (s.completion != nullptr) {
-          auto* promise = s.completion;
-          s.completion = nullptr;
-          promise->set(cqe.status);
-        }
+        s.completion->status = cqe.status;
+        s.completion->landed.open();
         slot_sem_->release();
         co_await ring_cq_doorbell(kIoQid, head);
       }
@@ -246,23 +242,29 @@ sim::Task Driver::poller() {
   poller_running_ = false;
 }
 
-sim::TaskOf<Driver::Attempt> Driver::resubmit_one(IoDesc io,
-                                                  std::uint32_t attempt,
-                                                  Payload stage) {
-  ++io_retries_;
-  co_await sim_.delay(cfg_.retry_backoff * (1ull << (attempt - 1)));
-  co_await slot_sem_->acquire();
-  std::uint16_t slot = 0;
-  while (slots_[slot].in_use) ++slot;
-  if (stage.size() > 0) {
-    host_mem_.store().write(local(buffer_off(slot)).value(), std::move(stage));
+sim::TaskOf<Driver::Outcome> Driver::settle(Completion* c, IoDesc io,
+                                            std::uint16_t slot,
+                                            Payload stage) {
+  co_await c->landed.opened();
+  for (std::uint32_t attempt = 1; c->status != nvme::Status::kSuccess;
+       ++attempt) {
+    ++io_errors_;
+    if (attempt > cfg_.max_retries) {
+      ++io_failed_;
+      break;
+    }
+    ++io_retries_;
+    co_await sim_.delay(cfg_.retry_backoff * (1ull << (attempt - 1)));
+    co_await slot_sem_->acquire();
+    slot = free_slot();
+    if (stage.size() > 0) {
+      host_mem_.store().write(local(buffer_off(slot)).value(), stage);
+    }
+    c->landed.close();
+    co_await submit_io(io, slot, c);
+    co_await c->landed.opened();
   }
-  sim::Promise<nvme::Status> promise(sim_);
-  auto fut = promise.future();
-  co_await submit_io(io, slot, &promise);
-  const nvme::Status st = co_await fut;
-  if (st != nvme::Status::kSuccess) ++io_errors_;
-  co_return Attempt{st, slot};
+  co_return Outcome{c->status, slot};
 }
 
 sim::TaskOf<ReadCompletion> Driver::read(Lba lba, Bytes bytes) {
@@ -271,38 +273,19 @@ sim::TaskOf<ReadCompletion> Driver::read(Lba lba, Bytes bytes) {
   Bytes done_bytes;
   while (done_bytes < bytes) {
     const Bytes n = std::min(bytes - done_bytes, max_transfer_);
+    const IoDesc io{false, lba + done_bytes.value() / nvme::kLbaSize, n};
     co_await slot_sem_->acquire();
-    std::uint16_t slot = 0;
-    while (slots_[slot].in_use) ++slot;
-    sim::Promise<nvme::Status> promise(sim_);
-    auto fut = promise.future();
-    co_await submit_io(
-        IoDesc{false, lba + done_bytes.value() / nvme::kLbaSize, n}, slot,
-        &promise);
-    nvme::Status st = co_await fut;
-    if (st != nvme::Status::kSuccess) {
-      ++io_errors_;
-      for (std::uint32_t attempt = 1;
-           st != nvme::Status::kSuccess && attempt <= cfg_.max_retries;
-           ++attempt) {
-        // The retry claims a fresh slot; `slot` tracks it so the buffer
-        // read-back below picks up the retried command's data.
-        const Attempt retry = co_await resubmit_one(
-            IoDesc{false, lba + done_bytes.value() / nvme::kLbaSize, n},
-            attempt, Payload{});
-        st = retry.status;
-        slot = retry.slot;
-      }
-      if (st != nvme::Status::kSuccess) {
-        ++io_failed_;
-        final_status = st;
-      }
-    }
+    const std::uint16_t slot = free_slot();
+    Completion c(sim_);
+    co_await submit_io(io, slot, &c);
+    // A retry runs in a fresh slot: read back from the one that settled.
+    const Outcome got = co_await settle(&c, io, slot, Payload{});
+    if (got.status != nvme::Status::kSuccess) final_status = got.status;
     // Completion-path software cost (poll pickup, buffer handoff). This is
     // the calibrated host-stack term of Fig. 4c.
     co_await sim_.delay(host_.spdk_read_stack);
     parts.push_back(
-        host_mem_.store().read(local(buffer_off(slot)).value(), n.value()));
+        host_mem_.store().read(local(buffer_off(got.slot)).value(), n.value()));
     done_bytes += n;
   }
   co_return ReadCompletion{Payload::gather(parts), final_status};
@@ -314,35 +297,17 @@ sim::TaskOf<nvme::Status> Driver::write(Lba lba, Payload data) {
   const Bytes bytes{data.size()};
   while (done_bytes < bytes) {
     const Bytes n = std::min(bytes - done_bytes, max_transfer_);
+    const IoDesc io{true, lba + done_bytes.value() / nvme::kLbaSize, n};
+    const Payload chunk = data.slice(done_bytes.value(), n.value());
     co_await slot_sem_->acquire();
-    std::uint16_t slot = 0;
-    while (slots_[slot].in_use) ++slot;
+    const std::uint16_t slot = free_slot();
     // Zero-copy model: the application produced the data in the pinned
     // buffer; make it visible to the device.
-    host_mem_.store().write(local(buffer_off(slot)).value(),
-                            data.slice(done_bytes.value(), n.value()));
-    sim::Promise<nvme::Status> promise(sim_);
-    auto fut = promise.future();
-    co_await submit_io(
-        IoDesc{true, lba + done_bytes.value() / nvme::kLbaSize, n}, slot,
-        &promise);
-    nvme::Status st = co_await fut;
-    if (st != nvme::Status::kSuccess) {
-      ++io_errors_;
-      for (std::uint32_t attempt = 1;
-           st != nvme::Status::kSuccess && attempt <= cfg_.max_retries;
-           ++attempt) {
-        // Restage the chunk: the failed attempt's buffer slot was recycled.
-        st = (co_await resubmit_one(
-                  IoDesc{true, lba + done_bytes.value() / nvme::kLbaSize, n},
-                  attempt, data.slice(done_bytes.value(), n.value())))
-                 .status;
-      }
-      if (st != nvme::Status::kSuccess) {
-        ++io_failed_;
-        final_status = st;
-      }
-    }
+    host_mem_.store().write(local(buffer_off(slot)).value(), chunk);
+    Completion c(sim_);
+    co_await submit_io(io, slot, &c);
+    const Outcome got = co_await settle(&c, io, slot, chunk);
+    if (got.status != nvme::Status::kSuccess) final_status = got.status;
     co_await sim_.delay(host_.spdk_write_stack);
     done_bytes += n;
   }
@@ -358,44 +323,35 @@ sim::TaskOf<WorkloadResult> Driver::run_workload(std::vector<IoDesc> ios) {
   sim::WaitGroup wg(sim_);
   wg.add(static_cast<int>(ios.size()));
 
-  // Completion promises live here so the poller can fulfill them while we
-  // keep submitting; a helper task per command records latency and joins.
+  // Completion records live here so the poller can fill them while we keep
+  // submitting; a helper task per command settles it, records latency and
+  // joins.
   struct Tracker {
-    sim::Promise<nvme::Status> promise;
+    Completion completion;
     TimePs submitted;
     IoDesc io;
   };
   std::vector<std::unique_ptr<Tracker>> trackers;
   trackers.reserve(ios.size());
 
-  auto finisher = [](Driver* self, Tracker* t, WorkloadResult* res,
-                     sim::WaitGroup* group) -> sim::Task {
-    auto fut = t->promise.future();
-    nvme::Status st = co_await fut;
-    if (st != nvme::Status::kSuccess) {
-      ++self->io_errors_;
-      for (std::uint32_t attempt = 1;
-           st != nvme::Status::kSuccess && attempt <= self->cfg_.max_retries;
-           ++attempt) {
-        st = (co_await self->resubmit_one(t->io, attempt, Payload{})).status;
-      }
-      if (st != nvme::Status::kSuccess) ++self->io_failed_;
-    }
+  auto finisher = [](Driver* self, Tracker* t, std::uint16_t slot,
+                     WorkloadResult* res, sim::WaitGroup* group) -> sim::Task {
+    // A command whose retries ran out is counted in io_failed(). Latency
+    // includes any retries: it is the delivered completion time.
+    (void)co_await self->settle(&t->completion, t->io, slot, Payload{});
     const TimePs stack = t->io.is_write ? self->host_.spdk_write_stack
                                         : self->host_.spdk_read_stack;
-    // Latency includes any retries: it is the delivered completion time.
     res->latency.add(self->sim_.now() - t->submitted + stack);
     group->done();
   };
 
   for (const IoDesc& io : ios) {
     co_await slot_sem_->acquire();
-    std::uint16_t slot = 0;
-    while (slots_[slot].in_use) ++slot;
+    const std::uint16_t slot = free_slot();
     auto tracker = std::make_unique<Tracker>(
-        Tracker{sim::Promise<nvme::Status>(sim_), sim_.now(), io});
-    sim_.spawn(finisher(this, tracker.get(), &result, &wg));
-    co_await submit_io(io, slot, &tracker->promise);
+        Tracker{Completion(sim_), sim_.now(), io});
+    sim_.spawn(finisher(this, tracker.get(), slot, &result, &wg));
+    co_await submit_io(io, slot, &tracker->completion);
     trackers.push_back(std::move(tracker));
     result.bytes += io.bytes.value();
     ++result.commands;

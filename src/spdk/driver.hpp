@@ -20,7 +20,7 @@
 #include "nvme/spec.hpp"
 #include "nvme/ssd.hpp"
 #include "pcie/memory_target.hpp"
-#include "sim/future.hpp"
+#include "sim/sync.hpp"
 
 namespace snacc::spdk {
 
@@ -104,10 +104,20 @@ class Driver {
   std::uint64_t io_failed() const { return io_failed_; }    // retries exhausted
 
  private:
+  /// Where the poller leaves a command's status before it opens `landed`.
+  /// The task that waits for the command owns the record, not the slot:
+  /// the poller frees the slot before the woken waiter runs, and a
+  /// submitter resuming at the same instant may claim the slot and
+  /// overwrite a status kept there before the waiter reads it.
+  struct Completion {
+    explicit Completion(sim::Simulator& sim) : landed(sim, /*open=*/false) {}
+    nvme::Status status = nvme::Status::kSuccess;
+    sim::Gate landed;
+  };
+
   struct Slot {
     bool in_use = false;
-    sim::Promise<nvme::Status>* completion = nullptr;  // owned by submitter
-    TimePs submitted_at;
+    Completion* completion = nullptr;  // owned by the waiting task
   };
 
   struct IoDesc {
@@ -116,16 +126,26 @@ class Driver {
     Bytes bytes;
   };
 
-  /// A retry attempt's outcome: its status and the slot it ran in.
-  struct Attempt {
+  /// A command's outcome: its final status and the slot it last ran in.
+  struct Outcome {
     nvme::Status status;
     std::uint16_t slot;
   };
 
-  /// One retry attempt: backoff, claim a fresh slot, optionally restage
-  /// `stage` into the slot's pinned buffer (writes), resubmit and wait.
-  sim::TaskOf<Attempt> resubmit_one(IoDesc io, std::uint32_t attempt,
-                                    Payload stage);
+  /// The one retry path. Waits until the command submitted in `slot`
+  /// lands in `*c`; while it failed and retries remain, backs off, claims a
+  /// fresh slot, restages `stage` into its pinned buffer (writes: the
+  /// failed slot was recycled), resubmits and waits again. Counts every
+  /// error completion, retry and exhausted command.
+  sim::TaskOf<Outcome> settle(Completion* c, IoDesc io, std::uint16_t slot,
+                              Payload stage);
+
+  /// Lowest free slot; a permit of `slot_sem_` guarantees there is one.
+  std::uint16_t free_slot() const {
+    std::uint16_t slot = 0;
+    while (slots_[slot].in_use) ++slot;
+    return slot;
+  }
 
   // Region layout (local offsets inside the driver's host-memory region).
   Bytes local(Bytes off) const { return cfg_.region_offset + off; }
@@ -154,11 +174,12 @@ class Driver {
   sim::Task ring_cq_doorbell(std::uint16_t qid, std::uint16_t head);
 
   /// Writes the SQE + PRP list into host memory and rings the doorbell.
-  /// The slot must already be claimed.
+  /// The slot must already be claimed; the poller reports into `completion`.
   sim::Task submit_io(const IoDesc& io, std::uint16_t slot,
-                      sim::Promise<nvme::Status>* completion);
+                      Completion* completion);
 
-  /// Polls the I/O CQ until `pending_` drains to zero and `draining_` is set.
+  /// Polls the I/O CQ until `pending_` drains to zero; submit_io restarts
+  /// it.
   sim::Task poller();
 
   /// Shared engine for run_sequential / run_random.

@@ -453,6 +453,107 @@ TEST(CtrlFault, DriverRetryRecoversTransientNandFault) {
   EXPECT_EQ(sys.ssd().read_errors(), 1u);
 }
 
+// The driver has one retry path (settle); these cover its other callers:
+// write(), the pipelined workloads, and a command whose retries run out.
+
+spdk::DriverConfig retrying(TimePs backoff) {
+  spdk::DriverConfig cfg;
+  cfg.max_retries = 2;
+  cfg.retry_backoff = backoff;
+  return cfg;
+}
+
+TEST(CtrlFault, DriverWriteRetryRestagesTheRecycledSlot) {
+  host::System sys;
+  // The backoff outlasts a whole second write, which borrows the failed
+  // command's slot and leaves its own bytes in that slot's buffer.
+  spdk::Driver driver(sys.sim(), sys.fabric(), sys.host_mem(),
+                      host::addr_map::kHostDramBase, sys.ssd(),
+                      sys.config().profile.host, retrying(us(200)));
+  const Payload data = Payload::filled(4 * kLbaSize, 0xA5);
+  const Payload other = Payload::filled(4 * kLbaSize, 0x3C);
+  bool done = false;
+  bool other_done = false;
+  Status st{};
+  Status other_st{};
+  auto faulted = [&]() -> sim::Task {
+    co_await driver.init();
+    sys.ssd().nand().set_program_fault_plan(fault::FaultPlan::at({0}));
+    st = co_await driver.write(Lba{700}, data);
+    done = true;
+  };
+  auto borrower = [&]() -> sim::Task {
+    while (driver.io_errors() == 0) co_await sys.sim().delay(us(1));
+    other_st = co_await driver.write(Lba{900}, other);
+    other_done = true;
+  };
+  sys.sim().spawn(faulted());
+  sys.sim().spawn(borrower());
+  sys.sim().run_until(seconds(2));
+  ASSERT_TRUE(done);
+  ASSERT_TRUE(other_done);
+  EXPECT_EQ(st, Status::kSuccess);
+  EXPECT_EQ(other_st, Status::kSuccess);
+  EXPECT_TRUE(sys.ssd().media().read(700 * kLbaSize, 4 * kLbaSize)
+                  .content_equals(data));
+  EXPECT_TRUE(sys.ssd().media().read(900 * kLbaSize, 4 * kLbaSize)
+                  .content_equals(other));
+  EXPECT_EQ(driver.io_errors(), 1u);
+  EXPECT_EQ(driver.io_retries(), 1u);
+  EXPECT_EQ(driver.io_failed(), 0u);
+  EXPECT_EQ(sys.ssd().write_errors(), 1u);
+}
+
+TEST(CtrlFault, RandomWorkloadRetriesTransientReadFaults) {
+  host::System sys;
+  spdk::Driver driver(sys.sim(), sys.fabric(), sys.host_mem(),
+                      host::addr_map::kHostDramBase, sys.ssd(),
+                      sys.config().profile.host, retrying(us(2)));
+  constexpr std::uint64_t kCommands = 32;
+  bool done = false;
+  spdk::WorkloadResult res;
+  auto io = [&]() -> sim::Task {
+    co_await driver.init();
+    // One page per 4 KiB command: the 4th and 18th reads fail once each.
+    sys.ssd().nand().set_read_fault_plan(fault::FaultPlan::at({3, 17}));
+    co_await driver.run_random(false, Bytes{kCommands * kLbaSize},
+                               Bytes{kLbaSize}, 1024, 7, &res);
+    done = true;
+  };
+  sys.sim().spawn(io());
+  sys.sim().run_until(seconds(2));
+  ASSERT_TRUE(done);
+  EXPECT_EQ(res.commands, kCommands);
+  EXPECT_EQ(res.latency.count(), kCommands);
+  EXPECT_EQ(sys.ssd().nand().read_faults_injected(), 2u);
+  EXPECT_EQ(driver.io_errors(), 2u);
+  EXPECT_EQ(driver.io_retries(), 2u);
+  EXPECT_EQ(driver.io_failed(), 0u);
+}
+
+TEST(CtrlFault, ExhaustedRetriesReportTheErrorToTheCaller) {
+  host::System sys;
+  const spdk::DriverConfig cfg = retrying(us(2));
+  spdk::Driver driver(sys.sim(), sys.fabric(), sys.host_mem(),
+                      host::addr_map::kHostDramBase, sys.ssd(),
+                      sys.config().profile.host, cfg);
+  bool done = false;
+  Status st{};
+  auto io = [&]() -> sim::Task {
+    co_await driver.init();
+    sys.ssd().nand().set_read_fault_plan(fault::FaultPlan::rate(1.0));
+    st = (co_await driver.read(Lba{40}, Bytes{kLbaSize})).status;
+    done = true;
+  };
+  sys.sim().spawn(io());
+  sys.sim().run_until(seconds(2));
+  ASSERT_TRUE(done);
+  EXPECT_EQ(st, Status::kUnrecoveredReadError);
+  EXPECT_EQ(driver.io_errors(), cfg.max_retries + 1);
+  EXPECT_EQ(driver.io_retries(), cfg.max_retries);
+  EXPECT_EQ(driver.io_failed(), 1u);
+}
+
 TEST(CtrlRaw, ErrorCqeCarriesCorrectPhaseTag) {
   // Handcrafted SQE through a directly-created queue pair in host memory:
   // checks the raw CQE bytes of an *error* completion -- status code, CID and

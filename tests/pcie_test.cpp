@@ -6,7 +6,7 @@
 #include "common/calibration.hpp"
 #include "pcie/fabric.hpp"
 #include "pcie/memory_target.hpp"
-#include "sim/future.hpp"
+#include "sim/sync.hpp"
 #include "sim/task.hpp"
 
 namespace snacc::pcie {

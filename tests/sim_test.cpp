@@ -1,6 +1,6 @@
 // Unit tests for the discrete-event kernel: event ordering, coroutine tasks
-// and their result slot, channels (backpressure, close), futures, wait
-// groups, gates, semaphores and rate servers.
+// and their result slot, channels (backpressure, close), wait groups,
+// gates, semaphores and rate servers.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -13,9 +13,9 @@
 #include "common/payload.hpp"
 #include "nvme/spec.hpp"
 #include "sim/channel.hpp"
-#include "sim/future.hpp"
 #include "sim/rate_server.hpp"
 #include "sim/simulator.hpp"
+#include "sim/sync.hpp"
 #include "sim/task.hpp"
 #include "spdk/driver.hpp"
 #include "run_at.hpp"
@@ -450,37 +450,6 @@ TEST(TaskResult, ValueResultsRoundTrip) {
   }
 }
 
-TEST(Future, AwaitersResumeWhenSet) {
-  Simulator sim;
-  Promise<int> promise(sim);
-  int got_a = 0;
-  int got_b = 0;
-  auto waiter = [&](int* out) -> Task {
-    auto fut = promise.future();
-    *out = co_await fut;
-  };
-  sim.spawn(waiter(&got_a));
-  sim.spawn(waiter(&got_b));
-  sim.spawn(run_at(&sim, us(2), [&] { promise.set(42); }));
-  sim.run();
-  EXPECT_EQ(got_a, 42);
-  EXPECT_EQ(got_b, 42);
-}
-
-TEST(Future, AwaitAfterSetIsImmediate) {
-  Simulator sim;
-  Promise<int> promise(sim);
-  promise.set(7);
-  int got = 0;
-  auto waiter = [&]() -> Task {
-    auto fut = promise.future();
-    got = co_await fut;
-  };
-  sim.spawn(waiter());
-  sim.run();
-  EXPECT_EQ(got, 7);
-}
-
 TEST(WaitGroup, JoinsAllTasks) {
   Simulator sim;
   WaitGroup wg(sim);
@@ -503,17 +472,20 @@ TEST(WaitGroup, JoinsAllTasks) {
 }
 
 TEST(Gate, ClosedGateBlocksUntilOpened) {
+  // open() wakes every parked waiter, not just the first.
   Simulator sim;
   Gate gate(sim, /*open=*/false);
-  TimePs passed_at;
-  auto proc = [&]() -> Task {
+  TimePs passed_at[2];
+  auto proc = [&](TimePs* out) -> Task {
     co_await gate.opened();
-    passed_at = sim.now();
+    *out = sim.now();
   };
-  sim.spawn(proc());
+  sim.spawn(proc(&passed_at[0]));
+  sim.spawn(proc(&passed_at[1]));
   sim.spawn(run_at(&sim, us(9), [&] { gate.open(); }));
   sim.run();
-  EXPECT_EQ(passed_at, us(9));
+  EXPECT_EQ(passed_at[0], us(9));
+  EXPECT_EQ(passed_at[1], us(9));
 }
 
 TEST(Gate, OpenGateDoesNotBlock) {

@@ -246,9 +246,9 @@ class CrossDomainTouch final : public Rule {
     if (next_id < 2) return;  // a single domain cannot be crossed
 
     // Pass 2: component and boundary-variable bindings.
-    static constexpr std::array<std::string_view, 10> kBoundary = {
-        "Mailbox", "Channel", "Wire",       "RateServer", "Domain",
-        "Simulator", "Task",  "SimCluster", "Gate",       "Future"};
+    static constexpr std::array<std::string_view, 9> kBoundary = {
+        "Mailbox",   "Channel", "Wire",       "RateServer", "Domain",
+        "Simulator", "Task",    "SimCluster", "Gate"};
     const auto is_boundary = [&](std::string_view t) {
       return std::find(kBoundary.begin(), kBoundary.end(), t) !=
              kBoundary.end();
