@@ -18,66 +18,9 @@ namespace {
 constexpr std::uint64_t kValueBytes = 4 * KiB;
 constexpr int kPuts = 192;
 constexpr int kGroupCommit = 16;
+static_assert(kPuts % kGroupCommit == 0, "every put is in a committed group");
 constexpr std::uint64_t kRegion = 256 * MiB;
 constexpr std::uint64_t kFaultSeed = 0x5EED;
-
-/// Multi-SSD replicated testbed: one SNAcc streamer per SSD daisy-chained on
-/// the shared FPGA port, a PeClient each, and a ReplicatedClient on top.
-struct ReplBed {
-  std::unique_ptr<host::System> sys;
-  std::vector<std::unique_ptr<host::SnaccDevice>> devices;
-  std::vector<std::unique_ptr<core::PeClient>> clients;
-  std::unique_ptr<core::ReplicatedClient> repl;
-
-  static ReplBed make(std::uint32_t replicas) {
-    ReplBed bed;
-    host::SystemConfig scfg;
-    scfg.ssd_count = replicas;
-    scfg.host_memory_bytes = 4 * GiB;
-    bed.sys = std::make_unique<host::System>(scfg);
-    pcie::PortId shared = pcie::kInvalidPort;
-    for (std::uint32_t i = 0; i < replicas; ++i) {
-      bed.sys->ssd(i).nand().force_mode(true);
-      host::SnaccDeviceConfig dcfg;
-      dcfg.streamer.variant = core::Variant::kHostDram;
-      dcfg.streamer.recovery = true;
-      dcfg.streamer.retry_backoff = us(5);
-      dcfg.ssd_index = i;
-      dcfg.instance = i;
-      dcfg.shared_fpga_port = shared;
-      bed.devices.push_back(std::make_unique<host::SnaccDevice>(*bed.sys, dcfg));
-      shared = bed.devices.back()->fpga_port();
-    }
-    int booted = 0;
-    for (auto& d : bed.devices) {
-      auto boot = [](host::SnaccDevice* dv, int* count) -> sim::Task {
-        co_await dv->init();
-        ++*count;
-      };
-      bed.sys->sim().spawn(boot(d.get(), &booted));
-    }
-    bed.sys->sim().run_until(seconds(1));
-    if (booted != static_cast<int>(replicas)) {
-      std::fprintf(stderr, "replicated bed init failed (%d/%u booted)\n",
-                   booted, replicas);
-      std::abort();
-    }
-    for (auto& d : bed.devices) {
-      bed.clients.push_back(std::make_unique<core::PeClient>(d->streamer()));
-    }
-    std::vector<core::StorageClient*> ptrs;
-    for (auto& c : bed.clients) ptrs.push_back(c.get());
-    core::ReplicatedClient::Config rcfg;
-    rcfg.retry_backoff = us(20);
-    bed.repl = std::make_unique<core::ReplicatedClient>(bed.sys->sim(), ptrs,
-                                                        rcfg);
-    return bed;
-  }
-
-  void run(sim::Task task, std::uint64_t budget_s = 120) {
-    run_to_completion(sys->sim(), std::move(task), budget_s, "durability run");
-  }
-};
 
 struct Result {
   double goodput_gb_s = 0.0;
@@ -90,8 +33,22 @@ struct Result {
 };
 
 Result run_tier(std::uint32_t replicas, bool faulted) {
-  auto bed = ReplBed::make(replicas);
-  apps::KvStore store(*bed.repl, Bytes{}, Bytes{kRegion});
+  // One SNAcc streamer per replica SSD, a PeClient each, and a
+  // ReplicatedClient on top.
+  host::SnaccDeviceConfig dcfg;
+  dcfg.streamer.recovery = true;
+  dcfg.streamer.retry_backoff = us(5);
+  auto bed = MultiSsdBed::make(replicas, dcfg);
+  std::vector<std::unique_ptr<core::PeClient>> clients;
+  std::vector<core::StorageClient*> ptrs;
+  for (core::NvmeStreamer* s : bed.streamers()) {
+    clients.push_back(std::make_unique<core::PeClient>(*s));
+    ptrs.push_back(clients.back().get());
+  }
+  core::ReplicatedClient::Config rcfg;
+  rcfg.retry_backoff = us(20);
+  core::ReplicatedClient repl(bed.sys->sim(), ptrs, rcfg);
+  apps::KvStore store(repl, Bytes{}, Bytes{kRegion});
 
   Result r;
   TimePs t0;
@@ -111,18 +68,18 @@ Result run_tier(std::uint32_t replicas, bool faulted) {
     }
 
     t0 = bed.sys->sim().now();
-    for (int i = 0; i < kPuts; ++i) {
-      const apps::PutStatus st = co_await store.put(
-          "k-" + std::to_string(i),
-          Payload::filled(kValueBytes, static_cast<std::uint8_t>(i)));
-      if (st != apps::PutStatus::kOk) {
-        std::fprintf(stderr, "  put %d failed: %s\n", i,
-                     apps::put_status_name(st));
-        std::abort();
+    for (int group = 0; group < kPuts; group += kGroupCommit) {
+      for (int i = group; i < group + kGroupCommit; ++i) {
+        const apps::PutStatus st = co_await store.put(
+            "k-" + std::to_string(i),
+            Payload::filled(kValueBytes, static_cast<std::uint8_t>(i)));
+        if (st != apps::PutStatus::kOk) {
+          std::fprintf(stderr, "  put %d failed: %s\n", i,
+                       apps::put_status_name(st));
+          std::abort();
+        }
       }
-      if ((i + 1) % kGroupCommit == 0) {
-        expect_ok(co_await store.commit(), "group commit");
-      }
+      expect_ok(co_await store.commit(), "group commit");
     }
     t1 = bed.sys->sim().now();
 
@@ -137,7 +94,7 @@ Result run_tier(std::uint32_t replicas, bool faulted) {
     }
 
     // Cold restart: a fresh store replays (and CRC-verifies) the whole log.
-    apps::KvStore fresh(*bed.repl, Bytes{}, Bytes{kRegion});
+    apps::KvStore fresh(repl, Bytes{}, Bytes{kRegion});
     r0 = bed.sys->sim().now();
     r.recovered_records = co_await fresh.recover();
     r1 = bed.sys->sim().now();
@@ -151,13 +108,13 @@ Result run_tier(std::uint32_t replicas, bool faulted) {
                         kValueBytes, static_cast<std::uint8_t>(i)));
     }
   };
-  bed.run(io());
+  bed.run(io(), 120);
   r.goodput_gb_s = gb_per_s(static_cast<std::uint64_t>(kPuts) * kValueBytes,
                             t1 - t0);
   r.recovery_ms = to_ms(r1 - r0);
   r.crash_faults = bed.sys->ssd(0).crash_faults_injected();
-  r.resubmissions = bed.repl->resubmissions();
-  r.quorum_failures = bed.repl->quorum_failures();
+  r.resubmissions = repl.resubmissions();
+  r.quorum_failures = repl.quorum_failures();
   return r;
 }
 

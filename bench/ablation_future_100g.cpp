@@ -6,8 +6,6 @@
 // testbed: a PCIe Gen5 x4 SSD (CalibrationProfile::gen5()), and separately a
 // raw multi-SSD write path, and reports how close each gets to the 12.5 GB/s
 // line rate of 100 G Ethernet.
-#include <memory>
-
 #include "apps/case_study.hpp"
 #include "bench_common.hpp"
 #include "snacc/striped_client.hpp"
@@ -17,36 +15,9 @@ namespace {
 
 double multi_ssd_gen5_write(std::uint32_t n) {
   host::SystemConfig sys_cfg;
-  sys_cfg.ssd_count = n;
-  sys_cfg.host_memory_bytes = 4 * GiB;
   sys_cfg.profile = CalibrationProfile::gen5();
-  auto sys = std::make_unique<host::System>(sys_cfg);
-  std::vector<std::unique_ptr<host::SnaccDevice>> devices;
-  pcie::PortId shared = pcie::kInvalidPort;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    sys->ssd(i).nand().force_mode(true);
-    host::SnaccDeviceConfig cfg;
-    cfg.streamer.variant = core::Variant::kHostDram;
-    cfg.ssd_index = i;
-    cfg.instance = i;
-    cfg.shared_fpga_port = shared;
-    devices.push_back(std::make_unique<host::SnaccDevice>(*sys, cfg));
-    shared = devices.back()->fpga_port();
-  }
-  int ready = 0;
-  for (auto& dev : devices) {
-    auto boot = [](host::SnaccDevice* d, int* c) -> sim::Task {
-      co_await d->init();
-      ++*c;
-    };
-    sys->sim().spawn(boot(dev.get(), &ready));
-  }
-  sys->sim().run_until(seconds(1));
-  expect_ok(ready == static_cast<int>(n), "SNAcc init");
-
-  std::vector<core::NvmeStreamer*> streamers;
-  for (auto& dev : devices) streamers.push_back(&dev->streamer());
-  core::StripedClient striped(streamers);
+  auto bed = MultiSsdBed::make(n, {}, sys_cfg);
+  core::StripedClient striped(bed.streamers());
   const std::uint64_t total = 512 * MiB;
   TimePs t0;
   TimePs t1;
@@ -57,8 +28,7 @@ double multi_ssd_gen5_write(std::uint32_t n) {
               "striped write");
     *b = sys->sim().now();
   };
-  run_to_completion(sys->sim(), io(sys.get(), &striped, &t0, &t1), 60,
-                    "striped run");
+  bed.run(io(bed.sys.get(), &striped, &t0, &t1));
   return gb_per_s(total, t1 - t0);
 }
 

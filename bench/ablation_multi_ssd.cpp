@@ -2,8 +2,6 @@
 // across N SSDs, one queue pair + streamer per SSD, all sharing the FPGA's
 // PCIe link. Bandwidth should add per SSD until that link saturates,
 // "hiding the latency of a single SSD".
-#include <memory>
-
 #include "bench_common.hpp"
 #include "snacc/striped_client.hpp"
 
@@ -16,36 +14,8 @@ struct Result {
 };
 
 Result run(std::uint32_t n) {
-  host::SystemConfig sys_cfg;
-  sys_cfg.ssd_count = n;
-  sys_cfg.host_memory_bytes = 4 * GiB;
-  auto sys = std::make_unique<host::System>(sys_cfg);
-  std::vector<std::unique_ptr<host::SnaccDevice>> devices;
-  pcie::PortId shared = pcie::kInvalidPort;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    sys->ssd(i).nand().force_mode(true);
-    host::SnaccDeviceConfig cfg;
-    cfg.streamer.variant = core::Variant::kHostDram;
-    cfg.ssd_index = i;
-    cfg.instance = i;
-    cfg.shared_fpga_port = shared;
-    devices.push_back(std::make_unique<host::SnaccDevice>(*sys, cfg));
-    shared = devices.back()->fpga_port();
-  }
-  int ready = 0;
-  for (auto& dev : devices) {
-    auto boot = [](host::SnaccDevice* d, int* c) -> sim::Task {
-      co_await d->init();
-      ++*c;
-    };
-    sys->sim().spawn(boot(dev.get(), &ready));
-  }
-  sys->sim().run_until(seconds(1));
-  expect_ok(ready == static_cast<int>(n), "SNAcc init");
-
-  std::vector<core::NvmeStreamer*> streamers;
-  for (auto& dev : devices) streamers.push_back(&dev->streamer());
-  core::StripedClient striped(streamers);
+  auto bed = MultiSsdBed::make(n);
+  core::StripedClient striped(bed.streamers());
 
   const std::uint64_t total = 512 * MiB;
   TimePs t0;
@@ -61,8 +31,7 @@ Result run(std::uint32_t n) {
               "striped read");
     *c = sys->sim().now();
   };
-  run_to_completion(sys->sim(), io(sys.get(), &striped, &t0, &tw, &tr), 60,
-                    "striped run");
+  bed.run(io(bed.sys.get(), &striped, &t0, &tw, &tr));
   return {gb_per_s(total, tw - t0), gb_per_s(total, tr - tw)};
 }
 

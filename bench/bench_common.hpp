@@ -144,9 +144,57 @@ struct SnaccBed {
     return bed;
   }
 
-  /// Runs a task to completion (bounded by `budget_s` simulated seconds).
+  /// Runs a task to completion (bounded by `budget_s` simulated seconds),
+  /// then checks that the streamer is idle again.
   void run(sim::Task task, std::uint64_t budget_s = 60) {
     run_to_completion(sys->sim(), std::move(task), budget_s, "SNAcc run");
+    dev->streamer().check_invariants();
+  }
+};
+
+/// A Sec. 7 multi-SSD testbed: one host-DRAM SNAcc streamer per SSD, all
+/// sharing the FPGA's PCIe port, every SSD in fast NAND mode.
+struct MultiSsdBed {
+  std::unique_ptr<host::System> sys;
+  std::vector<std::unique_ptr<host::SnaccDevice>> devices;
+
+  static MultiSsdBed make(std::uint32_t ssds, host::SnaccDeviceConfig cfg = {},
+                          host::SystemConfig sys_cfg = {}) {
+    MultiSsdBed bed;
+    sys_cfg.ssd_count = ssds;
+    sys_cfg.host_memory_bytes = 4 * GiB;
+    bed.sys = std::make_unique<host::System>(sys_cfg);
+    cfg.streamer.variant = core::Variant::kHostDram;
+    for (std::uint32_t i = 0; i < ssds; ++i) {
+      bed.sys->ssd(i).nand().force_mode(true);
+      cfg.ssd_index = i;
+      cfg.instance = i;
+      bed.devices.push_back(std::make_unique<host::SnaccDevice>(*bed.sys, cfg));
+      cfg.shared_fpga_port = bed.devices.back()->fpga_port();
+    }
+    std::uint32_t ready = 0;
+    for (auto& dev : bed.devices) {
+      auto boot = [](host::SnaccDevice* d, std::uint32_t* c) -> sim::Task {
+        co_await d->init();
+        ++*c;
+      };
+      bed.sys->sim().spawn(boot(dev.get(), &ready));
+    }
+    bed.sys->sim().run_until(seconds(1));
+    expect_ok(ready == ssds, "SNAcc init");
+    return bed;
+  }
+
+  std::vector<core::NvmeStreamer*> streamers() const {
+    std::vector<core::NvmeStreamer*> out;
+    for (const auto& dev : devices) out.push_back(&dev->streamer());
+    return out;
+  }
+
+  /// Runs a task to completion, then checks that every streamer is idle.
+  void run(sim::Task task, std::uint64_t budget_s = 60) {
+    run_to_completion(sys->sim(), std::move(task), budget_s, "multi-SSD run");
+    for (auto& dev : devices) dev->streamer().check_invariants();
   }
 };
 

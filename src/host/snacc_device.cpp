@@ -135,13 +135,12 @@ void SnaccDevice::build_uram_variant() {
   const auto& fpga = sys_.config().profile.fpga;
   uram_ = std::make_unique<mem::Uram>(sys_.sim(), cfg_.uram_bytes.value(), fpga);
   uram_target_ = std::make_unique<UramWindowTarget>(*this);
-  // The 8 MB window (4 MB data + 4 MB PRP half) sits 8 MB-aligned in BAR0.
-  sys_.fabric().map(bar0() + kUramWindow, cfg_.uram_bytes * 2,
+  sys_.fabric().map(bar0() + uram_window(), cfg_.uram_bytes * 2,
                     uram_target_.get(), fpga_port_, pcie::MemKind::kFpgaUram);
   uram_prp_ =
-      std::make_unique<core::UramPrpEngine>(bar0() + kUramWindow, cfg_.uram_bytes);
+      std::make_unique<core::UramPrpEngine>(bar0() + uram_window(), cfg_.uram_bytes);
   read_backend_ =
-      std::make_unique<core::UramBackend>(*uram_, bar0() + kUramWindow);
+      std::make_unique<core::UramBackend>(*uram_, bar0() + uram_window());
   write_backend_.reset();  // shared backend: use the read one
   read_ring_ = std::make_unique<core::BufferRing>(sys_.sim(), cfg_.uram_bytes);
   write_ring_.reset();  // shared ring (Sec. 4.3: URAM shared between rd/wr)
@@ -249,7 +248,7 @@ void SnaccDevice::grant_iommu() {
   // SSD -> data buffers.
   switch (cfg_.streamer.variant) {
     case core::Variant::kUram:
-      iommu.grant({ssd_port, bar0() + kUramWindow, cfg_.uram_bytes * 2, true, true});
+      iommu.grant({ssd_port, bar0() + uram_window(), cfg_.uram_bytes * 2, true, true});
       break;
     case core::Variant::kOnboardDram:
     case core::Variant::kHbm:

@@ -7,6 +7,7 @@
 // After init() completes, the whole data path runs without host interaction.
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -53,14 +54,22 @@ class SnaccDevice {
   static constexpr Bytes kCqWindow{0x0002'0000};
   static constexpr Bytes kPrpWindow{0x0010'0000};
   static constexpr Bytes kPrpWindowSize{1 * MiB};
-  static constexpr Bytes kUramWindow{0x0080'0000};  // 8 MB aligned
 
   SnaccDevice(System& sys, SnaccDeviceConfig cfg = {});
   ~SnaccDevice();
 
-  /// Base addresses of this instance's BAR windows.
+  /// The URAM window (data half + PRP half, 2 x uram_bytes): past the
+  /// control windows and naturally aligned, as the PRP engine's select bit
+  /// needs (Sec. 4.3). 8 MB for the default 4 MB buffer.
+  Bytes uram_window() const {
+    return std::max(Bytes{8 * MiB}, cfg_.uram_bytes * 2);
+  }
+
+  /// Base addresses of this instance's BAR windows. A BAR0 slot holds the
+  /// control windows and the URAM window: 16 MB for a 4 MB buffer.
   pcie::Addr bar0() const {
-    return addr_map::kFpgaBar0 + Bytes{cfg_.instance * 0x0100'0000ull};
+    return addr_map::kFpgaBar0 +
+           std::max(Bytes{16 * MiB}, cfg_.uram_bytes * 4) * cfg_.instance;
   }
   pcie::Addr bar2() const {
     return addr_map::kFpgaBar2 + Bytes{cfg_.instance * 0x1000'0000ull};

@@ -1,5 +1,8 @@
 #include "snacc/reorder_buffer.hpp"
 
+#include <cstdio>
+#include <cstdlib>
+
 namespace snacc::core {
 
 sim::TaskOf<SlotIdx> ReorderBuffer::alloc(RobEntry entry) {
@@ -40,13 +43,26 @@ bool ReorderBuffer::complete(SlotIdx slot, nvme::Status status) {
 }
 
 RobEntry ReorderBuffer::retire() {
-  assert(head_ready());
+  check_head(/*completed=*/true, "retire");
   RobEntry e = entries_[head_];
   head_ = static_cast<std::uint16_t>((head_ + 1) % entries_.size());
   --count_;
   slot_free_.open();
   refresh_head_gate();
   return e;
+}
+
+void ReorderBuffer::check_head(bool completed, const char* op) const {
+  if (count_ > 0 && entries_[head_].completed == completed) return;
+  if (count_ == 0) {
+    std::fprintf(stderr, "snacc::core: ROB %s with no command in flight; "
+                 "aborting\n", op);
+  } else {
+    std::fprintf(stderr, "snacc::core: ROB %s of head slot %u %s its "
+                 "completion; aborting\n", op, unsigned{head_},
+                 completed ? "before" : "after");
+  }
+  std::abort();
 }
 
 void ReorderBuffer::refresh_head_gate() {

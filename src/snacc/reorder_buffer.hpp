@@ -99,7 +99,7 @@ class ReorderBuffer {
   /// Marks the head entry completed with `status` without a CQE -- the
   /// watchdog path for a lost completion.
   void fail_head(nvme::Status status) {
-    assert(count_ > 0 && !entries_[head_].completed);
+    check_head(/*completed=*/false, "fail_head");
     entries_[head_].completed = true;
     entries_[head_].status = status;
     refresh_head_gate();
@@ -108,7 +108,7 @@ class ReorderBuffer {
   /// Re-opens the head entry for a retry: clears completion and fetch state
   /// so the resubmitted command's CQE completes it afresh.
   void reopen_head() {
-    assert(head_ready());
+    check_head(/*completed=*/true, "reopen_head");
     RobEntry& e = entries_[head_];
     e.completed = false;
     e.status = nvme::Status::kSuccess;
@@ -131,6 +131,12 @@ class ReorderBuffer {
   RobEntry retire();
 
  private:
+  /// In-order retirement's precondition, checked in every build like
+  /// Fabric::map's overlap check: aborts, naming the head slot, unless a
+  /// command is in flight and its completion bit equals `completed`. A
+  /// retire before completion would hand the PE a buffer the SSD never
+  /// filled.
+  void check_head(bool completed, const char* op) const;
   void refresh_head_gate();
 
   sim::Simulator* sim_;

@@ -1,6 +1,8 @@
 #include "snacc/streamer.hpp"
 
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
 namespace snacc::core {
@@ -119,6 +121,24 @@ void NvmeStreamer::start() {
   if (cfg_.recovery && !cfg_.cmd_timeout.is_zero()) {
     sim_.spawn(watchdog_loop());
   }
+}
+
+void NvmeStreamer::check_invariants() const {
+  const int credits = issue_credits_->available();
+  const int mutex = alloc_mutex_->available();
+  const std::size_t rd = res_.read_ring->outstanding();
+  const std::size_t wr = res_.write_ring->outstanding();
+  if (rob_.empty() && credits == cfg_.queue_depth && mutex == 1 && rd == 0 &&
+      wr == 0) {
+    return;
+  }
+  std::fprintf(stderr,
+               "snacc::core: streamer not idle: ROB slots %u in flight, "
+               "credits %d of %u, alloc mutex %d of 1, ring allocations %zu "
+               "read %zu write; aborting\n",
+               unsigned{rob_.in_flight()}, credits,
+               unsigned{cfg_.queue_depth}, mutex, rd, wr);
+  std::abort();
 }
 
 // ---------------------------------------------------------------------------
@@ -397,16 +417,13 @@ sim::Task NvmeStreamer::retire_loop() {
         // An error CQE released this command's OOO issue credit on arrival;
         // re-acquire it so the window stays bounded. A watchdog timeout had
         // no CQE -- the command still holds its credit, so acquiring again
-        // would leak one per timeout.
+        // would leak one per timeout. check_invariants() counts either
+        // mistake at the next idle point.
         const bool had_cqe = head.status != nvme::Status::kWatchdogTimeout;
         const std::uint8_t attempt = ++head.retries;
         ++retries_;
         sim_.trace(sim::TraceCat::kStreamerRetire, "retry", slot, attempt);
         rob_.reopen_head();
-        // The pairing release happened cross-coroutine: handle_cqe() gave
-        // this command's credit back when the error CQE arrived, so this
-        // acquire re-pairs with that release, not with the original issue.
-        // snacc-lint: allow(ts-credit): cross-coroutine handoff, see above.
         if (cfg_.out_of_order && had_cqe) co_await issue_credits_->acquire();
         co_await sim_.delay(cfg_.retry_backoff * (1ull << (attempt - 1)));
         co_await submit(sub, is_write, slot, abs_off);

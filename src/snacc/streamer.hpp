@@ -149,6 +149,14 @@ class NvmeStreamer {
   std::uint64_t watchdog_timeouts() const { return watchdog_timeouts_; }
   std::uint64_t stale_completions() const { return rob_.stale_completions(); }
 
+  /// Idle check, for a caller that knows no user command is in flight (a
+  /// bench after its run, a test at its end). Aborts in every build unless
+  /// the ROB is empty, all `queue_depth` issue credits are back, the
+  /// allocation mutex is free and neither buffer ring has an allocation
+  /// outstanding. A credit acquired twice for one command, or never given
+  /// back, shows up here.
+  void check_invariants() const;
+
  private:
   /// A write sub-command whose buffer fill may still be in flight; the
   /// committer submits strictly in this order once its slot is `filled`, so

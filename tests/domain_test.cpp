@@ -320,7 +320,7 @@ TEST(SimCluster, BitIdenticalAcrossThreadCounts) {
 
 #ifndef NDEBUG
 TEST(DomainDeathTest, FrameResumedOnWrongDomainFailsFast) {
-  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   EXPECT_DEATH(
       {
         SimCluster cluster(2);
@@ -330,6 +330,20 @@ TEST(DomainDeathTest, FrameResumedOnWrongDomainFailsFast) {
         cluster.domain(1).schedule(n, ns(1));  // sticky owner assert fires
       },
       "domain other than its owner");
+}
+
+// A push after the producer's own close() is a programming error, as with
+// Channel::push: it asserts. A release build reports it as a failed push.
+TEST(MailboxDeathTest, PushAfterOwnCloseFailsFast) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(
+      {
+        SimCluster cluster(2);
+        Mailbox<int> mb(cluster.domain(0), cluster.domain(1), 4, ns(100));
+        mb.close();
+        (void)mb.push(1);
+      },
+      "closed_tx_");
 }
 #endif
 

@@ -1,9 +1,9 @@
-// ts-kv-wal fixture: the KV group-commit barrier. put() appends and
-// indexes but the record is volatile until a commit() flush barrier; a
-// path that acknowledges puts and reaches function exit still dirty loses
-// them on a crash. The obligation is gated on the function also committing
-// somewhere (put-only bodies are one half of a deliberate handoff, same
-// policy as resource-pairing). Fixtures are scanned, not compiled.
+// resource-pairing fixture for the KV group-commit barrier's policy rows:
+// put() appends and indexes but the record is volatile until a commit()
+// flush barrier, so a path that reaches function exit with a put not yet
+// committed loses it on a crash. Like every row, it arms only when the
+// function also commits (put-only bodies are one half of a deliberate
+// handoff to a caller-owned commit). Fixtures are scanned, not compiled.
 namespace fix {
 
 // POSITIVE: the error branch co_returns with the store still dirty; the
@@ -52,8 +52,8 @@ sim::Task wal_commit_only_ok(apps::KvStore& store) {
   co_await store.commit(&ok_);
 }
 
-// NEGATIVE (near-miss): a non-KvStore receiver with a put-shaped call --
-// neither the declared type nor the globs match `cache`.
+// NEGATIVE (near-miss): a put-shaped call on a receiver that neither glob
+// matches.
 sim::Task wal_untracked_ok(lru::Cache& cache) {
   cache.put("k", v_, &st_);
   co_return;

@@ -28,11 +28,8 @@ sim::Task leak_continue(Ring* read_ring, int n) {
 }
 
 // POSITIVE: one switch arm retires the slot, the default arm drops it.
-// (The head completion keeps this fixture out of ts-nvme-cid's way: the
-// defect here is the leak, not a blind retire.)
 sim::Task leak_switch(int kind) {
   rob_.alloc();
-  rob_.wait_head();
   switch (kind) {
     case 0:
       rob_.retire();
@@ -72,7 +69,6 @@ sim::Task pump_loop(Sem* credits) {
     }
     // The re-acquire is for the *next* iteration's command: the same
     // deliberate handoff as the fault-retry path in src/snacc/streamer.cpp.
-    // snacc-lint: allow(ts-credit): cross-iteration handoff by design
     credits->acquire();
   }
 }

@@ -55,8 +55,8 @@ bool has(const std::vector<lint::Finding>& fs, std::string_view file,
 TEST(LintFixtures, ScansWholeTree) {
   const auto res = scan_fixtures();
   EXPECT_TRUE(res.error.empty()) << res.error;
-  EXPECT_EQ(res.files_scanned, 18u);
-  EXPECT_EQ(res.findings.size(), 37u);
+  EXPECT_EQ(res.files_scanned, 15u);
+  EXPECT_EQ(res.findings.size(), 29u);
 }
 
 TEST(LintFixtures, GoldenPositives) {
@@ -76,10 +76,13 @@ TEST(LintFixtures, GoldenPositives) {
   EXPECT_TRUE(has(fs, "src/kv_put.cpp", "unchecked-status-path", 16));
   EXPECT_TRUE(has(fs, "src/kv_put.cpp", "unchecked-status-path", 17));
   EXPECT_TRUE(has(fs, "src/kv_put.cpp", "unchecked-status-path", 18));
-  // resource-pairing: early co_return, continue-skips-release, switch arm.
+  // resource-pairing: early co_return, continue-skips-release, switch arm;
+  // then the KV WAL barrier rows: early bail, break-skips-commit.
   EXPECT_TRUE(has(fs, "src/resource_pair.cpp", "resource-pairing", 10));
   EXPECT_TRUE(has(fs, "src/resource_pair.cpp", "resource-pairing", 21));
-  EXPECT_TRUE(has(fs, "src/resource_pair.cpp", "resource-pairing", 34));
+  EXPECT_TRUE(has(fs, "src/resource_pair.cpp", "resource-pairing", 32));
+  EXPECT_TRUE(has(fs, "src/kv_wal.cpp", "resource-pairing", 12));
+  EXPECT_TRUE(has(fs, "src/kv_wal.cpp", "resource-pairing", 23));
   // use-after-move: branch leak, straight line, loop back edge.
   EXPECT_TRUE(has(fs, "src/use_move.cpp", "use-after-move", 14));
   EXPECT_TRUE(has(fs, "src/use_move.cpp", "use-after-move", 21));
@@ -98,20 +101,6 @@ TEST(LintFixtures, GoldenPositives) {
   EXPECT_TRUE(has(fs, "src/domain_touch.cpp", "cross-domain-touch", 25));
   EXPECT_TRUE(has(fs, "src/domain_touch.cpp", "cross-domain-touch", 32));
   EXPECT_TRUE(has(fs, "src/domain_touch.cpp", "cross-domain-touch", 38));
-  // Typestate protocols: mailbox shutdown ordering (push
-  // after close, push/pop after close_rx), the WAL commit obligation
-  // (early bail, break-skips-commit), blind/raced NVMe retires, and the
-  // credit double-acquire (branch, loop back-edge).
-  EXPECT_TRUE(has(fs, "src/ts_mailbox.cpp", "ts-mailbox", 12));
-  EXPECT_TRUE(has(fs, "src/ts_mailbox.cpp", "ts-mailbox", 19));
-  EXPECT_TRUE(has(fs, "src/ts_mailbox.cpp", "ts-mailbox", 30));
-  EXPECT_TRUE(has(fs, "src/ts_wal.cpp", "ts-kv-wal", 12));
-  EXPECT_TRUE(has(fs, "src/ts_wal.cpp", "ts-kv-wal", 23));
-  EXPECT_TRUE(has(fs, "src/ts_nvme.cpp", "ts-nvme-cid", 13));
-  EXPECT_TRUE(has(fs, "src/ts_nvme.cpp", "ts-nvme-cid", 24));
-  EXPECT_TRUE(has(fs, "src/ts_nvme.cpp", "ts-nvme-cid", 36));
-  EXPECT_TRUE(has(fs, "src/ts_credit.cpp", "ts-credit", 16));
-  EXPECT_TRUE(has(fs, "src/ts_credit.cpp", "ts-credit", 25));
 }
 
 TEST(LintFixtures, GoldenCounts) {
@@ -124,15 +113,12 @@ TEST(LintFixtures, GoldenCounts) {
   EXPECT_EQ(count(fs, "src/stale.cpp", "stale-suppression"), 2u);
   EXPECT_EQ(count(fs, "src/kv_put.cpp", "unchecked-status-path"), 3u);
   EXPECT_EQ(count(fs, "src/resource_pair.cpp", "resource-pairing"), 3u);
+  EXPECT_EQ(count(fs, "src/kv_wal.cpp", "resource-pairing"), 2u);
   EXPECT_EQ(count(fs, "src/use_move.cpp", "use-after-move"), 3u);
   EXPECT_EQ(count(fs, "src/status_path.cpp", "unchecked-status-path"), 3u);
   EXPECT_EQ(count(fs, "src/domain_touch.cpp", "cross-domain-touch"), 3u);
   EXPECT_EQ(count(fs, "src/interproc_status.cpp", "unchecked-status-path"),
             2u);
-  EXPECT_EQ(count(fs, "src/ts_mailbox.cpp", "ts-mailbox"), 3u);
-  EXPECT_EQ(count(fs, "src/ts_wal.cpp", "ts-kv-wal"), 2u);
-  EXPECT_EQ(count(fs, "src/ts_nvme.cpp", "ts-nvme-cid"), 3u);
-  EXPECT_EQ(count(fs, "src/ts_credit.cpp", "ts-credit"), 2u);
 }
 
 // Near-misses: code shaped like a violation that must NOT be flagged.
@@ -162,6 +148,9 @@ TEST(LintFixtures, NearMissesStaySilent) {
   // resource-pairing near-misses: release-on-every-path, acquire-only
   // handoff (gated), while(true) pump with cross-iteration re-acquire.
   EXPECT_EQ(count(fs, "src/resource_pair.cpp", "resource-pairing"), 3u);
+  // KV WAL near-misses: commit on every path, the put-only handoff half
+  // (gate unarmed), a bare commit, and a put on a receiver no glob matches.
+  EXPECT_EQ(count(fs, "src/kv_wal.cpp", "resource-pairing"), 2u);
   // use-after-move near-misses: reassignment, same-statement ternary arms,
   // member move, per-iteration redeclaration, move-of-moved transfer.
   EXPECT_EQ(count(fs, "src/use_move.cpp", "use-after-move"), 3u);
@@ -176,37 +165,18 @@ TEST(LintFixtures, NearMissesStaySilent) {
   // findings.
   EXPECT_EQ(count(fs, "src/interproc_status.cpp", "unchecked-status-path"),
             2u);
-  // Typestate near-misses. Mailbox: post-close drain, push on the branch
-  // that did not close, two distinct objects, an untracked receiver, and a
-  // consumed allow() -- only the 3 positives flag.
-  EXPECT_EQ(count(fs, "src/ts_mailbox.cpp", "ts-mailbox"), 3u);
-  // WAL: commit-on-every-path, the put-only handoff half (gate unarmed),
-  // a bare commit, and a put on a non-KvStore receiver.
-  EXPECT_EQ(count(fs, "src/ts_wal.cpp", "ts-kv-wal"), 2u);
-  // NVMe: the three legal completions each unlock retire, and the retry
-  // loop that re-completes after every reopen_head.
-  EXPECT_EQ(count(fs, "src/ts_nvme.cpp", "ts-nvme-cid"), 3u);
-  // Credit: release-then-reacquire cycles, the acquire-only handoff
-  // (gate unarmed even though the loop re-acquires), and a receiver
-  // outside the protocol's type/glob set.
-  EXPECT_EQ(count(fs, "src/ts_credit.cpp", "ts-credit"), 2u);
-  EXPECT_FALSE(has(fs, "src/ts_credit.cpp", "ts-credit", 42));
-  // The typestate protocols must not leak onto the older fixtures' stand-in
-  // objects (resource_pair.cpp shares the rob_/credits vocabulary).
-  EXPECT_EQ(count(fs, "src/resource_pair.cpp", "ts-nvme-cid"), 0u);
-  EXPECT_EQ(count(fs, "src/resource_pair.cpp", "ts-credit"), 0u);
-  // The flow and protocol fixtures must not trip any other rule.
+  // The flow fixtures must not trip any other rule.
   for (const char* file :
-       {"src/resource_pair.cpp", "src/use_move.cpp", "src/status_path.cpp",
-        "src/domain_touch.cpp", "src/interproc_status.cpp",
-        "src/ts_mailbox.cpp", "src/ts_wal.cpp", "src/ts_nvme.cpp",
-        "src/ts_credit.cpp"}) {
+       {"src/resource_pair.cpp", "src/kv_wal.cpp", "src/use_move.cpp",
+        "src/status_path.cpp", "src/domain_touch.cpp",
+        "src/interproc_status.cpp"}) {
     for (const char* rule :
          {"dangling-capture", "unchecked-status-path", "unbounded-poll",
           "nondeterminism", "stale-suppression", "resource-pairing"}) {
-      if (std::string_view(file) == "src/resource_pair.cpp" &&
+      if ((std::string_view(file) == "src/resource_pair.cpp" ||
+           std::string_view(file) == "src/kv_wal.cpp") &&
           std::string_view(rule) == "resource-pairing") {
-        continue;  // its own three positives
+        continue;  // their own positives
       }
       if ((std::string_view(file) == "src/status_path.cpp" ||
            std::string_view(file) == "src/interproc_status.cpp") &&
@@ -224,19 +194,14 @@ TEST(LintFixtures, SuppressionBookkeeping) {
   const auto& fs = scan_fixtures().findings;
   EXPECT_EQ(count(fs, "src/poll.cpp", "stale-suppression"), 0u);
   EXPECT_EQ(count(fs, "src/snacc/escape.cpp", "stale-suppression"), 0u);
-  // Consumed typestate allows: the post-close push in ts_mailbox.cpp and
-  // the cross-iteration re-acquire in resource_pair.cpp both silence a
-  // real finding, so neither is stale.
-  EXPECT_EQ(count(fs, "src/ts_mailbox.cpp", "stale-suppression"), 0u);
-  EXPECT_EQ(count(fs, "src/resource_pair.cpp", "stale-suppression"), 0u);
-  // stale.cpp carries one dead token-rule marker and one dead typestate
-  // marker (the commit on every path means ts-kv-wal has nothing to
-  // silence): the stale check covers protocol rules like any other.
+  // stale.cpp carries one dead token-rule marker and one dead flow-rule
+  // marker (the commit on every path means resource-pairing has nothing
+  // to silence): the stale check covers flow rules like any other.
   EXPECT_EQ(count(fs, "src/stale.cpp", "stale-suppression"), 2u);
   EXPECT_TRUE(has(fs, "src/stale.cpp", "stale-suppression", 10));
   // And the suppressed sites themselves stay silent.
   EXPECT_FALSE(has(fs, "src/poll.cpp", "unbounded-poll", 23));
-  EXPECT_EQ(count(fs, "src/stale.cpp", "ts-kv-wal"), 0u);
+  EXPECT_EQ(count(fs, "src/stale.cpp", "resource-pairing"), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -355,7 +320,6 @@ TEST(LintSarif, ShapeAndContent) {
        {"bare-uint-signature", "nondeterminism", "unbounded-poll",
         "cross-domain-touch", "dangling-capture", "value-escape",
         "resource-pairing", "use-after-move", "unchecked-status-path",
-        "ts-mailbox", "ts-kv-wal", "ts-nvme-cid", "ts-credit",
         "stale-suppression"}) {
     EXPECT_NE(sarif.find(rule), std::string::npos) << rule;
   }
@@ -378,29 +342,20 @@ TEST(LintSarif, CodeFlowsShape) {
   // cross-domain-touch) have none. unchecked-status-path is a flow rule on
   // its bound-local variant; a bare co_await drop is a one-token finding.
   for (const lint::Finding& f : res.findings) {
-    const bool ts_rule = f.rule.rfind("ts-", 0) == 0;
     const bool bare_drop =
         f.rule == "unchecked-status-path" &&
         f.message.find("dropped at a bare co_await") != std::string::npos;
     const bool flow_rule =
         f.rule == "resource-pairing" || f.rule == "use-after-move" ||
-        (f.rule == "unchecked-status-path" && !bare_drop) || ts_rule;
+        (f.rule == "unchecked-status-path" && !bare_drop);
     EXPECT_EQ(!f.path.empty(), flow_rule)
         << f.rule << " at " << f.file << ":" << f.line;
     if (f.path.empty()) continue;
     // resource-pairing and unchecked-status-path anchor at the path's
-    // source (the acquire / the fill); use-after-move and the typestate
-    // error rows anchor at their sink (the read / the illegal event).
-    // Typestate obligations anchor mid-path (the last event before the
-    // exit step), so only the containment of the anchor is pinned for
-    // them. Every step carries a human-readable note.
+    // source (the acquire / the fill); use-after-move anchors at its sink
+    // (the read). Every step carries a human-readable note.
     if (f.rule == "use-after-move") {
       EXPECT_EQ(f.path.back().line, f.line);
-    } else if (ts_rule) {
-      const bool anchored =
-          std::any_of(f.path.begin(), f.path.end(),
-                      [&](const lint::PathStep& s) { return s.line == f.line; });
-      EXPECT_TRUE(anchored) << f.rule << " at " << f.file << ":" << f.line;
     } else {
       EXPECT_EQ(f.path.front().line, f.line);
     }
@@ -450,8 +405,7 @@ TEST(LintEngine, DeterministicAcrossJobCounts) {
   EXPECT_GT(
       count(one.findings, "src/status_path.cpp", "unchecked-status-path"),
       0u);
-  EXPECT_GT(count(one.findings, "src/ts_mailbox.cpp", "ts-mailbox"), 0u);
-  EXPECT_GT(count(one.findings, "src/ts_wal.cpp", "ts-kv-wal"), 0u);
+  EXPECT_GT(count(one.findings, "src/kv_wal.cpp", "resource-pairing"), 0u);
   EXPECT_TRUE(one.findings == eight.findings);
 }
 
@@ -460,11 +414,11 @@ TEST(LintEngine, DeterministicAcrossJobCounts) {
 
 // Every rule the binary knows (including the engine-level stale-suppression
 // pass) must be documented by name in docs/STATIC_ANALYSIS.md, and the
-// catalog itself must be the full 13+1 set (9 hand-written rules, 4
-// typestate protocols, plus the stale-suppression pass).
+// catalog itself must be the full 9+1 set (9 rules plus the
+// stale-suppression pass).
 TEST(LintCatalog, DocsListEveryRule) {
   const auto catalog = lint::rule_catalog();
-  EXPECT_EQ(catalog.size(), 14u);
+  EXPECT_EQ(catalog.size(), 10u);
   std::ifstream in(LINT_DOCS_FILE);
   ASSERT_TRUE(in.good()) << "cannot open " << LINT_DOCS_FILE;
   std::stringstream ss;

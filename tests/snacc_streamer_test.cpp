@@ -59,6 +59,53 @@ class StreamerFixture : public ::testing::TestWithParam<Variant> {
 
   void run_for(TimePs d) { sys_.sim().run_until(sys_.sim().now() + d); }
 
+  /// Every test ends with its commands retired, so the streamer must be
+  /// idle: credits, ROB slots and ring space all given back.
+  void TearDown() override {
+    if (dev_ && !HasFailure()) dev_->streamer().check_invariants();
+  }
+
+  /// Drops the CQE of one read so that only the watchdog can recover it.
+  void recover_dropped_completion(bool out_of_order) {
+    SnaccDeviceConfig cfg;
+    cfg.streamer.variant = GetParam();
+    cfg.streamer.out_of_order = out_of_order;
+    cfg.streamer.recovery = true;
+    cfg.streamer.retry_backoff = us(2);
+    cfg.streamer.cmd_timeout = us(400);
+    cfg.streamer.watchdog_period = us(50);
+    build_with(cfg);
+    Payload data = random_payload(4 * KiB, 24);
+    bool done = false;
+    ReadResult got;
+    auto io = [&]() -> sim::Task {
+      co_await client_->write(Bytes{64 * KiB}, data);
+      // Drop exactly the next CQE posted into the FPGA's CQ window: the
+      // IOMMU permission flip is windowed to the reorder buffer's CQE
+      // landing zone, so the completion is lost in flight and only the
+      // watchdog can save it.
+      sys_.fabric().iommu().set_fault_plan(
+          fault::FaultPlan::at({0}), dev_->bar0() + SnaccDevice::kCqWindow,
+          dev_->streamer().cq_window_bytes());
+      got = co_await client_->read(Bytes{64 * KiB}, Bytes{4 * KiB});
+      done = true;
+    };
+    sys_.sim().spawn(io());
+    run_for(seconds(2));
+    ASSERT_TRUE(done) << "a lost completion must not hang the stream";
+    EXPECT_TRUE(got.ok);
+    EXPECT_TRUE(got.data.content_equals(data));
+    EXPECT_EQ(dev_->streamer().watchdog_timeouts(), 1u);
+    EXPECT_EQ(dev_->streamer().retries(), 1u);
+    EXPECT_EQ(dev_->streamer().recovered(), 1u);
+    EXPECT_EQ(sys_.fabric().iommu().injected_faults(), 1u);
+    // The silent posted-write drop is observable.
+    ASSERT_TRUE(sys_.fabric().last_fault().has_value());
+    EXPECT_EQ(sys_.fabric().last_fault()->kind,
+              pcie::FaultKind::kIommuWriteDrop);
+    EXPECT_EQ(sys_.fabric().last_fault()->initiator, sys_.ssd().port());
+  }
+
   System sys_;
   std::unique_ptr<SnaccDevice> dev_;
   std::unique_ptr<PeClient> client_;
@@ -370,40 +417,13 @@ TEST_P(StreamerFixture, PersistentProgramFailurePoisonsResponseToken) {
 }
 
 TEST_P(StreamerFixture, WatchdogRecoversDroppedCompletion) {
-  SnaccDeviceConfig cfg;
-  cfg.streamer.variant = GetParam();
-  cfg.streamer.recovery = true;
-  cfg.streamer.retry_backoff = us(2);
-  cfg.streamer.cmd_timeout = us(400);
-  cfg.streamer.watchdog_period = us(50);
-  build_with(cfg);
-  Payload data = random_payload(4 * KiB, 24);
-  bool done = false;
-  ReadResult got;
-  auto io = [&]() -> sim::Task {
-    co_await client_->write(Bytes{64 * KiB}, data);
-    // Drop exactly the next CQE posted into the FPGA's CQ window: the IOMMU
-    // permission flip is windowed to the reorder buffer's CQE landing zone,
-    // so the completion is lost in flight and only the watchdog can save it.
-    sys_.fabric().iommu().set_fault_plan(fault::FaultPlan::at({0}),
-                                         dev_->bar0() + SnaccDevice::kCqWindow,
-                                         dev_->streamer().cq_window_bytes());
-    got = co_await client_->read(Bytes{64 * KiB}, Bytes{4 * KiB});
-    done = true;
-  };
-  sys_.sim().spawn(io());
-  run_for(seconds(2));
-  ASSERT_TRUE(done) << "a lost completion must not hang the stream";
-  EXPECT_TRUE(got.ok);
-  EXPECT_TRUE(got.data.content_equals(data));
-  EXPECT_EQ(dev_->streamer().watchdog_timeouts(), 1u);
-  EXPECT_EQ(dev_->streamer().retries(), 1u);
-  EXPECT_EQ(dev_->streamer().recovered(), 1u);
-  EXPECT_EQ(sys_.fabric().iommu().injected_faults(), 1u);
-  // Satellite: the silent posted-write drop is now observable.
-  ASSERT_TRUE(sys_.fabric().last_fault().has_value());
-  EXPECT_EQ(sys_.fabric().last_fault()->kind, pcie::FaultKind::kIommuWriteDrop);
-  EXPECT_EQ(sys_.fabric().last_fault()->initiator, sys_.ssd().port());
+  recover_dropped_completion(/*out_of_order=*/false);
+}
+
+// Out of order, the lost command still holds its issue credit (no CQE gave
+// it back), so the retry must not acquire another one.
+TEST_P(StreamerFixture, WatchdogRecoversDroppedCompletionOutOfOrder) {
+  recover_dropped_completion(/*out_of_order=*/true);
 }
 
 TEST_P(StreamerFixture, OutOfOrderRecoveryKeepsPipelinedReadsInOrder) {
@@ -477,6 +497,54 @@ TEST(HostDramChunks, MegabyteWriteAcrossOneMibChunkBoundaryRoundTrips) {
   ASSERT_TRUE(got_big.has_data());
   EXPECT_TRUE(got_small.content_equals(random_payload(4 * KiB, 41)));
   EXPECT_TRUE(got_big.content_equals(random_payload(1 * MiB, 42)));
+}
+
+// Two URAM instances with 8 MB buffers on one FPGA port. Each BAR0 slot must
+// hold its 16 MB URAM window, naturally aligned for the PRP engine's select
+// bit, without reaching into the next instance's registers.
+TEST(UramBar, TwoEightMegabyteInstancesShareOnePort) {
+  host::SystemConfig sys_cfg;
+  sys_cfg.ssd_count = 2;
+  System sys(sys_cfg);
+  std::vector<std::unique_ptr<SnaccDevice>> devs;
+  pcie::PortId port = pcie::kInvalidPort;
+  for (std::uint32_t i = 0; i < 2; ++i) {
+    SnaccDeviceConfig cfg;
+    cfg.streamer.variant = Variant::kUram;
+    cfg.uram_bytes = Bytes{8 * MiB};
+    cfg.ssd_index = i;
+    cfg.instance = i;
+    cfg.shared_fpga_port = port;
+    devs.push_back(std::make_unique<SnaccDevice>(sys, cfg));
+    port = devs.back()->fpga_port();
+  }
+  int booted = 0;
+  auto boot = [](SnaccDevice* dev, int* n) -> sim::Task {
+    co_await dev->init();
+    ++*n;
+  };
+  for (auto& dev : devs) sys.sim().spawn(boot(dev.get(), &booted));
+  sys.sim().run_until(sys.sim().now() + seconds(1));
+  ASSERT_EQ(booted, 2);
+  PeClient first(devs[0]->streamer());
+  PeClient second(devs[1]->streamer());
+  const Payload data = random_payload(1 * MiB, 43);
+  bool done = false;
+  Payload got_first;
+  Payload got_second;
+  auto io = [&]() -> sim::Task {
+    co_await first.write(Bytes{8 * MiB}, data);
+    co_await second.write(Bytes{8 * MiB}, data);
+    got_first = (co_await first.read(Bytes{8 * MiB}, Bytes{1 * MiB})).data;
+    got_second = (co_await second.read(Bytes{8 * MiB}, Bytes{1 * MiB})).data;
+    done = true;
+  };
+  sys.sim().spawn(io());
+  sys.sim().run_until(sys.sim().now() + seconds(2));
+  ASSERT_TRUE(done);
+  EXPECT_TRUE(got_first.content_equals(data));
+  EXPECT_TRUE(got_second.content_equals(data));
+  for (auto& dev : devs) dev->streamer().check_invariants();
 }
 
 INSTANTIATE_TEST_SUITE_P(AllVariants, StreamerFixture,

@@ -270,6 +270,38 @@ TEST(ReorderBuffer, PeekSeesWindowInOrder) {
   EXPECT_EQ(rob.peek(5), nullptr);
 }
 
+// Retiring an incomplete head would hand the PE a buffer the SSD never
+// filled, so retire() aborts in every build, naming the head slot.
+TEST(ReorderBufferDeathTest, RetireBeforeHeadCompletionFailsFast) {
+  // Two commands in flight; `prepare` runs on the ROB before the retire.
+  const auto retire_after = [](auto prepare) {
+    sim::Simulator sim;
+    ReorderBuffer rob(sim, 4);
+    auto submit = [&]() -> sim::Task {
+      (void)co_await rob.alloc(RobEntry{});
+      (void)co_await rob.alloc(RobEntry{});
+    };
+    sim.spawn(submit());
+    sim.run();
+    prepare(rob);
+    rob.retire();
+  };
+  const char* kAbort = "ROB retire of head slot 0 before its completion";
+  // No completion at all.
+  EXPECT_DEATH(retire_after([](ReorderBuffer&) {}), kAbort);
+  // Only the later slot has completed.
+  EXPECT_DEATH(retire_after([](ReorderBuffer& rob) {
+                 rob.complete(SlotIdx{1}, nvme::Status::kSuccess);
+               }),
+               kAbort);
+  // The head completed, then was reopened for a retry.
+  EXPECT_DEATH(retire_after([](ReorderBuffer& rob) {
+                 rob.complete(SlotIdx{0}, nvme::Status::kSuccess);
+                 rob.reopen_head();
+               }),
+               kAbort);
+}
+
 // ---------------------------------------------------------------------------
 // PRP engines vs. the reference list layout
 

@@ -8,7 +8,6 @@
 #include <string>
 
 #include "lint/rules.hpp"
-#include "lint/typestate.hpp"
 
 namespace lint {
 
@@ -389,8 +388,7 @@ class CrossDomainTouch final : public Rule {
 
 }  // namespace
 
-// Defined in rules_coro.cpp / rule_value_escape.cpp / rules_flow.cpp /
-// typestate.cpp.
+// Defined in rules_coro.cpp / rule_value_escape.cpp / rules_flow.cpp.
 std::unique_ptr<Rule> make_dangling_capture();
 std::unique_ptr<Rule> make_value_escape();
 std::unique_ptr<Rule> make_resource_pairing();
@@ -409,7 +407,6 @@ const std::vector<std::unique_ptr<Rule>>& all_rules() {
     r.push_back(make_resource_pairing());
     r.push_back(make_use_after_move());
     r.push_back(make_unchecked_status_path());
-    for (auto& ts : make_typestate_rules()) r.push_back(std::move(ts));
     return r;
   }();
   return kRules;

@@ -73,8 +73,7 @@ struct ResourcePairEntry {
 };
 const std::vector<ResourcePairEntry>& resource_pair_policy();
 
-/// '*'-wildcard match used by the policy and protocol tables (the only
-/// metacharacter).
+/// '*'-wildcard match used by the policy tables (the only metacharacter).
 bool glob_match(std::string_view glob, std::string_view s);
 
 }  // namespace lint

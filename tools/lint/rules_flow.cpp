@@ -584,10 +584,14 @@ const std::vector<ResourcePairEntry>& resource_pair_policy() {
   //   * rings: alloc -> free_oldest (read_ring->alloc pairs with
   //     read_ring->free_oldest on the retirement path)
   //   * the reorder buffer: rob_.alloc -> rob_.retire
+  //   * the KV WAL barrier (docs/DURABILITY.md): store.put -> store.commit;
+  //     a put is volatile until a commit flushes it
   static const std::vector<ResourcePairEntry> kPolicy = {
       {"*", "acquire", "release"},
       {"*ring*", "alloc", "free_oldest"},
       {"rob_", "alloc", "retire"},
+      {"*store*", "put", "commit"},
+      {"kv*", "put", "commit"},
   };
   return kPolicy;
 }

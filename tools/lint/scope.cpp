@@ -178,8 +178,6 @@ class Analyzer {
     if (j < toks_.size() && toks_[j].is("(")) {
       const std::size_t pclose = match_forward(toks_, j);
       if (pclose >= toks_.size()) return 0;
-      f.param_open = j;
-      f.param_close = pclose;
       parse_params(j + 1, pclose, &f.params);
       j = pclose + 1;
     }
@@ -406,8 +404,6 @@ class Analyzer {
                      std::size_t param_close, std::size_t body) {
     FuncScope f;
     f.is_lambda = false;
-    f.param_open = param_open;
-    f.param_close = param_close;
     f.header_line = toks_[name_idx].line;
     parse_params(param_open + 1, param_close, &f.params);
     push_func(std::move(f), body);

@@ -44,8 +44,6 @@ struct FuncScope {
   bool is_lambda = false;
   bool is_coroutine = false;
   std::uint32_t header_line = 0;  // line of the introducer ([ or the name)
-  std::size_t param_open = SIZE_MAX;  // '(' of the parameter list, if any
-  std::size_t param_close = SIZE_MAX;
   std::size_t body_begin = 0;     // token index of '{'
   std::size_t body_end = 0;       // token index of matching '}'
   std::vector<Capture> captures;
