@@ -9,9 +9,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <optional>
 #include <utility>
-#include <vector>
 
 #include "common/payload.hpp"
 #include "common/units.hpp"
@@ -103,13 +101,9 @@ class Stream {
   }
 
   auto recv() { return fifo_.pop(); }
-  std::optional<Chunk> try_recv() { return fifo_.try_pop(); }
 
   void close() { fifo_.close(); }
-  bool closed() const { return fifo_.closed(); }
-  std::size_t pending() const { return fifo_.size(); }
   std::uint64_t bytes_sent() const { return bytes_sent_; }
-  const StreamConfig& config() const { return cfg_; }
   sim::Simulator& simulator() const { return *sim_; }
 
  private:
@@ -135,59 +129,5 @@ inline sim::Task send_chunked(Stream& out, Payload payload, Bytes max_bytes,
     off += n;
   } while (off < total);
 }
-
-/// Round-robin N-to-1 arbiter: pumps chunks from inputs to the output,
-/// switching inputs only on TLAST boundaries (packet-level arbitration, as
-/// AXI4-Stream interconnects do).
-class RoundRobinArbiter {
- public:
-  RoundRobinArbiter(sim::Simulator& sim, std::vector<Stream*> inputs,
-                    Stream& output)
-      : sim_(&sim), inputs_(std::move(inputs)), output_(&output) {}
-
-  void start() { sim_->spawn(pump()); }
-
- private:
-  sim::Task pump() {
-    std::size_t idx = 0;
-    std::size_t idle_scans = 0;
-    while (true) {
-      Stream* in = inputs_[idx];
-      if (auto chunk = in->try_recv()) {
-        idle_scans = 0;
-        const bool was_last = chunk->last;
-        co_await output_->send(std::move(*chunk));
-        if (!was_last) continue;  // keep draining this packet
-      } else if (in->closed()) {
-        if (++idle_scans >= inputs_.size()) {
-          if (all_closed()) {
-            output_->close();
-            co_return;
-          }
-          idle_scans = 0;
-          co_await sim_->delay(output_->config().clock_period);
-        }
-      } else {
-        // Input momentarily empty: yield a cycle before rescanning.
-        if (++idle_scans >= inputs_.size()) {
-          idle_scans = 0;
-          co_await sim_->delay(output_->config().clock_period);
-        }
-      }
-      idx = (idx + 1) % inputs_.size();
-    }
-  }
-
-  bool all_closed() const {
-    for (const Stream* s : inputs_) {
-      if (!s->closed() || s->pending() != 0) return false;
-    }
-    return true;
-  }
-
-  sim::Simulator* sim_;
-  std::vector<Stream*> inputs_;
-  Stream* output_;
-};
 
 }  // namespace snacc::axis

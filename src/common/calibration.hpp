@@ -210,7 +210,6 @@ struct FinnProfile {
   /// "to truly stress the infrastructure"); well above the 676 fps the
   /// storage path sustains.
   double inference_fps = 3000;
-  TimePs pipeline_latency = us(250);
 };
 
 /// The full testbed profile. Default-constructed == the paper's setup.

@@ -24,6 +24,7 @@
 #include <cstring>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/units.hpp"
@@ -33,6 +34,19 @@ namespace snacc {
 class Payload {
  public:
   Payload() = default;
+  Payload(const Payload&) = default;
+  Payload& operator=(const Payload&) = default;
+
+  /// A moved-from payload is `Payload{}`: size 0 and no data. A read after
+  /// a move therefore sees 0 bytes, which every size and content check
+  /// notices, instead of a phantom of the old size.
+  Payload(Payload&& o) noexcept
+      : size_(std::exchange(o.size_, 0)), data_(std::move(o.data_)) {}
+  Payload& operator=(Payload&& o) noexcept {
+    size_ = std::exchange(o.size_, 0);
+    data_ = std::move(o.data_);
+    return *this;
+  }
 
   /// Size-only payload; contents are unspecified ("phantom").
   static Payload phantom(std::uint64_t size) {

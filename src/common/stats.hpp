@@ -1,49 +1,17 @@
-// Lightweight statistics helpers used by benches and device models:
-// counters, min/max/mean accumulators, and a fixed-bucket latency histogram.
+// Lightweight statistics helpers used by benches and device models: a
+// fixed-bucket latency histogram and the fault/recovery accounting snapshot.
 #pragma once
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <string>
 #include <vector>
 
 #include "common/units.hpp"
 
 namespace snacc {
-
-/// Streaming accumulator: count / sum / min / max / mean / stddev (Welford).
-class Accumulator {
- public:
-  void add(double x) {
-    ++n_;
-    sum_ += x;
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-    const double delta = x - mean_;
-    mean_ += delta / static_cast<double>(n_);
-    m2_ += delta * (x - mean_);
-  }
-
-  std::uint64_t count() const { return n_; }
-  double sum() const { return sum_; }
-  double mean() const { return n_ ? mean_ : 0.0; }
-  double min() const { return n_ ? min_ : 0.0; }
-  double max() const { return n_ ? max_ : 0.0; }
-  double variance() const { return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0; }
-  double stddev() const { return std::sqrt(variance()); }
-
- private:
-  std::uint64_t n_ = 0;
-  double sum_ = 0.0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = std::numeric_limits<double>::infinity();
-  double max_ = -std::numeric_limits<double>::infinity();
-};
 
 /// Latency histogram. The default mode is a log-bucketed (HDR-style)
 /// histogram: 64 sub-buckets per power of two gives ≤ ~1.6% relative
@@ -157,13 +125,6 @@ class LatencyStats {
   std::vector<std::uint64_t> buckets_ = std::vector<std::uint64_t>(kBuckets);
   std::vector<TimePs> samples_;  // exact mode only
   bool sorted_ = true;
-};
-
-/// Named monotonic byte/op counter, used for PCIe traffic accounting.
-struct Counter {
-  std::string name;
-  std::uint64_t value = 0;
-  void add(std::uint64_t v) { value += v; }
 };
 
 /// Cross-layer fault/recovery accounting snapshot (docs/FAULTS.md). Each

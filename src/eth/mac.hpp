@@ -122,7 +122,6 @@ class Mac {
   bool pause_asserted_ = false;
 
   sim::Gate tx_allowed_;
-  TimePs pause_until_;
 
   std::uint64_t frames_sent_ = 0;
   std::uint64_t frames_received_ = 0;

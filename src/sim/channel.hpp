@@ -67,37 +67,8 @@ class Channel {
   void close() {
     closed_ = true;
     while (PopWaiter* w = pop_waiters_.pop_front()) sim_->wake(w->ev);
-    while (PushWaiter* w = push_waiters_.pop_front()) {
-      w->closed_wake = true;
-      sim_->wake(w->ev);
-    }
+    while (PushWaiter* w = push_waiters_.pop_front()) sim_->wake(w->ev);
     pending_pushes_.clear();
-  }
-
-  /// Non-blocking push; returns false when no room (or closed). The value
-  /// is consumed only on success (callers may retry with the same object).
-  [[nodiscard]] bool try_push(T& value) {
-    assert(!closed_);
-    if (closed_) return false;
-    if (PopWaiter* w = pop_waiters_.pop_front()) {
-      // Direct hand-off: the value parks in the claimed ring and the woken
-      // consumer pops it in await_resume -- a later pop() cannot steal it.
-      claimed_.push_back(std::move(value));
-      w->delivered = true;
-      sim_->wake(w->ev);
-      return true;
-    }
-    if (items_.size() >= capacity_) return false;
-    items_.push_back(std::move(value));
-    return true;
-  }
-  [[nodiscard]] bool try_push(T&& value) { return try_push(value); }
-
-  [[nodiscard]] std::optional<T> try_pop() {
-    if (items_.empty()) return std::nullopt;
-    std::optional<T> v(items_.pop_front());
-    admit_pushers();
-    return v;
   }
 
   /// co_await ch.push(v) -- true when the value was accepted; false when
@@ -142,14 +113,39 @@ class Channel {
       std::optional<T> await_resume() {
         if (node.delivered) return std::optional<T>(ch->claimed_.pop_front());
         // Ready fast path, or woken by close: drain leftovers first.
-        // Not a poll loop -- runs once per wakeup inside the primitive.
-        return ch->try_pop();  // snacc-lint: allow(unbounded-poll)
+        return ch->try_pop();
       }
     };
     return Awaiter{this, {}};
   }
 
  private:
+  // The non-blocking halves of push() and pop() are private, so no caller
+  // can build a polling loop on them: outside code blocks on the awaiters.
+
+  /// Returns false when there is no room; the value is consumed only on
+  /// success, so push() can park the same object.
+  [[nodiscard]] bool try_push(T& value) {
+    if (PopWaiter* w = pop_waiters_.pop_front()) {
+      // Direct hand-off: the value parks in the claimed ring and the woken
+      // consumer pops it in await_resume -- a later pop() cannot steal it.
+      claimed_.push_back(std::move(value));
+      w->delivered = true;
+      sim_->wake(w->ev);
+      return true;
+    }
+    if (items_.size() >= capacity_) return false;
+    items_.push_back(std::move(value));
+    return true;
+  }
+
+  [[nodiscard]] std::optional<T> try_pop() {
+    if (items_.empty()) return std::nullopt;
+    std::optional<T> v(items_.pop_front());
+    admit_pushers();
+    return v;
+  }
+
   struct PopWaiter {
     EventNode ev{};
     PopWaiter* next = nullptr;
@@ -159,7 +155,6 @@ class Channel {
     EventNode ev{};
     PushWaiter* next = nullptr;
     bool admitted = false;
-    bool closed_wake = false;
   };
 
   // Intrusive FIFO of waiter nodes; nodes are owned by awaiter objects and

@@ -1,5 +1,5 @@
 // Unit tests for common/stats.hpp: the bounded (log-bucketed) latency
-// histogram against the exact-sample mode, plus accumulator basics.
+// histogram against the exact-sample mode.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -95,16 +95,6 @@ TEST(LatencyStats, ExactModeUsesNearestRank) {
   EXPECT_EQ(st.percentile(50.0), TimePs{30});
   EXPECT_EQ(st.percentile(0.0), TimePs{10});
   EXPECT_EQ(st.percentile(100.0), TimePs{40});
-}
-
-TEST(Accumulator, BasicMoments) {
-  Accumulator acc;
-  for (double x : {1.0, 2.0, 3.0, 4.0}) acc.add(x);
-  EXPECT_EQ(acc.count(), 4u);
-  EXPECT_DOUBLE_EQ(acc.mean(), 2.5);
-  EXPECT_DOUBLE_EQ(acc.min(), 1.0);
-  EXPECT_DOUBLE_EQ(acc.max(), 4.0);
-  EXPECT_NEAR(acc.stddev(), 1.2909944487358056, 1e-12);
 }
 
 }  // namespace

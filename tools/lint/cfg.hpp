@@ -67,7 +67,7 @@ bool in_ranges(const TokenRanges& ranges, std::size_t i);
 
 /// Lazily-built per-function CFGs for one file, shared by every flow rule
 /// so the parse runs once per function no matter how many rules consult
-/// it. Not thread-safe; the engine runs all rules for a file on one worker.
+/// it.
 class CfgCache {
  public:
   CfgCache(const std::vector<Token>& toks, const ScopeInfo& scopes)

@@ -49,14 +49,6 @@ bool ForwardMay::in(int block, std::size_t fact) const {
   return get(in_[static_cast<std::size_t>(block)], fact);
 }
 
-bool ForwardMay::out(int block, std::size_t fact) const {
-  return get(out_[static_cast<std::size_t>(block)], fact);
-}
-
-bool ForwardMay::gen(int block, std::size_t fact) const {
-  return get(gen_[static_cast<std::size_t>(block)], fact);
-}
-
 std::vector<int> ForwardMay::live_path(int to, std::size_t fact) const {
   const std::size_t n = cfg_.blocks.size();
   std::vector<int> parent(n, -2);  // -2 unvisited, -1 a BFS source

@@ -1,7 +1,7 @@
 // liblint: forward dataflow over a Cfg.
 //
 // A deliberately small gen/kill framework: facts are dense small integers
-// chosen by the rule (acquire sites, moved-from locals, pending statuses),
+// chosen by the rule (acquire sites, pending statuses),
 // the meet is union ("may" analysis), and the solver iterates to a fixed
 // point so facts propagate correctly around loop back edges. Rules compute
 // each block's *net* gen/kill by walking the block's tokens in order
@@ -29,8 +29,6 @@ class ForwardMay {
   void solve();
 
   bool in(int block, std::size_t fact) const;
-  bool out(int block, std::size_t fact) const;
-  bool gen(int block, std::size_t fact) const;
 
   /// A shortest block path along which `fact` is generated and survives
   /// to `to`: starts at some block whose gen set holds `fact`, every

@@ -143,50 +143,6 @@ class Nondeterminism final : public Rule {
 };
 
 // ---------------------------------------------------------------------------
-// unbounded-poll
-
-class UnboundedPoll final : public Rule {
- public:
-  std::string_view name() const override { return "unbounded-poll"; }
-  std::string_view description() const override {
-    return "try_pop/try_recv polling loop with no co_await yield or closed() "
-           "exit nearby";
-  }
-
-  void run(const RuleContext& ctx, std::vector<Finding>* out) const override {
-    constexpr std::uint32_t kWindow = 20;  // lines of surrounding loop body
-    const auto& toks = ctx.file.tokens();
-    for (std::size_t i = 1; i + 1 < toks.size(); ++i) {
-      // Call sites only (`.try_pop(` / `->try_recv(`): the definitions and
-      // unqualified internal calls are the primitive itself.
-      if (toks[i].kind != Tok::kIdent ||
-          (toks[i].text != "try_pop" && toks[i].text != "try_recv")) {
-        continue;
-      }
-      if (!toks[i + 1].is("(")) continue;
-      if (!toks[i - 1].is(".") && !toks[i - 1].is("->")) continue;
-      const std::uint32_t line = toks[i].line;
-      const std::uint32_t lo = line > kWindow ? line - kWindow : 1;
-      const std::uint32_t hi = line + kWindow;
-      bool has_backoff = false;
-      for (const Token& t : toks) {
-        if (t.line < lo) continue;
-        if (t.line > hi) break;
-        if (t.ident("co_await") || t.ident("closed")) {
-          has_backoff = true;
-          break;
-        }
-      }
-      if (!has_backoff) {
-        out->push_back({ctx.file.rel(), line, std::string(name()),
-                        "try_pop/try_recv loop without a co_await yield or "
-                        "closed() exit spins the scheduler at +0 time"});
-      }
-    }
-  }
-};
-
-// ---------------------------------------------------------------------------
 // cross-domain-touch
 
 /// Components bound to different sim::Domains share no thread-safe state;
@@ -392,7 +348,6 @@ class CrossDomainTouch final : public Rule {
 std::unique_ptr<Rule> make_dangling_capture();
 std::unique_ptr<Rule> make_value_escape();
 std::unique_ptr<Rule> make_resource_pairing();
-std::unique_ptr<Rule> make_use_after_move();
 std::unique_ptr<Rule> make_unchecked_status_path();
 
 const std::vector<std::unique_ptr<Rule>>& all_rules() {
@@ -400,12 +355,10 @@ const std::vector<std::unique_ptr<Rule>>& all_rules() {
     std::vector<std::unique_ptr<Rule>> r;
     r.push_back(std::make_unique<BareUintSignature>());
     r.push_back(std::make_unique<Nondeterminism>());
-    r.push_back(std::make_unique<UnboundedPoll>());
     r.push_back(std::make_unique<CrossDomainTouch>());
     r.push_back(make_dangling_capture());
     r.push_back(make_value_escape());
     r.push_back(make_resource_pairing());
-    r.push_back(make_use_after_move());
     r.push_back(make_unchecked_status_path());
     return r;
   }();

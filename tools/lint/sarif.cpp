@@ -3,7 +3,6 @@
 #include <map>
 #include <sstream>
 
-#include "lint/engine.hpp"
 #include "lint/rules.hpp"
 
 namespace lint {
@@ -36,8 +35,7 @@ std::string esc(std::string_view s) {
 
 }  // namespace
 
-std::string to_sarif(const std::vector<Finding>& findings,
-                     const ScanStats* stats) {
+std::string to_sarif(const std::vector<Finding>& findings) {
   // The driver rule table IS the catalog (all rules + the engine-level
   // stale check), so results always resolve a ruleIndex.
   const std::vector<RuleMeta>& rules = rule_catalog();
@@ -115,27 +113,8 @@ std::string to_sarif(const std::vector<Finding>& findings,
     }
     out << "\n        }" << (i + 1 < findings.size() ? "," : "") << "\n";
   }
-  out << "      ]";
-  // Per-phase and per-rule wall-time, so a CI artifact records where the
-  // 30-second budget went.
-  if (stats != nullptr) {
-    out << ",\n      \"properties\": {\n"
-        << "        \"phaseWallMs\": {\n"
-        << "          \"load\": " << stats->load_ms << ",\n"
-        << "          \"scope\": " << stats->scope_ms << ",\n"
-        << "          \"rules\": " << stats->rules_ms << ",\n"
-        << "          \"post\": " << stats->post_ms << "\n"
-        << "        },\n"
-        << "        \"ruleWallMs\": {\n";
-    for (std::size_t i = 0; i < stats->rule_ms.size(); ++i) {
-      out << "          \"" << esc(stats->rule_ms[i].first)
-          << "\": " << stats->rule_ms[i].second
-          << (i + 1 < stats->rule_ms.size() ? "," : "") << "\n";
-    }
-    out << "        }\n"
-        << "      }";
-  }
-  out << "\n    }\n"
+  out << "      ]\n"
+         "    }\n"
          "  ]\n"
          "}\n";
   return out.str();

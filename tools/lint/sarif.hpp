@@ -8,15 +8,10 @@
 
 namespace lint {
 
-struct ScanStats;  // engine.hpp
-
 /// Renders findings as a SARIF 2.1.0 log with one run. The tool.driver
 /// rule table covers every built-in rule plus the engine-level
 /// `stale-suppression` check, so results always resolve a ruleIndex. A
 /// finding's path renders as one threadFlow within the finding's file.
-/// When `stats` is given, the run's `properties` embed per-phase/per-rule
-/// wall-times.
-std::string to_sarif(const std::vector<Finding>& findings,
-                     const ScanStats* stats = nullptr);
+std::string to_sarif(const std::vector<Finding>& findings);
 
 }  // namespace lint

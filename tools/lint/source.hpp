@@ -12,13 +12,11 @@
 namespace lint {
 
 /// One step of the execution path a flow rule followed to its conclusion
-/// (acquire -> branch -> exit, move -> read, ...). Rendered as a SARIF
+/// (acquire -> branch -> exit, fill -> exit, ...). Rendered as a SARIF
 /// threadFlow location so code scanning walks the reviewer through it.
 struct PathStep {
   std::uint32_t line = 0;  // in the finding's file
   std::string note;
-
-  friend bool operator==(const PathStep& a, const PathStep& b) = default;
 };
 
 struct Finding {
@@ -26,9 +24,8 @@ struct Finding {
   std::uint32_t line = 0;
   std::string rule;
   std::string message;
-  /// Non-empty only for path-sensitive findings. Not part of the sort key
-  /// (file/line/rule/message already order deterministically) but part of
-  /// equality, so the jobs-determinism test covers paths too.
+  /// Non-empty only for path-sensitive findings. Not part of the sort key:
+  /// file/line/rule/message already order deterministically.
   std::vector<PathStep> path{};
 
   friend bool operator<(const Finding& a, const Finding& b) {
@@ -36,10 +33,6 @@ struct Finding {
     if (a.line != b.line) return a.line < b.line;
     if (a.rule != b.rule) return a.rule < b.rule;
     return a.message < b.message;
-  }
-  friend bool operator==(const Finding& a, const Finding& b) {
-    return a.file == b.file && a.line == b.line && a.rule == b.rule &&
-           a.message == b.message && a.path == b.path;
   }
 };
 
