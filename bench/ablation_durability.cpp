@@ -36,8 +36,7 @@ Result run_tier(std::uint32_t replicas, bool faulted) {
   // One SNAcc streamer per replica SSD, a PeClient each, and a
   // ReplicatedClient on top.
   host::SnaccDeviceConfig dcfg;
-  dcfg.streamer.recovery = true;
-  dcfg.streamer.retry_backoff = us(5);
+  dcfg.streamer.cmd_timeout = ms(5);
   auto bed = MultiSsdBed::make(replicas, dcfg);
   std::vector<std::unique_ptr<core::PeClient>> clients;
   std::vector<core::StorageClient*> ptrs;
@@ -45,9 +44,7 @@ Result run_tier(std::uint32_t replicas, bool faulted) {
     clients.push_back(std::make_unique<core::PeClient>(*s));
     ptrs.push_back(clients.back().get());
   }
-  core::ReplicatedClient::Config rcfg;
-  rcfg.retry_backoff = us(20);
-  core::ReplicatedClient repl(bed.sys->sim(), ptrs, rcfg);
+  core::ReplicatedClient repl(bed.sys->sim(), ptrs);
   apps::KvStore store(repl, Bytes{}, Bytes{kRegion});
 
   Result r;

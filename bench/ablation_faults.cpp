@@ -30,9 +30,8 @@ struct Result {
 
 Result run_snacc(double rate) {
   host::SnaccDeviceConfig cfg;
-  cfg.streamer.recovery = true;
+  cfg.streamer.cmd_timeout = ms(5);
   cfg.streamer.max_retries = 8;
-  cfg.streamer.retry_backoff = us(5);
   auto bed = SnaccBed::make(core::Variant::kUram, cfg);
   bed.sys->ssd().nand().force_mode(true);
 
@@ -80,7 +79,6 @@ Result run_snacc(double rate) {
 Result run_spdk(double rate) {
   spdk::DriverConfig cfg;
   cfg.max_retries = 8;
-  cfg.retry_backoff = us(5);
   auto bed = SpdkBed::make(cfg);
   bed.sys->ssd().nand().force_mode(true);
 

@@ -29,7 +29,8 @@ struct EthIngest {
         rx_wire(sim, profile),
         tx_mac(sim, profile, tx_wire, rx_wire, "transmitter"),
         rx_mac(sim, profile, rx_wire, tx_wire, "snacc-ingest"),
-        images(sim, 2) {}
+        images(sim, 2),
+        mtu(profile.mtu) {}
 
   void start(sim::Simulator& sim, const ImageStreamConfig& cfg) {
     tx_mac.start();
@@ -39,13 +40,12 @@ struct EthIngest {
   }
 
   static sim::Task transmitter(EthIngest* self, ImageStreamConfig cfg) {
-    EthProfile profile;
     for (std::uint64_t id = 0; id < cfg.count; ++id) {
       Image img = make_image(cfg, id);
       const std::uint64_t total = img.data.size();
       std::uint64_t off = 0;
       while (off < total) {
-        const std::uint64_t n = std::min<std::uint64_t>(profile.mtu, total - off);
+        const std::uint64_t n = std::min<std::uint64_t>(self->mtu, total - off);
         const bool eoo = off + n == total;
         co_await self->tx_mac.send(
             eth::Frame(img.data.slice(off, n), id, off, eoo));
@@ -80,6 +80,7 @@ struct EthIngest {
   eth::Mac tx_mac;
   eth::Mac rx_mac;
   sim::Channel<Image> images;
+  std::uint32_t mtu;  // the transmitter cuts images into frames this large
 };
 
 // ---------------------------------------------------------------------------
@@ -530,7 +531,9 @@ CaseStudyResult run_gpu_case_study(const ImageStreamConfig& cfg) {
   sys.sim().spawn(orchestrate(&sys, &ingest, &cfg, &t0));
   sys.sim().spawn(NicStage::run(&sys, &ingest.images, &nic_out, acc_port,
                                 staging_base, slot_bytes, &cfg));
-  // Calibrated single-thread copy bandwidth; see GpuProfile docs.
+  // Single-thread host memcpy bandwidth of the extra copy into the SPDK
+  // buffers: together with GpuProfile::batch_dispatch_overhead it sets the
+  // GPU reference's 5.76 GB/s (Fig. 6; docs/MODEL.md, "Case study").
   bool write_failed = false;
   sys.sim().spawn(HostSide::run(&sys, &driver, &nic_out, gpu_port, gpu_base,
                                 &profile.gpu, /*memcpy_gb_s=*/6.9, &result,

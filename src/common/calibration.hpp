@@ -25,8 +25,6 @@ struct SsdProfile {
   /// the 6.9 GB/s sequential-read plateau all configurations in Fig. 4a
   /// share.
   double link_gb_s = 7.25;
-  /// One-way request latency through switch + SSD PHY.
-  TimePs link_latency = ns(350);
 
   // --- Controller ---------------------------------------------------------
   /// SQE fetch + decode per command inside the controller.
@@ -139,9 +137,8 @@ struct FpgaProfile {
   std::uint32_t readout_req_bytes = 512;
 
   // --- NVMe Streamer micro-architecture ------------------------------------
-  /// In-flight command window = submission queue size (Sec. 7: "allows up
-  /// to 64 in-flight commands").
-  std::uint16_t queue_depth = 64;
+  // The in-flight command window (Sec. 7: "allows up to 64 in-flight
+  // commands") is StreamerConfig::queue_depth.
   /// Streamer FSM cycles to accept, buffer-track and submit one command.
   /// The write path is longer (buffer fill bookkeeping, PRP regfile/offset
   /// setup before the doorbell). CALIBRATED: the write value reproduces the
@@ -154,6 +151,10 @@ struct FpgaProfile {
   /// negligible for the sequential 1 MB commands of Fig. 4a. CALIBRATED.
   TimePs retire_gap_read = ns(2400);
   TimePs retire_gap_write = ns(180);
+  /// The same turnaround of the pipelined retirement engine of the Sec. 7
+  /// out-of-order extension (StreamerConfig::out_of_order), for either
+  /// direction.
+  TimePs retire_gap_ooo = ns(500);
   /// How many completed-in-order commands the read-out engine prefetches
   /// from the data buffer while earlier data streams out. Hides the
   /// buffer-readout latency under load; a single idle command still sees
@@ -172,23 +173,24 @@ struct HostProfile {
   TimePs spdk_write_stack = ns(700);
   /// Doorbell MMIO write cost from the CPU.
   TimePs doorbell_write = ns(150);
+  /// SPDK poller period: the CQ poll loop wakes this often while commands
+  /// are pending, and each wake costs as much CPU time.
+  TimePs spdk_poll_interval = ns(150);
+  /// Per-command software cost of SPDK's submission path, in CPU time.
+  TimePs spdk_submit_overhead = ns(350);
   /// Largest physically-contiguous DMA buffer the kernel driver allocates
   /// for the host-DRAM streamer variant (Sec. 4.3).
   std::uint64_t dma_chunk = 4 * MiB;
 };
 
 struct EthProfile {
-  /// 100 G line rate.
+  /// 100 G line rate. The per-frame preamble, IFG and FCS bytes are
+  /// eth::kMacOverheadBytes.
   double line_gb_s = 12.5;
-  /// Per-frame overhead: preamble + IFG + FCS etc.
-  std::uint32_t frame_overhead_bytes = 38;
   std::uint32_t mtu = 4096;  // jumbo frames, as used for bulk image ingest
-  /// Receiver FIFO and pause thresholds (802.3x).
-  std::uint64_t rx_fifo_bytes = 256 * KiB;
+  /// Receiver FIFO pause watermarks (802.3x).
   std::uint64_t pause_on_threshold = 192 * KiB;
   std::uint64_t pause_off_threshold = 64 * KiB;
-  /// Pause quanta duration granted per pause frame.
-  TimePs pause_quantum = ns(5120);  // 512 bit-times * 100 quanta at 100G
   TimePs wire_latency = ns(500);
 };
 

@@ -74,7 +74,6 @@ sim::Task Mac::rx_loop() {
       }
       continue;
     }
-    ++frames_received_;
     rx_fifo_bytes_ += frame->payload.size();
     update_pause_state();
     co_await rx_fifo_.push(std::move(*frame));

@@ -60,12 +60,10 @@ class Wire {
   sim::Task transmit(Frame frame);
 
   sim::Channel<Frame>& delivered() { return frames_; }
-  std::uint64_t bytes_on_wire() const { return server_.total_bytes(); }
 
   /// Propagation delay == conservative lookahead when this wire spans two
   /// domains.
   TimePs lookahead() const { return latency_; }
-  bool crosses_domains() const { return mailbox_ != nullptr; }
 
  private:
   sim::Task deliver(Frame frame);
@@ -91,11 +89,9 @@ class Mac {
   auto send(Frame frame) { return tx_fifo_.push(std::move(frame)); }
   void close_tx() { tx_fifo_.close(); }
 
-  std::size_t rx_backlog() const { return rx_fifo_.size(); }
   std::uint64_t rx_backlog_bytes() const { return rx_fifo_bytes_; }
 
   std::uint64_t frames_sent() const { return frames_sent_; }
-  std::uint64_t frames_received() const { return frames_received_; }
   std::uint64_t pauses_sent() const { return pauses_sent_; }
   std::uint64_t pauses_received() const { return pauses_received_; }
   bool paused() const { return !tx_allowed_.is_open(); }
@@ -124,7 +120,6 @@ class Mac {
   sim::Gate tx_allowed_;
 
   std::uint64_t frames_sent_ = 0;
-  std::uint64_t frames_received_ = 0;
   std::uint64_t pauses_sent_ = 0;
   std::uint64_t pauses_received_ = 0;
 };

@@ -29,9 +29,6 @@ class Switch {
     sim_.spawn(forward(port_b_, port_a_));
   }
 
-  Mac& port_a() { return port_a_; }
-  Mac& port_b() { return port_b_; }
-
  private:
   sim::Task forward(Mac& from, Mac& to) {
     while (true) {

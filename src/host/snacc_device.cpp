@@ -175,8 +175,7 @@ void SnaccDevice::build_hbm_variant() {
   // fill/fetch streams no longer share one controller.
   const auto& fpga = sys_.config().profile.fpga;
   const Bytes total = cfg_.dram_buffer_bytes * 2;
-  hbm_ = std::make_unique<mem::Hbm>(sys_.sim(), total.value(), fpga,
-                                    /*channels=*/8);
+  hbm_ = std::make_unique<mem::Hbm>(sys_.sim(), total.value(), fpga);
   dram_target_ = std::make_unique<pcie::MemoryTarget<mem::Hbm>>(*hbm_);
   sys_.fabric().map(bar2(), total, dram_target_.get(), fpga_port_,
                     pcie::MemKind::kFpgaHbm);
@@ -280,9 +279,9 @@ sim::Task SnaccDevice::init() {
   co_await admin_->bring_up();
   [[maybe_unused]] const nvme::IdentifyController id =
       co_await admin_->identify();
-  assert(id.max_transfer_bytes >= 1 * MiB);
+  assert(Bytes{id.max_transfer_bytes} >= core::kMaxTransfer);
   [[maybe_unused]] const nvme::Status st = co_await admin_->create_io_queues(
-      cfg_.streamer.nvme_qid, bar0() + kSqWindow, bar0() + kCqWindow,
+      nvme::kIoQid, bar0() + kSqWindow, bar0() + kCqWindow,
       streamer_->sq_entries());
   assert(st == nvme::Status::kSuccess);
   streamer_->start();

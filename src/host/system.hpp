@@ -47,8 +47,6 @@ class System {
   static constexpr Bytes kSsdBarStride{0x10'0000};  // 1 MB apart
 
   sim::Simulator& sim() { return sim_; }
-  /// True when this System runs on a caller-provided (cluster) domain.
-  bool external_domain() const { return owned_sim_ == nullptr; }
   pcie::Fabric& fabric() { return fabric_; }
   pcie::HostMemory& host_mem() { return host_mem_; }
   nvme::Ssd& ssd(std::size_t i = 0) { return *ssds_.at(i); }

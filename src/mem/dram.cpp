@@ -66,12 +66,11 @@ sim::Task Dram::write(std::uint64_t addr, Payload data) {
 // ---------------------------------------------------------------------------
 // Hbm
 
-Hbm::Hbm(sim::Simulator& sim, std::uint64_t size, const FpgaProfile& fpga,
-         std::uint32_t channels)
+Hbm::Hbm(sim::Simulator& sim, std::uint64_t size, const FpgaProfile& fpga)
     : sim_(sim), store_(size) {
   // Each pseudo-channel gets its own controller/bus timing; data lives in
   // one shared backing store (timing and contents are orthogonal here).
-  for (std::uint32_t i = 0; i < channels; ++i) {
+  for (std::uint32_t i = 0; i < kChannels; ++i) {
     banks_.push_back(std::make_unique<Dram>(sim, size, fpga));
   }
 }

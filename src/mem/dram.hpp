@@ -78,15 +78,13 @@ class Dram final {
 /// time, removing the single-controller turnaround bottleneck.
 class Hbm final {
  public:
-  Hbm(sim::Simulator& sim, std::uint64_t size, const FpgaProfile& fpga,
-      std::uint32_t channels = 8);
+  /// Pseudo-channel controllers.
+  static constexpr std::uint32_t kChannels = 8;
+
+  Hbm(sim::Simulator& sim, std::uint64_t size, const FpgaProfile& fpga);
 
   sim::TaskOf<Payload> read(std::uint64_t addr, std::uint64_t len);
   sim::Task write(std::uint64_t addr, Payload data);
-
-  std::uint32_t channels() const {
-    return static_cast<std::uint32_t>(banks_.size());
-  }
 
  private:
   /// Channel selection: 4 kB interleave.

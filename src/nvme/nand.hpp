@@ -63,7 +63,6 @@ class NandBackend {
     forced_mode_ = true;
     fast_mode_ = fast;
   }
-  void unforce_mode() { forced_mode_ = false; }
   bool fast_mode() const { return fast_mode_; }
 
   double current_write_rate() const {

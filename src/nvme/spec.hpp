@@ -53,6 +53,9 @@ enum class Status : std::uint16_t {
   // Synthesized locally by the SNAcc watchdog when a completion is lost
   // (e.g. the CQE's posted write was dropped); never appears on the wire.
   kWatchdogTimeout = 0x3F0,
+  // Synthesized locally by the SNAcc streamer for a malformed PE command,
+  // which it answers with an error instead of submitting; never on the wire.
+  kMalformedCommand = 0x3F1,
 };
 
 /// Submission queue entry. Field offsets follow the spec layout: CDW0 holds
@@ -166,6 +169,10 @@ struct CompletionEntry {
     return e;
   }
 };
+
+/// The one I/O queue pair a host (the SNAcc streamer or the SPDK driver)
+/// creates on its device; qid 0 is the admin queue.
+inline constexpr std::uint16_t kIoQid = 1;
 
 /// Controller register offsets within BAR0 (BAR-local byte offsets).
 namespace reg {

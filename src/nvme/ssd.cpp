@@ -355,7 +355,6 @@ void Ssd::destage_oldest() {
 void Ssd::flush_cache() {
   undo_.clear();
   dirty_fifo_.clear();
-  ++flushes_completed_;
 }
 
 void Ssd::power_cycle() {

@@ -65,7 +65,6 @@ class Ssd final : public pcie::Target {
   std::uint64_t write_errors() const { return write_errors_; }
   std::uint64_t error_cqes() const { return error_cqes_; }
   std::uint64_t namespace_blocks() const { return media_.size() / kLbaSize; }
-  std::uint64_t flushes_completed() const { return flushes_completed_; }
   /// Blocks currently acknowledged but not yet destaged to NAND (volatile).
   std::uint64_t dirty_cache_blocks() const { return dirty_fifo_.size(); }
 
@@ -202,7 +201,6 @@ class Ssd final : public pcie::Target {
   std::uint64_t power_cycles_ = 0;
   std::uint64_t lost_cache_blocks_ = 0;
   std::uint64_t suppressed_cqes_ = 0;
-  std::uint64_t flushes_completed_ = 0;
 };
 
 }  // namespace snacc::nvme

@@ -70,7 +70,6 @@ class Iommu {
   std::vector<std::pair<std::uint16_t, std::uint64_t>> faults_by_initiator()
       const;
   std::uint64_t injected_faults() const { return injected_faults_; }
-  std::size_t grant_count() const { return grants_.size(); }
 
  private:
   bool enabled_ = true;

@@ -39,6 +39,7 @@
 
 #include "sim/ring.hpp"
 #include "sim/simulator.hpp"
+#include "sim/sync.hpp"
 
 namespace snacc::sim {
 
@@ -146,39 +147,8 @@ class Channel {
     return v;
   }
 
-  struct PopWaiter {
-    EventNode ev{};
-    PopWaiter* next = nullptr;
-    bool delivered = false;
-  };
-  struct PushWaiter {
-    EventNode ev{};
-    PushWaiter* next = nullptr;
-    bool admitted = false;
-  };
-
-  // Intrusive FIFO of waiter nodes; nodes are owned by awaiter objects and
-  // are unlinked exactly once -- when delivered/admitted/closed.
-  template <class W>
-  struct WaiterList {
-    W* head = nullptr;
-    W* tail = nullptr;
-    bool empty() const { return head == nullptr; }
-    void push_back(W* w) {
-      w->next = nullptr;
-      if (tail) tail->next = w;
-      else head = w;
-      tail = w;
-    }
-    W* pop_front() {
-      W* w = head;
-      if (w) {
-        head = w->next;
-        if (!head) tail = nullptr;
-      }
-      return w;
-    }
-  };
+  using PopWaiter = detail::PopWaiter;
+  using PushWaiter = detail::PushWaiter;
 
   void admit_pushers() {
     // Move pending producers' values into freed ring space, FIFO; each
@@ -196,8 +166,8 @@ class Channel {
   RingBuf<T> items_;
   RingBuf<T> claimed_;
   RingBuf<T> pending_pushes_;
-  WaiterList<PopWaiter> pop_waiters_;
-  WaiterList<PushWaiter> push_waiters_;
+  detail::WaitList<PopWaiter> pop_waiters_;
+  detail::WaitList<PushWaiter> push_waiters_;
   bool closed_ = false;
 };
 

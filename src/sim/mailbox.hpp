@@ -42,6 +42,7 @@
 #include "sim/cluster.hpp"
 #include "sim/ring.hpp"
 #include "sim/simulator.hpp"
+#include "sim/sync.hpp"
 
 namespace snacc::sim {
 
@@ -152,7 +153,6 @@ class Mailbox final : public MailboxBase {
     while (PopWaiter* w = pop_waiters_.pop_front()) cons_->wake(w->ev);
   }
 
-  std::size_t backlog() const { return arrivals_.size(); }
   /// True once the producer's close marker has fired (pops may still drain
   /// earlier arrivals).
   bool rx_closed() const { return rx_closed_; }
@@ -173,36 +173,8 @@ class Mailbox final : public MailboxBase {
     bool hangup;
   };
 
-  struct PushWaiter {
-    EventNode ev{};
-    PushWaiter* next = nullptr;
-    bool admitted = false;
-  };
-  struct PopWaiter {
-    EventNode ev{};
-    PopWaiter* next = nullptr;
-    bool delivered = false;
-  };
-  template <class W>
-  struct WaiterList {
-    W* head = nullptr;
-    W* tail = nullptr;
-    bool empty() const { return head == nullptr; }
-    void push_back(W* w) {
-      w->next = nullptr;
-      if (tail) tail->next = w;
-      else head = w;
-      tail = w;
-    }
-    W* pop_front() {
-      W* w = head;
-      if (w) {
-        head = w->next;
-        if (!head) tail = nullptr;
-      }
-      return w;
-    }
-  };
+  using PushWaiter = detail::PushWaiter;
+  using PopWaiter = detail::PopWaiter;
 
   /// A value (or close marker) crossing into the consumer domain: the
   /// cluster merge schedules the embedded node at the record's arrival
@@ -350,7 +322,7 @@ class Mailbox final : public MailboxBase {
   bool closed_tx_ = false;
   bool peer_closed_ = false;
   RingBuf<T> pending_;  // values of parked producers, FIFO with waiters
-  WaiterList<PushWaiter> push_waiters_;
+  detail::WaitList<PushWaiter> push_waiters_;
   std::vector<OutRec> outbox_;  // staged toward the consumer
   std::vector<std::unique_ptr<FeedbackSlot>> feedback_slots_;
   std::vector<FeedbackSlot*> free_feedback_;
@@ -360,7 +332,7 @@ class Mailbox final : public MailboxBase {
   bool rx_closed_ = false;
   RingBuf<T> arrivals_;  // delivered, time-due values
   RingBuf<T> claimed_;   // handed to a woken-but-not-resumed pop
-  WaiterList<PopWaiter> pop_waiters_;
+  detail::WaitList<PopWaiter> pop_waiters_;
   std::vector<FbRec> feedback_;  // staged toward the producer
   std::vector<std::unique_ptr<DeliverySlot>> delivery_slots_;
   std::vector<DeliverySlot*> free_delivery_;

@@ -252,15 +252,6 @@ class Domain {
     return now_;
   }
 
-  /// Runs until `pred()` becomes true or the queue drains.
-  template <class Pred>
-  bool run_while(Pred&& pred) {
-    while (pred()) {
-      if (!step()) return false;
-    }
-    return true;
-  }
-
   // -- Cluster machinery (sim/cluster.hpp; harmless standalone) ------------
 
   /// Sentinel for "no pending event" -- beyond any reachable simulated time.

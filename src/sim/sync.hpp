@@ -9,7 +9,8 @@
 // Waiters are an intrusive FIFO list whose links live inside the awaiter
 // objects (i.e. in the awaiting coroutine's frame), so waiting allocates
 // nothing; every waiter is resumed through the event queue, which keeps
-// runs deterministic and free of reentrancy.
+// runs deterministic and free of reentrancy. Channel and Mailbox park
+// their producers and consumers on the same list.
 #pragma once
 
 #include <cassert>
@@ -21,6 +22,31 @@ namespace snacc::sim {
 
 namespace detail {
 
+/// FIFO of waiter nodes with O(1) push/pop; `W` has a `W* next` link. Nodes
+/// are owned by awaiter objects and unlinked exactly once, when woken. Wake
+/// order == await order, which keeps equal-timestamp scheduling identical
+/// to the pre-intrusive kernel.
+template <class W>
+struct WaitList {
+  W* head = nullptr;
+  W* tail = nullptr;
+  bool empty() const { return head == nullptr; }
+  void push_back(W* w) {
+    w->next = nullptr;
+    if (tail) tail->next = w;
+    else head = w;
+    tail = w;
+  }
+  W* pop_front() {
+    W* w = head;
+    if (w) {
+      head = w->next;
+      if (!head) tail = nullptr;
+    }
+    return w;
+  }
+};
+
 /// Intrusive waiter link; lives in an awaiter object. The EventNode carries
 /// the wakeup; `next` chains the FIFO.
 struct WaitLink {
@@ -28,26 +54,20 @@ struct WaitLink {
   WaitLink* next = nullptr;
 };
 
-/// FIFO of WaitLinks with O(1) append/pop. Wake order == await order, which
-/// keeps equal-timestamp scheduling identical to the pre-intrusive kernel.
-struct WaitList {
-  WaitLink* head = nullptr;
-  WaitLink* tail = nullptr;
-  bool empty() const { return head == nullptr; }
-  void append(WaitLink* w) {
-    w->next = nullptr;
-    if (tail) tail->next = w;
-    else head = w;
-    tail = w;
-  }
-  WaitLink* pop_front() {
-    WaitLink* w = head;
-    if (w) {
-      head = w->next;
-      if (!head) tail = nullptr;
-    }
-    return w;
-  }
+/// A producer parked on a full Channel or Mailbox; `admitted` is the push
+/// result it wakes with.
+struct PushWaiter {
+  EventNode ev{};
+  PushWaiter* next = nullptr;
+  bool admitted = false;
+};
+
+/// A consumer parked on an empty Channel or Mailbox; `delivered` means its
+/// value waits in the claimed ring.
+struct PopWaiter {
+  EventNode ev{};
+  PopWaiter* next = nullptr;
+  bool delivered = false;
 };
 
 }  // namespace detail
@@ -72,7 +92,7 @@ class WaitGroup {
       bool await_ready() const noexcept { return wg->count_ == 0; }
       void await_suspend(std::coroutine_handle<> h) {
         link.ev.h = h;
-        wg->waiters_.append(&link);
+        wg->waiters_.push_back(&link);
       }
       void await_resume() const noexcept {}
     };
@@ -84,7 +104,7 @@ class WaitGroup {
  private:
   Simulator* sim_;
   int count_ = 0;
-  detail::WaitList waiters_;
+  detail::WaitList<detail::WaitLink> waiters_;
 };
 
 /// Level-triggered gate (e.g. Ethernet pause): tasks await `opened()`;
@@ -108,7 +128,7 @@ class Gate {
       bool await_ready() const noexcept { return g->open_; }
       void await_suspend(std::coroutine_handle<> h) {
         link.ev.h = h;
-        g->waiters_.append(&link);
+        g->waiters_.push_back(&link);
       }
       void await_resume() const noexcept {}
     };
@@ -118,7 +138,7 @@ class Gate {
  private:
   Simulator* sim_;
   bool open_;
-  detail::WaitList waiters_;
+  detail::WaitList<detail::WaitLink> waiters_;
 };
 
 /// Counting semaphore for bounded resources (DMA tags, queue slots).
@@ -136,7 +156,7 @@ class Semaphore {
       bool await_ready() const noexcept { return s->permits_ > 0; }
       void await_suspend(std::coroutine_handle<> h) {
         link.ev.h = h;
-        s->waiters_.append(&link);
+        s->waiters_.push_back(&link);
       }
       void await_resume() const {
         // Either taken here (fast path) or pre-reserved by release().
@@ -167,7 +187,7 @@ class Semaphore {
   Simulator* sim_;
   int permits_;
   int reserved_ = 0;  // permits handed to not-yet-resumed waiters
-  detail::WaitList waiters_;
+  detail::WaitList<detail::WaitLink> waiters_;
 };
 
 }  // namespace snacc::sim

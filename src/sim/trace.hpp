@@ -49,7 +49,6 @@ class Tracer {
     mask_ = categories;
     capacity_ = capacity;
   }
-  void disable() { mask_ = 0; }
   bool enabled(TraceCat cat) const {
     return (mask_ & static_cast<std::uint32_t>(cat)) != 0;
   }

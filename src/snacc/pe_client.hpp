@@ -22,9 +22,9 @@ class PeClient : public StorageClient {
 
   NvmeStreamer& streamer() { return s_; }
 
-  /// Reads [addr, addr+len) device bytes. With recovery enabled, `ok` is
-  /// false when any beat carried the quarantine TUSER tag -- the data is
-  /// then placeholder bytes.
+  /// Reads [addr, addr+len) device bytes. `ok` is false when any beat
+  /// carried the quarantine TUSER tag -- the data is then placeholder
+  /// bytes (none for a rejected command).
   sim::TaskOf<ReadResult> read(Bytes addr, Bytes len) override {
     co_await s_.read_cmd_in().send(
         axis::Chunk{encode_read_command(addr, len), true, 0});
@@ -58,7 +58,7 @@ class PeClient : public StorageClient {
 
   /// Writes `data` to device byte address `addr` (must be block-aligned)
   /// and waits for the response token; false when the token carries the
-  /// data-loss bit (recovery quarantine).
+  /// data-loss bit (a quarantined sub-command, or a rejected packet).
   sim::TaskOf<bool> write(Bytes addr, Payload data, Bytes chunk_bytes) {
     co_await start_write(addr, std::move(data), chunk_bytes);
     bool error = false;

@@ -7,16 +7,17 @@
 
 namespace snacc::core {
 
+namespace {
+constexpr std::uint8_t kMaxRetries = 3;      // resubmissions per replica
+constexpr TimePs kRetryBackoff = us(20);  // first backoff; doubles per attempt
+}  // namespace
+
 ReplicatedClient::ReplicatedClient(sim::Simulator& sim,
-                                   std::vector<StorageClient*> replicas,
-                                   Config cfg)
+                                   std::vector<StorageClient*> replicas)
     : sim_(sim),
       replicas_(std::move(replicas)),
-      cfg_(cfg),
-      quorum_(cfg.quorum != 0 ? cfg.quorum : replicas_.size() / 2 + 1),
       quarantined_(replicas_.size(), false) {
   assert(!replicas_.empty());
-  assert(quorum_ <= replicas_.size());
 }
 
 std::size_t ReplicatedClient::live_replicas() const {
@@ -25,71 +26,54 @@ std::size_t ReplicatedClient::live_replicas() const {
   return n;
 }
 
-sim::Task ReplicatedClient::replica_write(std::size_t i, Bytes addr,
-                                          Payload data, sim::WaitGroup& wg,
-                                          std::size_t* acked) {
+sim::Task ReplicatedClient::replica_op(std::size_t i, bool flush, Bytes addr,
+                                       Payload data, sim::WaitGroup& wg,
+                                       std::size_t* acked) {
   for (std::uint8_t attempt = 0;; ++attempt) {
-    if (co_await replicas_[i]->write(addr, data)) {
+    bool ok = false;
+    if (flush) {
+      ok = co_await replicas_[i]->flush();
+    } else {
+      ok = co_await replicas_[i]->write(addr, data);
+    }
+    if (ok) {
       ++*acked;
       break;
     }
-    if (attempt >= cfg_.max_retries) {
+    if (attempt >= kMaxRetries) {
       quarantined_[i] = true;
       ++replicas_lost_;
       break;
     }
     ++resubmissions_;
-    co_await sim_.delay(cfg_.retry_backoff * (1ull << attempt));
+    co_await sim_.delay(kRetryBackoff * (1ull << attempt));
   }
   wg.done();
 }
 
-sim::Task ReplicatedClient::replica_flush(std::size_t i, sim::WaitGroup& wg,
-                                          std::size_t* acked) {
-  for (std::uint8_t attempt = 0;; ++attempt) {
-    if (co_await replicas_[i]->flush()) {
-      ++*acked;
-      break;
-    }
-    if (attempt >= cfg_.max_retries) {
-      quarantined_[i] = true;
-      ++replicas_lost_;
-      break;
-    }
-    ++resubmissions_;
-    co_await sim_.delay(cfg_.retry_backoff * (1ull << attempt));
+sim::TaskOf<bool> ReplicatedClient::fan_out(bool flush, Bytes addr,
+                                            Payload data) {
+  sim::WaitGroup wg(sim_);
+  std::size_t acked = 0;
+  for (std::size_t i = 0; i < replicas_.size(); ++i) {
+    if (quarantined_[i]) continue;
+    wg.add();
+    sim_.spawn(replica_op(i, flush, addr, data, wg, &acked));
   }
-  wg.done();
+  co_await wg.wait();
+  const bool ok = acked >= quorum();
+  if (!ok) ++quorum_failures_;
+  co_return ok;
 }
 
 sim::TaskOf<bool> ReplicatedClient::write(Bytes addr, Payload data) {
   ++writes_;
-  sim::WaitGroup wg(sim_);
-  std::size_t acked = 0;
-  for (std::size_t i = 0; i < replicas_.size(); ++i) {
-    if (quarantined_[i]) continue;
-    wg.add();
-    sim_.spawn(replica_write(i, addr, data, wg, &acked));
-  }
-  co_await wg.wait();
-  const bool ok = acked >= quorum_;
-  if (!ok) ++quorum_failures_;
-  co_return ok;
+  return fan_out(/*flush=*/false, addr, std::move(data));
 }
 
 sim::TaskOf<bool> ReplicatedClient::flush() {
   ++flushes_;
-  sim::WaitGroup wg(sim_);
-  std::size_t acked = 0;
-  for (std::size_t i = 0; i < replicas_.size(); ++i) {
-    if (quarantined_[i]) continue;
-    wg.add();
-    sim_.spawn(replica_flush(i, wg, &acked));
-  }
-  co_await wg.wait();
-  const bool ok = acked >= quorum_;
-  if (!ok) ++quorum_failures_;
-  co_return ok;
+  return fan_out(/*flush=*/true, Bytes{}, Payload{});
 }
 
 sim::TaskOf<ReadResult> ReplicatedClient::read(Bytes addr, Bytes len) {

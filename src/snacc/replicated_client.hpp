@@ -1,10 +1,11 @@
 // ReplicatedClient: N-way mirroring over independent StorageClients, one per
 // SSD on the multi-device fabric (docs/DURABILITY.md).
 //
-// Writes fan out to every live replica concurrently (spawned in replica index
-// order, so fault-free runs are bit-identical) and acknowledge once the
-// results are in: success requires `quorum` replica acks. A replica whose
-// write keeps failing after bounded-backoff resubmission is quarantined --
+// Writes and flushes fan out to every live replica concurrently (spawned in
+// replica index order, so fault-free runs are bit-identical) and acknowledge
+// once the results are in: success requires a majority of replica acks. A
+// replica whose write keeps failing after bounded-backoff resubmission (3
+// retries from 20 us, doubling) is quarantined --
 // dropped from every later fan-out -- mirroring the streamer's own slot
 // quarantine one level up. Reads take the first live replica and fail over
 // down the index order; a read served by a later replica after an earlier
@@ -15,7 +16,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/calibration.hpp"
+#include "common/units.hpp"
 #include "sim/simulator.hpp"
 #include "sim/sync.hpp"
 #include "snacc/storage_client.hpp"
@@ -24,27 +25,14 @@ namespace snacc::core {
 
 class ReplicatedClient final : public StorageClient {
  public:
-  struct Config {
-    /// Replica acks required to acknowledge a write/flush. 0 = majority
-    /// (n/2 + 1), the usual replicated-log setting.
-    std::size_t quorum = 0;
-    /// Resubmissions per replica per operation before it is quarantined.
-    std::uint8_t max_retries = 3;
-    /// Backoff before the first resubmission; doubles per attempt.
-    TimePs retry_backoff = us(50);
-  };
-
-  ReplicatedClient(sim::Simulator& sim, std::vector<StorageClient*> replicas,
-                   Config cfg);
-  ReplicatedClient(sim::Simulator& sim, std::vector<StorageClient*> replicas)
-      : ReplicatedClient(sim, std::move(replicas), Config()) {}
+  ReplicatedClient(sim::Simulator& sim, std::vector<StorageClient*> replicas);
 
   sim::TaskOf<ReadResult> read(Bytes addr, Bytes len) override;
   sim::TaskOf<bool> write(Bytes addr, Payload data) override;
   sim::TaskOf<bool> flush() override;
 
-  std::size_t replica_count() const { return replicas_.size(); }
-  std::size_t quorum() const { return quorum_; }
+  /// Replica acks required to acknowledge a write or flush: a majority.
+  std::size_t quorum() const { return replicas_.size() / 2 + 1; }
   bool replica_quarantined(std::size_t i) const { return quarantined_[i]; }
   std::size_t live_replicas() const;
 
@@ -58,17 +46,16 @@ class ReplicatedClient final : public StorageClient {
   std::uint64_t read_repairs() const { return read_repairs_; }
 
  private:
+  /// Sends a write (or, with `flush`, a flush) to every live replica and
+  /// reports whether a quorum acknowledged it.
+  sim::TaskOf<bool> fan_out(bool flush, Bytes addr, Payload data);
   /// One replica's slice of a fan-out: retry with bounded backoff, then
   /// quarantine. Bumps `*acked` on success; always signals `wg`.
-  sim::Task replica_write(std::size_t i, Bytes addr, Payload data,
-                          sim::WaitGroup& wg, std::size_t* acked);
-  sim::Task replica_flush(std::size_t i, sim::WaitGroup& wg,
-                          std::size_t* acked);
+  sim::Task replica_op(std::size_t i, bool flush, Bytes addr, Payload data,
+                       sim::WaitGroup& wg, std::size_t* acked);
 
   sim::Simulator& sim_;
   std::vector<StorageClient*> replicas_;
-  Config cfg_;
-  std::size_t quorum_;
   std::vector<bool> quarantined_;
 
   std::uint64_t writes_ = 0;

@@ -8,8 +8,7 @@ namespace {
 constexpr std::uint64_t kLba = nvme::kLbaSize;
 }
 
-std::vector<SubCommand> split_read(Bytes addr, Bytes len,
-                                   const SplitLimits& limits) {
+std::vector<SubCommand> split_read(Bytes addr, Bytes len) {
   std::vector<SubCommand> out;
   if (len.is_zero()) return out;
   Bytes remaining = len;
@@ -17,7 +16,7 @@ std::vector<SubCommand> split_read(Bytes addr, Bytes len,
   while (!remaining.is_zero()) {
     // Align subsequent pieces to MDTS boundaries on the device so steady
     // state issues maximal commands regardless of the starting offset.
-    const Bytes to_boundary = limits.max_transfer - cur % limits.max_transfer;
+    const Bytes to_boundary = kMaxTransfer - cur % kMaxTransfer;
     const Bytes piece = std::min(remaining, to_boundary);
 
     SubCommand sc;
@@ -31,30 +30,6 @@ std::vector<SubCommand> split_read(Bytes addr, Bytes len,
     sc.last = piece == remaining;
     out.push_back(sc);
 
-    cur += piece;
-    remaining -= piece;
-  }
-  return out;
-}
-
-std::vector<SubCommand> split_write(Bytes addr, Bytes len,
-                                    const SplitLimits& limits) {
-  std::vector<SubCommand> out;
-  if (len.is_zero()) return out;
-  if (!aligned(addr, kLba) || !aligned(len, kLba))
-    return out;  // caller checks
-  Bytes remaining = len;
-  Bytes cur = addr;
-  while (!remaining.is_zero()) {
-    const Bytes to_boundary = limits.max_transfer - cur % limits.max_transfer;
-    const Bytes piece = std::min(remaining, to_boundary);
-    SubCommand sc;
-    sc.slba = lba_of(cur, kLba);
-    sc.trim_head = 0;
-    sc.blocks = static_cast<std::uint32_t>(blocks_of(piece, kLba));
-    sc.payload_bytes = piece;
-    sc.last = piece == remaining;
-    out.push_back(sc);
     cur += piece;
     remaining -= piece;
   }

@@ -3,7 +3,8 @@
 // (1 MB), each buffered in 4 kB-aligned buffer space. Reads additionally
 // handle sub-LBA offsets by reading the covering blocks and trimming on
 // stream-out; writes require LBA alignment (the database controller always
-// produces block-aligned records).
+// produces block-aligned records) and are split inline as their data beats
+// arrive (NvmeStreamer::write_cmd_loop).
 #pragma once
 
 #include <cstdint>
@@ -29,19 +30,13 @@ struct SubCommand {
   }
 };
 
-struct SplitLimits {
-  Bytes max_transfer{1 * MiB};  // device MDTS
-};
+/// Largest NVMe command the streamer issues: the device MDTS (1 MB). User
+/// commands split at each multiple of it, and StripedClient stripes at it.
+inline constexpr Bytes kMaxTransfer{1 * MiB};
 
 /// Splits a read of [addr, addr+len) device bytes. Pieces after the first
 /// are MDTS-aligned on the device so the middle of a long transfer always
 /// issues full-size commands (the paper's "split at each 1 MB boundary").
-std::vector<SubCommand> split_read(Bytes addr, Bytes len,
-                                   const SplitLimits& limits);
-
-/// Splits a write of `len` bytes to device byte address `addr`. Both must be
-/// block-aligned (checked); returns an empty vector on violation.
-std::vector<SubCommand> split_write(Bytes addr, Bytes len,
-                                    const SplitLimits& limits);
+std::vector<SubCommand> split_read(Bytes addr, Bytes len);
 
 }  // namespace snacc::core

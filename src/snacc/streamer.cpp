@@ -117,10 +117,8 @@ void NvmeStreamer::start() {
   sim_.spawn(prefetch_loop());
   // The watchdog is a periodic process; spawning it unconditionally would
   // keep the event queue non-empty forever (breaking sim.run()-to-quiescence
-  // callers) and perturb event ordering of fault-free runs. Recovery only.
-  if (cfg_.recovery && !cfg_.cmd_timeout.is_zero()) {
-    sim_.spawn(watchdog_loop());
-  }
+  // callers) and perturb event ordering of fault-free runs.
+  if (!cfg_.cmd_timeout.is_zero()) sim_.spawn(watchdog_loop());
 }
 
 void NvmeStreamer::check_invariants() const {
@@ -212,14 +210,14 @@ sim::Task NvmeStreamer::submit(const SubCommand& sub, bool is_write,
              is_write ? "submit-write" : "submit-read", slot, sub.slba);
   // Posted doorbell: the SQE is already visible in the FIFO window.
   sim_.spawn(fabric_.write(
-      fpga_port_, ssd_bar_ + nvme::reg::Doorbell::sq_tail(cfg_.nvme_qid),
+      fpga_port_, ssd_bar_ + nvme::reg::Doorbell::sq_tail(nvme::kIoQid),
       u32_payload(sq_tail_)));
   co_return;
 }
 
 sim::Task NvmeStreamer::ring_cq_doorbell() {
   sim_.spawn(fabric_.write(
-      fpga_port_, ssd_bar_ + nvme::reg::Doorbell::cq_head(cfg_.nvme_qid),
+      fpga_port_, ssd_bar_ + nvme::reg::Doorbell::cq_head(nvme::kIoQid),
       u32_payload(cq_head_)));
   co_return;
 }
@@ -234,11 +232,12 @@ sim::Task NvmeStreamer::read_cmd_loop() {
     Bytes addr;
     Bytes len;
     if (!decode_read_command(chunk->data, &addr, &len) || len.is_zero()) {
-      ++errors_;
+      co_await answer_locally(/*is_write=*/false, next_user_tag_++,
+                              nvme::Status::kMalformedCommand);
       continue;
     }
     const std::uint64_t tag = next_user_tag_++;
-    const auto subs = split_read(addr, len, SplitLimits{});
+    const auto subs = split_read(addr, len);
     for (const SubCommand& sub : subs) {
       co_await issue_credits_->acquire();
       co_await alloc_mutex_->acquire();
@@ -265,17 +264,29 @@ sim::Task NvmeStreamer::write_cmd_loop() {
   while (true) {
     auto first = co_await write_in_.recv();
     if (!first) co_return;
-    const Bytes raw_addr = decode_write_address(first->data);
+    const Bytes addr = decode_write_address(first->data);
     // snacc-lint: allow(value-escape): wire-level flag bit test on the beat
-    if ((raw_addr.value() & kFlushAddrBit) != 0) {
+    const bool flush = (addr.value() & kFlushAddrBit) != 0;
+    // A flush beat must end its packet; a write needs an aligned address and
+    // data beats. A malformed packet is discarded through TLAST, so its data
+    // beats are never read as address beats, and answered with an error.
+    const bool malformed =
+        flush ? !first->last : (first->last || !aligned(addr, nvme::kLbaSize));
+    if (malformed) {
+      for (bool last = first->last; !last;) {
+        auto c = co_await write_in_.recv();
+        if (!c) co_return;
+        last = c->last;
+      }
+      co_await answer_locally(/*is_write=*/true, next_user_tag_++,
+                              nvme::Status::kMalformedCommand);
+      continue;
+    }
+    if (flush) {
       // Flush barrier (docs/DURABILITY.md): a single TLAST beat, no data.
       // Rides the ordinary write pipeline -- credit, ROB slot, in-order
       // submission behind every earlier write -- but allocates no ring
       // space and carries no PRPs.
-      if (!first->last) {
-        ++errors_;
-        continue;  // malformed: a flush beat must terminate its packet
-      }
       SubCommand sub;
       sub.last = true;
       sub.flush = true;
@@ -292,18 +303,12 @@ sim::Task NvmeStreamer::write_cmd_loop() {
       co_await submit_queue_->push(PendingSubmit(sub, slot, Bytes{}));
       continue;
     }
-    const Bytes addr = raw_addr;
-    if (!aligned(addr, nvme::kLbaSize) || first->last) {
-      ++errors_;
-      continue;  // malformed packet: misaligned or missing data beats
-    }
     const std::uint64_t tag = next_user_tag_++;
     Bytes dev_cursor = addr;
     bool last_seen = false;
 
     while (!last_seen) {
-      const Bytes boundary =
-          SplitLimits{}.max_transfer - dev_cursor % SplitLimits{}.max_transfer;
+      const Bytes boundary = kMaxTransfer - dev_cursor % kMaxTransfer;
       std::vector<Payload> parts;
       std::uint64_t acc = 0;
       // snacc-lint: allow(value-escape): byte accounting vs raw Payload sizes
@@ -332,6 +337,17 @@ sim::Task NvmeStreamer::write_cmd_loop() {
           last_seen = piece.last;
           parts.push_back(std::move(piece.data));
         }
+      }
+      if (acc == 0) {
+        // Only empty beats up to TLAST: a zero-block command would reach
+        // the device as a 65,536-block one (NLB is 0-based). A packet with
+        // no data is malformed; one whose data ended on the boundary above
+        // is closed by an entry that carries only its TLAST.
+        co_await answer_locally(/*is_write=*/true, tag,
+                                dev_cursor == addr
+                                    ? nvme::Status::kMalformedCommand
+                                    : nvme::Status::kSuccess);
+        break;
       }
       // Pad the tail to a whole block (devices write whole LBAs). Real
       // payloads get real zero padding -- phantom padding would degrade the
@@ -382,6 +398,20 @@ sim::Task NvmeStreamer::run_fill(SlotIdx slot, Bytes off, Payload data) {
   fill_progress_.open();
 }
 
+sim::Task NvmeStreamer::answer_locally(bool is_write, std::uint64_t tag,
+                                       nvme::Status status) {
+  if (status != nvme::Status::kSuccess) ++errors_;
+  RobEntry entry;
+  entry.is_write = is_write;
+  entry.sub.last = true;
+  entry.user_tag = tag;
+  co_await issue_credits_->acquire();
+  co_await alloc_mutex_->acquire();
+  const SlotIdx slot = co_await rob_.alloc(std::move(entry));
+  alloc_mutex_->release();
+  rob_.complete(slot, status);
+}
+
 sim::Task NvmeStreamer::submit_committer() {
   while (true) {
     auto pending = co_await submit_queue_->pop();
@@ -403,9 +433,12 @@ sim::Task NvmeStreamer::retire_loop() {
   while (true) {
     co_await rob_.wait_head();
     RobEntry& head = rob_.head();
+    // Only an entry answered locally has neither blocks nor a flush: it sent
+    // no SQE, so it is not a retired command and no CQE answered it.
+    const bool local = head.sub.blocks == 0 && !head.sub.flush;
     bool failed = false;
-    if (cfg_.recovery && head.status != nvme::Status::kSuccess) {
-      if (head.retries < cfg_.max_retries) {
+    if (head.status != nvme::Status::kSuccess) {
+      if (!local && head.retries < cfg_.max_retries) {
         // Bounded retry: a fresh SQE reuses the same ROB slot (CID) and the
         // same buffer range, with exponential backoff between attempts.
         const SlotIdx slot = rob_.head_slot();
@@ -429,27 +462,30 @@ sim::Task NvmeStreamer::retire_loop() {
         co_await submit(sub, is_write, slot, abs_off);
         continue;
       }
-      // Retries exhausted: quarantine the poisoned entry. It retires like a
-      // successful one -- keeping delivery strictly in order and the window
-      // moving -- but its data is replaced by an error-tagged placeholder.
+      // Retries exhausted, or a rejected command that never reached the
+      // device: quarantine the poisoned entry. It retires like a successful
+      // one -- keeping delivery strictly in order and the window moving --
+      // but its data is replaced by an error-tagged placeholder.
       failed = true;
       ++quarantined_;
-      if (cfg_.out_of_order &&
-          head.status == nvme::Status::kWatchdogTimeout) {
-        // The lost command's CQE never arrived to release its OOO credit.
-        issue_credits_->release();
-      }
       sim_.trace(sim::TraceCat::kStreamerRetire, "quarantine",
                  rob_.head_slot(), head.user_tag);
     }
-    if (cfg_.recovery && !failed && head.retries > 0) ++recovered_;
+    // In OOO mode a CQE returns its command's credit on arrival. An entry
+    // that no CQE answered -- a local answer, or a quarantined watchdog
+    // timeout -- returns it here.
+    if (cfg_.out_of_order &&
+        (local || head.status == nvme::Status::kWatchdogTimeout)) {
+      issue_credits_->release();
+    }
+    if (!failed && head.retries > 0) ++recovered_;
     if (!head.is_write) {
       while (!failed && !head.fetched) {
         fetch_progress_.close();
         co_await fetch_progress_.opened();
       }
       const TimePs gap =
-          cfg_.out_of_order ? cfg_.ooo_retire_gap : fpga_.retire_gap_read;
+          cfg_.out_of_order ? fpga_.retire_gap_ooo : fpga_.retire_gap_read;
       co_await sim_.delay(gap);
       Payload out = failed
                         ? Payload::phantom(head.sub.payload_bytes)
@@ -459,11 +495,13 @@ sim::Task NvmeStreamer::retire_loop() {
       bytes_read_ += out.size();
       sim_.trace(sim::TraceCat::kStreamerRetire, "retire-read", head.user_tag,
                  out.size());
-      res_.read_ring->free_oldest();
+      if (head.sub.blocks != 0) res_.read_ring->free_oldest();
       rob_.retire();
-      ++commands_retired_;
       if (!cfg_.out_of_order) issue_credits_->release();
-      co_await ring_cq_doorbell();
+      if (!local) {
+        ++commands_retired_;
+        co_await ring_cq_doorbell();
+      }
       prefetch_kick_->open();
       // Stream to the PE; TLAST closes the user command. Quarantined data
       // carries the error TUSER tag on every beat so the PE can discard it.
@@ -471,23 +509,24 @@ sim::Task NvmeStreamer::retire_loop() {
                                   last, failed ? kReadErrorUser : 0);
     } else {
       const TimePs gap =
-          cfg_.out_of_order ? cfg_.ooo_retire_gap : fpga_.retire_gap_write;
+          cfg_.out_of_order ? fpga_.retire_gap_ooo : fpga_.retire_gap_write;
       co_await sim_.delay(gap);
       const bool last = head.sub.last;
       const std::uint64_t tag = head.user_tag;
       sim_.trace(sim::TraceCat::kStreamerRetire, "retire-write", tag,
                  head.sub.payload_bytes);
       if (failed) failed_write_tags_.insert(tag);
-      if (!head.sub.flush) res_.write_ring->free_oldest();
+      if (head.sub.blocks != 0) res_.write_ring->free_oldest();
       rob_.retire();
-      ++commands_retired_;
       if (!cfg_.out_of_order) issue_credits_->release();
-      co_await ring_cq_doorbell();
+      if (!local) {
+        ++commands_retired_;
+        co_await ring_cq_doorbell();
+      }
       prefetch_kick_->open();
       if (last) {
         // Any quarantined sub of this user command poisons its response.
-        const bool resp_error =
-            cfg_.recovery && failed_write_tags_.erase(tag) > 0;
+        const bool resp_error = failed_write_tags_.erase(tag) > 0;
         co_await write_resp_out_.send_token(
             resp_error ? (tag | kWriteRespErrorBit) : tag);
       }
@@ -497,7 +536,7 @@ sim::Task NvmeStreamer::retire_loop() {
 
 sim::Task NvmeStreamer::watchdog_loop() {
   while (true) {
-    co_await sim_.delay(cfg_.watchdog_period);
+    co_await sim_.delay(cfg_.cmd_timeout / 20);
     if (rob_.empty()) continue;
     // Only the head is checked: in-order retirement means a lost completion
     // anywhere in the window eventually becomes the head blocker, and its
@@ -529,11 +568,11 @@ sim::Task NvmeStreamer::prefetch_loop() {
     for (std::uint16_t i = 0; i < window; ++i) {
       RobEntry* e = rob_.peek(i);
       if (e == nullptr) break;
-      // With recovery on, an error-completed read has no valid buffer
-      // contents and is about to be reopened for retry (or quarantined);
-      // fetching it would race with the retirement engine's reopen.
+      // An error-completed read has no valid buffer contents and is about
+      // to be reopened for retry (or quarantined); fetching it would race
+      // with the retirement engine's reopen.
       if (!e->is_write && e->completed && !e->fetch_started &&
-          !(cfg_.recovery && e->status != nvme::Status::kSuccess)) {
+          e->status == nvme::Status::kSuccess) {
         e->fetch_started = true;
         sim_.spawn(fetch_entry(e));
       }

@@ -46,37 +46,34 @@ const char* variant_name(Variant v);
 struct StreamerConfig {
   Variant variant = Variant::kUram;
   std::uint16_t queue_depth = 64;
-  std::uint16_t nvme_qid = 1;
-  bool out_of_order = false;           // Sec. 7 extension
-  TimePs ooo_retire_gap = ns(500);     // pipelined retirement engine
+  bool out_of_order = false;  // Sec. 7 extension
 
-  // --- Error recovery (docs/FAULTS.md) -------------------------------------
-  // Off by default and zero-cost when off: no watchdog process is spawned
-  // and the retirement engine's recovery branch is never taken, so runs
-  // without fault injection are bit-identical to a recovery-less build.
-  bool recovery = false;
+  // --- Error handling (docs/FAULTS.md) -------------------------------------
+  // An error completion is retried, then quarantined: the PE always gets an
+  // answer. Fault-free runs never take these branches.
   /// Resubmissions of a failed sub-command before its ROB slot is
   /// quarantined (error reported to the PE, window keeps moving).
   std::uint8_t max_retries = 3;
   /// Backoff before the first retry; doubles per attempt.
   TimePs retry_backoff = us(5);
   /// Watchdog deadline for the head (oldest) command, measured from its SQE
-  /// submission; expiry synthesizes Status::kWatchdogTimeout. Must exceed
-  /// the worst-case legitimate head-completion latency (ms-scale covers a
-  /// full 64 x 1 MB window with margin). 0 disables the watchdog even with
-  /// recovery on.
-  TimePs cmd_timeout = ms(5);
-  /// Watchdog scan period.
-  TimePs watchdog_period = us(250);
+  /// submission; expiry synthesizes Status::kWatchdogTimeout. The watchdog
+  /// scans every cmd_timeout / 20 and exists only when this is nonzero: a
+  /// periodic process would keep sim.run() from reaching quiescence. Must
+  /// exceed the worst-case legitimate head-completion latency (ms-scale
+  /// covers a full 64 x 1 MB window with margin).
+  TimePs cmd_timeout;
 };
 
 /// TUSER tag carried on every read_data_out beat of a quarantined (failed)
 /// read sub-command; the payload beats are phantom filler so stream framing
-/// (and TLAST) stays intact for the PE.
+/// (and TLAST) stays intact for the PE. A rejected (malformed) read command
+/// gets one empty TLAST beat with this tag.
 inline constexpr std::uint64_t kReadErrorUser = 1;
 
 /// Set on a write_resp_out token's user word when any sub-command of the
-/// user write was quarantined (data loss).
+/// user write was quarantined (data loss), or when the write packet was
+/// rejected as malformed.
 inline constexpr std::uint64_t kWriteRespErrorBit = 1ull << 63;
 
 /// Flag bit on a write_in address beat marking a *flush barrier* instead of
@@ -139,10 +136,13 @@ class NvmeStreamer {
   std::uint64_t bytes_read() const { return bytes_read_; }
   std::uint64_t bytes_written() const { return bytes_written_; }
   std::uint64_t commands_submitted() const { return commands_submitted_; }
+  /// Retired commands that reached the device; an entry answered without it
+  /// is not counted, so after quiescence this is submitted less retries.
   std::uint64_t commands_retired() const { return commands_retired_; }
   std::uint64_t errors() const { return errors_; }
 
-  // Recovery statistics (all zero unless cfg.recovery and faults fired).
+  // Error statistics (all zero unless faults fired or a PE command was
+  // malformed). quarantined() counts every command answered with an error.
   std::uint64_t retries() const { return retries_; }
   std::uint64_t recovered() const { return recovered_; }
   std::uint64_t quarantined() const { return quarantined_; }
@@ -175,15 +175,23 @@ class NvmeStreamer {
 
   sim::Task read_cmd_loop();
   sim::Task write_cmd_loop();
+  /// Answers a PE command in command order without the device: a ROB entry
+  /// that is complete with `status` from the start, sends no SQE and holds
+  /// no ring space. Status::kMalformedCommand rejects a malformed command
+  /// (retirement quarantines it); kSuccess closes a write whose data ended
+  /// on a split boundary before its TLAST beat.
+  sim::Task answer_locally(bool is_write, std::uint64_t tag,
+                           nvme::Status status);
   sim::Task submit_committer();
   /// Buffers a write's data, then marks its slot filled for the committer.
   sim::Task run_fill(SlotIdx slot, Bytes off, Payload data);
   sim::Task retire_loop();
   sim::Task prefetch_loop();
   sim::Task fetch_entry(RobEntry* entry);
-  /// Recovery only: periodically checks the head (oldest in-flight) command
-  /// against cmd_timeout and synthesizes a kWatchdogTimeout completion for a
-  /// lost one so the retirement engine can retry or quarantine it.
+  /// Only with a nonzero cmd_timeout: periodically checks the head (oldest
+  /// in-flight) command against cmd_timeout and synthesizes a
+  /// kWatchdogTimeout completion for a lost one so the retirement engine
+  /// can retry or quarantine it.
   sim::Task watchdog_loop();
 
   /// Places the SQE in the FIFO, rings the SSD's SQ tail doorbell.
@@ -226,9 +234,9 @@ class NvmeStreamer {
   std::uint64_t commands_retired_ = 0;
   std::uint64_t errors_ = 0;
 
-  // Recovery state. A mid-command sub failure must surface on the *last*
-  // sub's response token, so quarantined write tags are remembered until
-  // their user command's final sub retires.
+  // A mid-command sub failure must surface on the *last* sub's response
+  // token, so quarantined write tags are remembered until their user
+  // command's final sub retires.
   std::unordered_set<std::uint64_t> failed_write_tags_;
   std::uint64_t retries_ = 0;
   std::uint64_t recovered_ = 0;

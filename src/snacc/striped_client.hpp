@@ -19,25 +19,21 @@ namespace snacc::core {
 
 class StripedClient {
  public:
-  explicit StripedClient(std::vector<NvmeStreamer*> streamers,
-                         Bytes stripe_bytes = Bytes{1 * MiB})
-      : stripe_(stripe_bytes) {
+  explicit StripedClient(std::vector<NvmeStreamer*> streamers) {
     for (NvmeStreamer* s : streamers) clients_.emplace_back(*s);
   }
 
-  std::size_t device_count() const { return clients_.size(); }
-  Bytes stripe_bytes() const { return stripe_; }
-
-  /// Logical address -> (device, device-local address).
+  /// Logical address -> (device, device-local address); stripes are
+  /// kMaxTransfer long.
   struct Location {
     std::size_t device;
     Bytes addr;
   };
   Location locate(Bytes logical) const {
-    const std::uint64_t stripe_index = logical / stripe_;
+    const std::uint64_t stripe_index = logical / kMaxTransfer;
     return Location{static_cast<std::size_t>(stripe_index % clients_.size()),
-                    stripe_ * (stripe_index / clients_.size()) +
-                        logical % stripe_};
+                    kMaxTransfer * (stripe_index / clients_.size()) +
+                        logical % kMaxTransfer};
   }
 
   /// Writes `data` at logical byte address `addr` (block-aligned); true
@@ -90,7 +86,8 @@ class StripedClient {
     Bytes off;
     std::size_t idx = 0;
     while (off < len) {
-      const Bytes n = std::min(len - off, stripe_ - (addr + off) % stripe_);
+      const Bytes n =
+          std::min(len - off, kMaxTransfer - (addr + off) % kMaxTransfer);
       const Location loc = locate(addr + off);
       plan[loc.device].push_back(Stripe{loc.addr, off, n, idx});
       off += n;
@@ -148,7 +145,6 @@ class StripedClient {
   }
 
   std::vector<PeClient> clients_;
-  Bytes stripe_;
 };
 
 }  // namespace snacc::core

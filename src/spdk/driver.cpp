@@ -21,7 +21,7 @@ Payload u64_payload(std::uint64_t v) {
 }
 
 constexpr std::uint16_t kAdminEntries = 16;
-constexpr std::uint16_t kIoQid = 1;
+using nvme::kIoQid;
 
 }  // namespace
 
@@ -84,7 +84,7 @@ sim::Task Driver::init() {
   [[maybe_unused]] nvme::Status st = co_await admin_cmd(identify);
   assert(st == nvme::Status::kSuccess);
   identify_ = nvme::IdentifyController::decode(
-      host_mem_.store().read(local(identify_off()).value(), kPageSize));
+      host_mem_.store().read(identify_off().value(), kPageSize));
   if (identify_.max_transfer_bytes != 0) {
     max_transfer_ = Bytes{identify_.max_transfer_bytes};
   }
@@ -151,8 +151,8 @@ sim::TaskOf<nvme::Status> Driver::admin_cmd(nvme::SubmissionEntry sqe) {
         co_return cqe.status;
       }
     }
-    co_await sim_.delay(cfg_.poll_interval);
-    cpu_.charge(cfg_.poll_interval);
+    co_await sim_.delay(host_.spdk_poll_interval);
+    cpu_.charge(host_.spdk_poll_interval);
   }
 }
 
@@ -185,7 +185,7 @@ sim::Task Driver::submit_io(const IoDesc& io, std::uint16_t slot,
     // Materialize the PRP list in host memory -- the "naive" scheme.
     sqe.prp2 = global(prp_list_off(slot));
     auto lists = nvme::build_prp_lists(buf, io.bytes, sqe.prp2);
-    std::uint64_t page_addr = local(prp_list_off(slot)).value();
+    std::uint64_t page_addr = prp_list_off(slot).value();
     for (const auto& list : lists) {
       std::vector<std::byte> raw(list.size() * 8);
       std::memcpy(raw.data(), list.data(), raw.size());
@@ -201,8 +201,8 @@ sim::Task Driver::submit_io(const IoDesc& io, std::uint16_t slot,
   host_mem_.store().write((io_sq_.next_slot_addr() - host_window_base_).value(),
                           Payload::bytes({raw.begin(), raw.end()}));
   const std::uint16_t tail = io_sq_.advance_tail();
-  cpu_.charge(cfg_.submit_overhead);
-  co_await sim_.delay(cfg_.submit_overhead);
+  cpu_.charge(host_.spdk_submit_overhead);
+  co_await sim_.delay(host_.spdk_submit_overhead);
   co_await ring_sq_doorbell(kIoQid, tail);
 
   ++pending_;
@@ -235,8 +235,8 @@ sim::Task Driver::poller() {
       }
     }
     if (!found) {
-      cpu_.charge(cfg_.poll_interval);
-      co_await sim_.delay(cfg_.poll_interval);
+      cpu_.charge(host_.spdk_poll_interval);
+      co_await sim_.delay(host_.spdk_poll_interval);
     }
   }
   poller_running_ = false;
@@ -258,7 +258,7 @@ sim::TaskOf<Driver::Outcome> Driver::settle(Completion* c, IoDesc io,
     co_await slot_sem_->acquire();
     slot = free_slot();
     if (stage.size() > 0) {
-      host_mem_.store().write(local(buffer_off(slot)).value(), stage);
+      host_mem_.store().write(buffer_off(slot).value(), stage);
     }
     c->landed.close();
     co_await submit_io(io, slot, c);
@@ -285,7 +285,7 @@ sim::TaskOf<ReadCompletion> Driver::read(Lba lba, Bytes bytes) {
     // the calibrated host-stack term of Fig. 4c.
     co_await sim_.delay(host_.spdk_read_stack);
     parts.push_back(
-        host_mem_.store().read(local(buffer_off(got.slot)).value(), n.value()));
+        host_mem_.store().read(buffer_off(got.slot).value(), n.value()));
     done_bytes += n;
   }
   co_return ReadCompletion{Payload::gather(parts), final_status};
@@ -303,7 +303,7 @@ sim::TaskOf<nvme::Status> Driver::write(Lba lba, Payload data) {
     const std::uint16_t slot = free_slot();
     // Zero-copy model: the application produced the data in the pinned
     // buffer; make it visible to the device.
-    host_mem_.store().write(local(buffer_off(slot)).value(), chunk);
+    host_mem_.store().write(buffer_off(slot).value(), chunk);
     Completion c(sim_);
     co_await submit_io(io, slot, &c);
     const Outcome got = co_await settle(&c, io, slot, chunk);

@@ -26,9 +26,6 @@ namespace snacc::spdk {
 
 struct DriverConfig {
   std::uint16_t queue_depth = 64;     // in-flight I/O commands
-  TimePs poll_interval = ns(150);     // CQ poll loop period
-  TimePs submit_overhead = ns(350);   // per-command software cost
-  Bytes region_offset{};              // where in host memory the driver lives
 
   // Error recovery (docs/FAULTS.md). 0 retries = report the error status to
   // the caller, exactly the pre-recovery behaviour (bit-identical when no
@@ -147,9 +144,9 @@ class Driver {
     return slot;
   }
 
-  // Region layout (local offsets inside the driver's host-memory region).
-  Bytes local(Bytes off) const { return cfg_.region_offset + off; }
-  pcie::Addr global(Bytes off) const { return host_window_base_ + local(off); }
+  // Region layout: offsets into host memory, where the driver's region
+  // starts at 0.
+  pcie::Addr global(Bytes off) const { return host_window_base_ + off; }
   Bytes admin_sq_off() const { return Bytes{}; }
   Bytes admin_cq_off() const { return Bytes{4 * KiB}; }
   Bytes identify_off() const { return Bytes{8 * KiB}; }

@@ -38,7 +38,7 @@ struct DurabilityFixture : ::testing::Test {
   DurabilityFixture() {
     host::SnaccDeviceConfig cfg;
     cfg.streamer.variant = core::Variant::kUram;
-    cfg.streamer.recovery = true;  // crash CQEs are lost; watchdog needed
+    cfg.streamer.cmd_timeout = ms(5);  // crash CQEs are lost; watchdog needed
     dev = std::make_unique<host::SnaccDevice>(sys, cfg);
     bool booted = false;
     auto boot = [](host::SnaccDevice* d, bool* f) -> sim::Task {
@@ -315,8 +315,7 @@ struct ReplicatedFixture : ::testing::Test {
       sys->ssd(i).nand().force_mode(true);
       host::SnaccDeviceConfig dcfg;
       dcfg.streamer.variant = core::Variant::kHostDram;
-      dcfg.streamer.recovery = true;
-      dcfg.streamer.retry_backoff = us(5);
+      dcfg.streamer.cmd_timeout = ms(5);
       dcfg.ssd_index = i;
       dcfg.instance = i;
       dcfg.shared_fpga_port = shared;
@@ -338,9 +337,7 @@ struct ReplicatedFixture : ::testing::Test {
     }
     std::vector<core::StorageClient*> ptrs;
     for (auto& c : clients) ptrs.push_back(c.get());
-    core::ReplicatedClient::Config rcfg;
-    rcfg.retry_backoff = us(20);
-    repl = std::make_unique<core::ReplicatedClient>(sys->sim(), ptrs, rcfg);
+    repl = std::make_unique<core::ReplicatedClient>(sys->sim(), ptrs);
     store = std::make_unique<KvStore>(*repl, Bytes{}, Bytes{256 * MiB});
   }
 

@@ -19,11 +19,10 @@ using host::SnaccDeviceConfig;
 using host::System;
 
 /// Builds a system with `n` SSDs, one streamer per SSD sharing the FPGA's
-/// PCIe port, and returns the initialized devices. `recovery` turns on the
-/// streamers' bounded retry + quarantine path (docs/FAULTS.md).
+/// PCIe port, and returns the initialized devices. Each streamer retries a
+/// failed command once before it quarantines it (docs/FAULTS.md).
 struct MultiBed {
-  explicit MultiBed(std::uint32_t n, Variant variant = Variant::kHostDram,
-                    bool recovery = false) {
+  explicit MultiBed(std::uint32_t n, Variant variant = Variant::kHostDram) {
     host::SystemConfig cfg;
     cfg.ssd_count = n;
     cfg.host_memory_bytes = 4 * GiB;
@@ -33,7 +32,6 @@ struct MultiBed {
       sys->ssd(i).nand().force_mode(true);
       SnaccDeviceConfig dcfg;
       dcfg.streamer.variant = variant;
-      dcfg.streamer.recovery = recovery;
       dcfg.streamer.max_retries = 1;
       dcfg.streamer.retry_backoff = us(2);
       dcfg.ssd_index = i;
@@ -91,7 +89,7 @@ TEST(MultiSsd, StripedWriteReadRoundTrip) {
 // back quarantined (read) or its response token poisoned (write), while
 // the other device's stripe succeeds.
 TEST(MultiSsd, ReadFaultOnOneDeviceSurfacesAsError) {
-  MultiBed bed(2, Variant::kHostDram, /*recovery=*/true);
+  MultiBed bed(2);
   const Payload data = Payload::filled(2 * MiB, 0x6B);  // one stripe each
   bool wrote = false;
   bool done = false;
@@ -115,7 +113,7 @@ TEST(MultiSsd, ReadFaultOnOneDeviceSurfacesAsError) {
 }
 
 TEST(MultiSsd, ProgramFaultOnOneDeviceSurfacesAsError) {
-  MultiBed bed(2, Variant::kHostDram, /*recovery=*/true);
+  MultiBed bed(2);
   bool wrote = true;
   bool done = false;
   auto io = [&]() -> sim::Task {
@@ -134,7 +132,7 @@ TEST(MultiSsd, ProgramFaultOnOneDeviceSurfacesAsError) {
 
 TEST(MultiSsd, LocateStripesRoundRobin) {
   MultiBed bed(4);
-  const Bytes stripe = bed.striped->stripe_bytes();
+  const Bytes stripe = core::kMaxTransfer;
   for (std::uint64_t i = 0; i < 16; ++i) {
     auto loc = bed.striped->locate(stripe * i);
     EXPECT_EQ(loc.device, i % 4);

@@ -1,13 +1,19 @@
 // Fault-injection framework tests (ctest label: faults): injector plan
 // semantics and determinism, fabric-level fault records and injections
-// (IOMMU drops, lost completions, link degradation), and the reorder
-// buffer's stale-completion absorption that backs the streamer's watchdog.
+// (IOMMU drops, lost completions, link degradation), the reorder buffer's
+// stale-completion absorption that backs the streamer's watchdog, and the
+// streamer's answers to media errors and malformed PE packets in its
+// default configuration.
 #include <gtest/gtest.h>
 
+#include "common/rng.hpp"
 #include "fault/fault.hpp"
+#include "host/snacc_device.hpp"
+#include "host/system.hpp"
 #include "pcie/fabric.hpp"
 #include "pcie/memory_target.hpp"
 #include "sim/task.hpp"
+#include "snacc/pe_client.hpp"
 #include "snacc/reorder_buffer.hpp"
 
 namespace snacc {
@@ -289,6 +295,261 @@ TEST(ReorderBuffer, FailHeadSynthesizesWatchdogCompletion) {
   // The genuinely-late CQE for the failed command is now stale.
   EXPECT_FALSE(rob.complete(slot, nvme::Status::kSuccess));
   EXPECT_EQ(rob.stale_completions(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// The streamer answers every PE command, with its default configuration
+
+/// A booted SNAcc device with the default SnaccDeviceConfig and a PE client.
+class DefaultStreamer : public ::testing::Test {
+ protected:
+  explicit DefaultStreamer(core::StreamerConfig streamer = {})
+      : dev_(sys_, host::SnaccDeviceConfig{.streamer = streamer}) {
+    bool booted = false;
+    auto boot = [&]() -> sim::Task {
+      co_await dev_.init();
+      booted = true;
+    };
+    sys_.sim().spawn(boot());
+    run_for(seconds(1));
+    EXPECT_TRUE(booted);
+    client_ = std::make_unique<core::PeClient>(dev_.streamer());
+  }
+
+  void TearDown() override {
+    if (!HasFailure()) dev_.streamer().check_invariants();
+  }
+
+  void run_for(TimePs d) { sys_.sim().run_until(sys_.sim().now() + d); }
+
+  static Payload random_bytes(std::uint64_t size, std::uint64_t seed) {
+    Xoshiro256 rng(seed);
+    std::vector<std::byte> v(size);
+    for (auto& b : v) b = static_cast<std::byte>(rng.next() & 0xFF);
+    return Payload::bytes(std::move(v));
+  }
+
+  /// Writes `data` at `addr` and reads it back; true when both succeed and
+  /// the bytes match.
+  bool round_trip(Bytes addr, const Payload& data) {
+    bool wrote = false;
+    ReadResult got;
+    bool done = false;
+    auto io = [&]() -> sim::Task {
+      wrote = co_await client_->write(addr, data);
+      got = co_await client_->read(addr, Bytes{data.size()});
+      done = true;
+    };
+    sys_.sim().spawn(io());
+    run_for(seconds(1));
+    return done && wrote && got.ok && got.data.has_data() &&
+           got.data.content_equals(data);
+  }
+
+  /// Sends `data` to `addr` with TLAST on an empty beat after the last data
+  /// beat; true when the PE gets a success token.
+  bool write_with_empty_tlast(Bytes addr, const Payload& data) {
+    core::NvmeStreamer& s = dev_.streamer();
+    bool done = false;
+    bool error = true;
+    auto io = [&]() -> sim::Task {
+      co_await s.write_in().send(
+          axis::Chunk{core::encode_write_address(addr), false, 0});
+      co_await axis::send_chunked(s.write_in(), data, Bytes{16 * KiB},
+                                  /*final_last=*/false);
+      co_await s.write_in().send(axis::Chunk{Payload{}, true, 0});
+      co_await client_->wait_write_response(&error);
+      done = true;
+    };
+    sys_.sim().spawn(io());
+    run_for(seconds(1));
+    return done && !error;
+  }
+
+  host::System sys_;
+  host::SnaccDevice dev_;
+  std::unique_ptr<core::PeClient> client_;
+};
+
+TEST_F(DefaultStreamer, ReadFaultIsRetriedAndReturnsStoredBytes) {
+  const Payload data = random_bytes(4 * KiB, 31);
+  bool done = false;
+  ReadResult got;
+  auto io = [&]() -> sim::Task {
+    EXPECT_TRUE(co_await client_->write(Bytes{64 * KiB}, data));
+    sys_.ssd().nand().set_read_fault_plan(fault::FaultPlan::at({0}));
+    got = co_await client_->read(Bytes{64 * KiB}, Bytes{4 * KiB});
+    done = true;
+  };
+  sys_.sim().spawn(io());
+  run_for(seconds(1));
+  ASSERT_TRUE(done);
+  EXPECT_TRUE(got.ok);
+  ASSERT_TRUE(got.data.has_data()) << "a failed read must not pass as data";
+  EXPECT_TRUE(got.data.content_equals(data));
+  EXPECT_EQ(dev_.streamer().retries(), 1u);
+  EXPECT_EQ(dev_.streamer().recovered(), 1u);
+}
+
+TEST_F(DefaultStreamer, PersistentReadFaultReturnsError) {
+  bool done = false;
+  ReadResult got;
+  auto io = [&]() -> sim::Task {
+    EXPECT_TRUE(co_await client_->write(Bytes{}, random_bytes(4 * KiB, 32)));
+    sys_.ssd().nand().set_read_fault_plan(fault::FaultPlan::rate(1.0));
+    got = co_await client_->read(Bytes{}, Bytes{4 * KiB});
+    done = true;
+  };
+  sys_.sim().spawn(io());
+  run_for(seconds(1));
+  ASSERT_TRUE(done);
+  EXPECT_FALSE(got.ok);
+  EXPECT_EQ(got.data.size(), 4 * KiB);  // stream framing intact
+  EXPECT_EQ(dev_.streamer().quarantined(), 1u);
+}
+
+// A malformed packet is discarded through TLAST and answered with an error
+// in command order; the stream stays aligned for the next command.
+
+TEST_F(DefaultStreamer, MisalignedWriteWithDataIsAnsweredWithError) {
+  bool done = false;
+  bool ok = true;
+  auto io = [&]() -> sim::Task {
+    ok = co_await client_->write(Bytes{100}, random_bytes(32 * KiB, 33));
+    done = true;
+  };
+  sys_.sim().spawn(io());
+  run_for(seconds(1));
+  ASSERT_TRUE(done) << "the PE must get a response token";
+  EXPECT_FALSE(ok);
+  EXPECT_EQ(dev_.streamer().commands_submitted(), 0u);
+  EXPECT_EQ(dev_.streamer().errors(), 1u);
+  EXPECT_TRUE(round_trip(Bytes{}, random_bytes(32 * KiB, 34)));
+}
+
+TEST_F(DefaultStreamer, MisalignedPhantomWriteDoesNotReachAddressZero) {
+  // A phantom beat decodes as address 0: read as an address beat, the
+  // packet's data would land there.
+  const Payload stored = random_bytes(64 * KiB, 35);
+  ASSERT_TRUE(round_trip(Bytes{}, stored));
+  const std::uint64_t written = dev_.streamer().bytes_written();
+  bool done = false;
+  bool ok = true;
+  ReadResult got;
+  auto io = [&]() -> sim::Task {
+    ok = co_await client_->write(Bytes{100}, Payload::phantom(64 * KiB));
+    got = co_await client_->read(Bytes{}, Bytes{64 * KiB});
+    done = true;
+  };
+  sys_.sim().spawn(io());
+  run_for(seconds(1));
+  ASSERT_TRUE(done);
+  EXPECT_FALSE(ok);
+  EXPECT_EQ(dev_.streamer().bytes_written(), written);
+  EXPECT_TRUE(got.ok);
+  ASSERT_TRUE(got.data.has_data()) << "phantom data overwrote address 0";
+  EXPECT_TRUE(got.data.content_equals(stored));
+  EXPECT_TRUE(round_trip(Bytes{1 * MiB}, random_bytes(16 * KiB, 36)));
+}
+
+TEST_F(DefaultStreamer, ZeroLengthReadIsAnsweredWithError) {
+  bool done = false;
+  ReadResult got;
+  auto io = [&]() -> sim::Task {
+    got = co_await client_->read(Bytes{}, Bytes{});
+    done = true;
+  };
+  sys_.sim().spawn(io());
+  run_for(seconds(1));
+  ASSERT_TRUE(done) << "the PE must get a TLAST beat";
+  EXPECT_FALSE(got.ok);
+  EXPECT_EQ(got.data.size(), 0u);
+  EXPECT_TRUE(round_trip(Bytes{}, random_bytes(8 * KiB, 37)));
+}
+
+TEST_F(DefaultStreamer, OtherMalformedWritePacketsAreAnswered) {
+  core::NvmeStreamer& s = dev_.streamer();
+  bool done = false;
+  std::vector<bool> errors;
+  auto io = [&]() -> sim::Task {
+    auto response = [&]() -> sim::Task {
+      bool error = false;
+      co_await client_->wait_write_response(&error);
+      errors.push_back(error);
+    };
+    // A flush beat that does not end its packet.
+    co_await s.write_in().send(
+        axis::Chunk{core::encode_flush_command(), false, 0});
+    co_await s.write_in().send(axis::Chunk{Payload::filled(64, 1), true, 0});
+    co_await response();
+    // An address beat with TLAST: no data beats.
+    co_await s.write_in().send(
+        axis::Chunk{core::encode_write_address(Bytes{}), true, 0});
+    co_await response();
+    // Only an empty data beat.
+    co_await s.write_in().send(
+        axis::Chunk{core::encode_write_address(Bytes{}), false, 0});
+    co_await s.write_in().send(axis::Chunk{Payload{}, true, 0});
+    co_await response();
+    done = true;
+  };
+  sys_.sim().spawn(io());
+  run_for(seconds(1));
+  ASSERT_TRUE(done);
+  EXPECT_EQ(errors, std::vector<bool>(3, true));
+  EXPECT_EQ(s.commands_submitted(), 0u);
+  EXPECT_EQ(s.commands_retired(), 0u);
+  EXPECT_EQ(s.quarantined(), 3u);
+  EXPECT_TRUE(round_trip(Bytes{}, random_bytes(4 * KiB, 38)));
+}
+
+TEST_F(DefaultStreamer, WriteEndingOnSplitBoundaryBeforeTlastSucceeds) {
+  // The data ends exactly on the 1 MiB boundary, so its last sub-command is
+  // already issued without TLAST when the empty TLAST beat arrives.
+  core::NvmeStreamer& s = dev_.streamer();
+  const Payload data = random_bytes(1536 * KiB, 39);
+  ASSERT_TRUE(write_with_empty_tlast(Bytes{512 * KiB}, data));
+  EXPECT_EQ(s.errors(), 0u);
+  EXPECT_EQ(s.quarantined(), 0u);
+  EXPECT_EQ(s.commands_submitted(), 2u);
+  EXPECT_EQ(s.commands_retired(), s.commands_submitted());
+  ReadResult got;
+  auto io = [&]() -> sim::Task {
+    got = co_await client_->read(Bytes{512 * KiB}, Bytes{data.size()});
+  };
+  sys_.sim().spawn(io());
+  run_for(seconds(1));
+  EXPECT_TRUE(got.ok);
+  ASSERT_TRUE(got.data.has_data());
+  EXPECT_TRUE(got.data.content_equals(data));
+}
+
+/// The same device with the Sec. 7 out-of-order extension, whose issue
+/// credits return at completion instead of retirement.
+class OutOfOrderStreamer : public DefaultStreamer {
+ protected:
+  OutOfOrderStreamer()
+      : DefaultStreamer(core::StreamerConfig{.out_of_order = true}) {}
+};
+
+TEST_F(OutOfOrderStreamer, LocallyAnsweredCommandsReturnTheirCredits) {
+  // TearDown's check_invariants() finds a credit leaked by any of these.
+  bool done = false;
+  bool ok = true;
+  ReadResult got;
+  auto io = [&]() -> sim::Task {
+    ok = co_await client_->write(Bytes{100}, random_bytes(8 * KiB, 40));
+    got = co_await client_->read(Bytes{}, Bytes{});
+    done = true;
+  };
+  sys_.sim().spawn(io());
+  run_for(seconds(1));
+  ASSERT_TRUE(done);
+  EXPECT_FALSE(ok);
+  EXPECT_FALSE(got.ok);
+  EXPECT_TRUE(write_with_empty_tlast(Bytes{}, random_bytes(1 * MiB, 41)));
+  EXPECT_EQ(dev_.streamer().quarantined(), 2u);
+  EXPECT_TRUE(round_trip(Bytes{2 * MiB}, random_bytes(16 * KiB, 42)));
 }
 
 }  // namespace

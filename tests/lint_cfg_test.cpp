@@ -220,15 +220,13 @@ TEST(LintCfg, SuspensionAnnotatesAndSplitsBlock) {
       "}\n");
   const int susp = block_of(b, "co_await");
   const int after = block_of(b, "after");
-  EXPECT_TRUE(b.cfg.block(susp).suspends);
   EXPECT_NE(susp, after) << "a suspension ends its block";
   EXPECT_TRUE(b.cfg.has_edge(susp, after));
-  EXPECT_FALSE(b.cfg.block(after).suspends);
 }
 
 TEST(LintCfg, NestedLambdaBodyIsExcluded) {
-  // The lambda's co_await belongs to the lambda's own CFG; the enclosing
-  // function's blocks must not be marked suspending by it.
+  // The lambda's co_await belongs to the lambda's own CFG; it must not
+  // split the enclosing function's block.
   const auto b = build(
       "void f(S s) {\n"
       "  auto inner = [](S sim) -> sim::Task {\n"
@@ -236,9 +234,7 @@ TEST(LintCfg, NestedLambdaBodyIsExcluded) {
       "  };\n"
       "  use(inner);\n"
       "}\n");
-  for (const lint::CfgBlock& blk : b.cfg.blocks) {
-    EXPECT_FALSE(blk.suspends);
-  }
+  EXPECT_EQ(block_of(b, "inner"), block_of(b, "use"));
 }
 
 TEST(LintCfg, CacheBuildsOnceAndIsStable) {
@@ -272,7 +268,7 @@ TEST(LintDataflow, BranchMayMerge) {
   df.solve();
   EXPECT_TRUE(df.in(block_of(b, "join_stmt"), 0)) << "may-facts merge by union";
   EXPECT_TRUE(df.in(b.cfg.exit, 0));
-  const auto path = df.live_path(b.cfg.exit, 0);
+  const auto path = df.live_path(0);
   ASSERT_GE(path.size(), 2u);
   EXPECT_EQ(path.front(), block_of(b, "gen_here"));
   EXPECT_EQ(path.back(), b.cfg.exit);

@@ -33,12 +33,12 @@ class StreamerFixture : public ::testing::TestWithParam<Variant> {
     build_with(cfg);
   }
 
-  /// Recovery-enabled variant with fast retry/watchdog knobs for tests.
+  /// Fault-test variant: fast retries, and the watchdog on.
   void build_recovery(bool out_of_order = false, std::uint8_t max_retries = 3) {
     SnaccDeviceConfig cfg;
     cfg.streamer.variant = GetParam();
     cfg.streamer.out_of_order = out_of_order;
-    cfg.streamer.recovery = true;
+    cfg.streamer.cmd_timeout = ms(5);
     cfg.streamer.max_retries = max_retries;
     cfg.streamer.retry_backoff = us(2);
     build_with(cfg);
@@ -70,10 +70,8 @@ class StreamerFixture : public ::testing::TestWithParam<Variant> {
     SnaccDeviceConfig cfg;
     cfg.streamer.variant = GetParam();
     cfg.streamer.out_of_order = out_of_order;
-    cfg.streamer.recovery = true;
     cfg.streamer.retry_backoff = us(2);
     cfg.streamer.cmd_timeout = us(400);
-    cfg.streamer.watchdog_period = us(50);
     build_with(cfg);
     Payload data = random_payload(4 * KiB, 24);
     bool done = false;

@@ -22,7 +22,7 @@ namespace {
 // Splitter
 
 TEST(Splitter, SmallAlignedReadIsOnePiece) {
-  auto subs = split_read(Bytes{4096}, Bytes{4096}, {});
+  auto subs = split_read(Bytes{4096}, Bytes{4096});
   ASSERT_EQ(subs.size(), 1u);
   EXPECT_EQ(subs[0].slba.value(), 1u);
   EXPECT_EQ(subs[0].blocks, 1u);
@@ -32,7 +32,7 @@ TEST(Splitter, SmallAlignedReadIsOnePiece) {
 }
 
 TEST(Splitter, UnalignedReadTrimsHead) {
-  auto subs = split_read(Bytes{5000}, Bytes{100}, {});
+  auto subs = split_read(Bytes{5000}, Bytes{100});
   ASSERT_EQ(subs.size(), 1u);
   EXPECT_EQ(subs[0].slba.value(), 1u);
   EXPECT_EQ(subs[0].trim_head, 5000u % 4096);
@@ -41,7 +41,7 @@ TEST(Splitter, UnalignedReadTrimsHead) {
 }
 
 TEST(Splitter, ReadCrossingBlockBoundaryCoversBothBlocks) {
-  auto subs = split_read(Bytes{4000}, Bytes{200}, {});
+  auto subs = split_read(Bytes{4000}, Bytes{200});
   ASSERT_EQ(subs.size(), 1u);
   EXPECT_EQ(subs[0].slba.value(), 0u);
   EXPECT_EQ(subs[0].blocks, 2u);
@@ -52,19 +52,13 @@ TEST(Splitter, LargeReadSplitsAtMdtsBoundaries) {
   // 2.5 MiB starting mid-MB: first piece reaches the 1 MiB boundary,
   // middle pieces are full-size, tail is the remainder.
   const Bytes addr{512 * KiB};
-  auto subs = split_read(addr, Bytes{2 * MiB + 512 * KiB}, {});
+  auto subs = split_read(addr, Bytes{2 * MiB + 512 * KiB});
   ASSERT_EQ(subs.size(), 3u);
   EXPECT_EQ(subs[0].payload_bytes.value(), 512 * KiB);
   EXPECT_EQ(subs[1].payload_bytes.value(), 1 * MiB);
   EXPECT_EQ(subs[2].payload_bytes.value(), 1 * MiB);
   EXPECT_TRUE(subs[2].last);
   EXPECT_FALSE(subs[0].last);
-}
-
-TEST(Splitter, WriteRequiresAlignment) {
-  EXPECT_TRUE(split_write(Bytes{100}, Bytes{4096}, {}).empty());
-  EXPECT_TRUE(split_write(Bytes{4096}, Bytes{100}, {}).empty());
-  EXPECT_EQ(split_write(Bytes{4096}, Bytes{8192}, {}).size(), 1u);
 }
 
 class SplitterProperty : public ::testing::TestWithParam<std::uint64_t> {};
@@ -75,7 +69,7 @@ TEST_P(SplitterProperty, PiecesReassembleExactly) {
   for (int i = 0; i < 50; ++i) {
     const std::uint64_t addr = rng.below(16 * MiB);
     const std::uint64_t len = 1 + rng.below(4 * MiB);
-    auto subs = split_read(Bytes{addr}, Bytes{len}, {});
+    auto subs = split_read(Bytes{addr}, Bytes{len});
     ASSERT_FALSE(subs.empty());
     std::uint64_t total = 0;
     std::uint64_t cursor = addr;

@@ -130,7 +130,7 @@ TEST_P(MixedWorkload, RandomizedInterleavedIoMatchesReference) {
   EXPECT_GT(checks, 10);
 }
 
-// Same randomized workload under NAND read faults with recovery enabled: a
+// Same randomized workload under NAND read faults, with the watchdog on: a
 // low probabilistic fault rate plus one scheduled hit (so every seed sees at
 // least one fault) must not cost any data integrity, and the streamer's
 // counters must account for every error -- no lost commands, no hangs.
@@ -146,7 +146,7 @@ TEST_P(FaultedWorkload, RecoveryPreservesIntegrityAndAccountsForFaults) {
   host::SnaccDeviceConfig dcfg;
   dcfg.streamer.variant = cfg.variant;
   dcfg.streamer.out_of_order = cfg.out_of_order;
-  dcfg.streamer.recovery = true;
+  dcfg.streamer.cmd_timeout = ms(5);
   dcfg.streamer.max_retries = 6;
   dcfg.streamer.retry_backoff = us(2);
   host::SnaccDevice dev(sys, dcfg);

@@ -70,14 +70,16 @@ class Builder {
   // --- statement scanning --------------------------------------------------
 
   /// Index one past the `;` terminating the simple statement at `i` (depth-
-  /// balanced), or `limit`. Sets *suspends if the statement contains a
-  /// co_await / co_yield outside nested lambda bodies.
-  std::size_t stmt_end(std::size_t i, std::size_t limit, bool* suspends) {
+  /// balanced), or `limit`. Sets *suspends if given and the statement
+  /// contains a co_await / co_yield outside nested lambda bodies.
+  std::size_t stmt_end(std::size_t i, std::size_t limit,
+                       bool* suspends = nullptr) {
     int depth = 0;
     for (std::size_t j = i; j < limit; ++j) {
       const Token& t = toks_[j];
       if (t.kind == Tok::kIdent) {
-        if ((t.text == "co_await" || t.text == "co_yield") &&
+        if (suspends != nullptr &&
+            (t.text == "co_await" || t.text == "co_yield") &&
             !in_ranges(child_, j)) {
           *suspends = true;
         }
@@ -112,20 +114,16 @@ class Builder {
       if (t.text == "try") return i + 1;  // the compound that follows parses
       if (t.text == "catch") return parse_catch(i, limit);
       if (t.text == "break" || t.text == "continue") {
-        bool susp = false;
-        const std::size_t end = stmt_end(i, limit, &susp);
+        const std::size_t end = stmt_end(i, limit);
         cover(i, end);
-        if (susp) cfg_.blocks[static_cast<std::size_t>(cur_)].suspends = true;
         const auto& targets = t.text == "break" ? break_ : continue_;
         if (!targets.empty()) edge(cur_, targets.back());
         cur_ = -1;
         return end;
       }
       if (t.text == "return" || t.text == "co_return") {
-        bool susp = false;
-        const std::size_t end = stmt_end(i, limit, &susp);
+        const std::size_t end = stmt_end(i, limit);
         cover(i, end);
-        if (susp) cfg_.blocks[static_cast<std::size_t>(cur_)].suspends = true;
         edge(cur_, cfg_.exit);
         cur_ = -1;
         return end;
@@ -145,7 +143,6 @@ class Builder {
     const std::size_t end = stmt_end(i, limit, &susp);
     cover(i, end);
     if (susp) {
-      cfg_.blocks[static_cast<std::size_t>(cur_)].suspends = true;
       // A suspension ends its block so "after the co_await" is a boundary.
       const int next = new_block(end);
       edge(cur_, next);
@@ -156,8 +153,7 @@ class Builder {
 
   /// Seals `cur_` and opens a header block covering `kw (cond)`. Returns
   /// the index one past the condition's `)` (or past the keyword if no
-  /// parens followed). Header co_awaits (e.g. `if (co_await f())`) mark the
-  /// header block as suspending.
+  /// parens followed).
   int open_header(std::size_t kw, std::size_t* after) {
     std::size_t p = kw + 1;
     if (p < toks_.size() && toks_[p].ident("constexpr")) ++p;  // if constexpr
@@ -170,12 +166,6 @@ class Builder {
     const int hdr = new_block(kw);
     cfg_.blocks[static_cast<std::size_t>(hdr)].end = end;
     if (prev != -1) edge(prev, hdr);
-    for (std::size_t j = kw; j < end; ++j) {
-      if ((toks_[j].ident("co_await") || toks_[j].ident("co_yield")) &&
-          !in_ranges(child_, j)) {
-        cfg_.blocks[static_cast<std::size_t>(hdr)].suspends = true;
-      }
-    }
     *after = end;
     return hdr;
   }

@@ -35,7 +35,6 @@ struct CfgBlock {
   std::size_t begin = 0;  ///< token range [begin, end) of the block's code
   std::size_t end = 0;    ///< (empty for synthetic join/exit blocks)
   std::uint32_t line = 0;  ///< line of the first token attributed, 0 if none
-  bool suspends = false;   ///< block contains/ends at a co_await or co_yield
   std::vector<int> succ;
   std::vector<int> pred;  ///< derived from succ when the build finalizes
 };

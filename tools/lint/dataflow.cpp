@@ -49,7 +49,8 @@ bool ForwardMay::in(int block, std::size_t fact) const {
   return get(in_[static_cast<std::size_t>(block)], fact);
 }
 
-std::vector<int> ForwardMay::live_path(int to, std::size_t fact) const {
+std::vector<int> ForwardMay::live_path(std::size_t fact) const {
+  const int to = cfg_.exit;
   const std::size_t n = cfg_.blocks.size();
   std::vector<int> parent(n, -2);  // -2 unvisited, -1 a BFS source
   std::deque<int> queue;

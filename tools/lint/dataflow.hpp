@@ -31,12 +31,12 @@ class ForwardMay {
   bool in(int block, std::size_t fact) const;
 
   /// A shortest block path along which `fact` is generated and survives
-  /// to `to`: starts at some block whose gen set holds `fact`, every
-  /// interior block keeps it live (fact ∈ out), and ends at `to` (which
-  /// need not preserve it). Returns {} if no such path exists -- callers
-  /// should only ask after observing fact ∈ in(to) (or to being a gen
-  /// block). Deterministic: BFS in block-index order.
-  std::vector<int> live_path(int to, std::size_t fact) const;
+  /// to the function exit: starts at some block whose gen set holds
+  /// `fact`, every interior block keeps it live (fact ∈ out), and ends at
+  /// `cfg.exit`. Returns {} if no such path exists -- callers should only
+  /// ask after observing fact ∈ in(cfg.exit). Deterministic: BFS in
+  /// block-index order.
+  std::vector<int> live_path(std::size_t fact) const;
 
  private:
   using Row = std::vector<std::uint64_t>;

@@ -196,7 +196,7 @@ class ResourcePairing final : public Rule {
                        "on every path or split the handoff into its own "
                        "function",
                    {}};
-        const auto path = df.live_path(cfg.exit, s);
+        const auto path = df.live_path(s);
         fd.path.push_back({sites[s].line, acq_call + " acquired here"});
         append_interior(cfg, path,
                         "path continues without '" + recv + "." +
@@ -381,7 +381,7 @@ class UncheckedStatusPath final : public Rule {
                        "exit; a failed operation would go unnoticed",
                    {}};
         fd.path.push_back({line, "'" + vn + "' bound to the result"});
-        append_interior(cfg, df.live_path(cfg.exit, s),
+        append_interior(cfg, df.live_path(s),
                         "'" + vn + "' still unread", &fd.path);
         const std::uint32_t exit_ln = cfg.block(cfg.exit).line;
         fd.path.push_back({exit_ln == 0 ? line : exit_ln,
